@@ -9,11 +9,20 @@ Canonical vertex orderings (0-based in code):
 
 A mesh is immutable once built: coordinate and adjacency arrays are marked
 read-only, smoothing works on detached coordinate arrays.
+
+A mesh stores its elements as :class:`Element` objects plus vertex valence and
+boundary flags. :func:`make_mesh` counts valence with one ``np.bincount`` and
+finds boundary faces with one sort over the stacked element faces.
+
+The per-kind integer connectivity that the batched kernels need
+(:func:`kind_groups`) is not stored: each top-level call (one ``smooth``, one
+quality report) builds it once and hands it to the kernels. Kept on the mesh,
+it would add 40 bytes per tetrahedron to every mesh a caller holds.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,9 +63,10 @@ FACES: dict[ElementKind, tuple[tuple[int, ...], ...]] = {
         (3, 0, 4, 7),
     ),
 }
+_MAX_FACES = max(len(faces) for faces in FACES.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """One volume cell: a kind plus its ordered vertex indices."""
 
@@ -106,6 +116,47 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kind_arrays(elements) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
+    by_kind: dict[ElementKind, list[int]] = {}
+    for i, e in enumerate(elements):
+        by_kind.setdefault(e.kind, []).append(i)
+    groups = {}
+    for kind, ids in by_kind.items():
+        flat = itertools.chain.from_iterable([elements[i].vertices for i in ids])
+        conn = np.fromiter(flat, dtype=np.int64, count=len(ids) * kind.vertex_count)
+        groups[kind] = (np.asarray(ids, dtype=np.int64), conn.reshape(len(ids), kind.vertex_count))
+    return groups
+
+
+def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every oriented element face, stacked by face size.
+
+    Returns ``{size: (faces, order, once)}``: ``faces`` (f, size) holds global
+    vertex indices, ``order`` the position of each face in the walk over
+    elements in order and their faces in :data:`FACES` order, and ``once``
+    flags faces whose vertex set occurs exactly once among faces of that size.
+    """
+    stacks: dict[int, tuple[list, list]] = {}
+    for kind, (ids, conn) in groups.items():
+        for j, face in enumerate(FACES[kind]):
+            faces, order = stacks.setdefault(len(face), ([], []))
+            faces.append(conn[:, face])
+            order.append(ids * _MAX_FACES + j)
+    out = {}
+    for size, (faces, order) in stacks.items():
+        faces, order = np.concatenate(faces), np.concatenate(order)
+        keys = np.sort(faces, axis=1)
+        perm = np.lexsort(keys.T[::-1])
+        ranked = keys[perm]
+        starts = np.ones(len(ranked), dtype=bool)
+        starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        run = np.cumsum(starts) - 1
+        once = np.empty(len(ranked), dtype=bool)
+        once[perm] = np.bincount(run)[run] == 1
+        out[size] = (faces, order, once)
+    return out
+
+
 def make_mesh(points, elements) -> Mesh:
     """Build a mesh from raw coordinates and elements, computing adjacency."""
     pts = np.ascontiguousarray(np.asarray(points, dtype=float))
@@ -115,26 +166,18 @@ def make_mesh(points, elements) -> Mesh:
         raise InvalidSpec("vertex coordinates must be finite")
     elems = tuple(elements)
     n = pts.shape[0]
-    for e in elems:
-        if min(e.vertices) < 0 or max(e.vertices) >= n:
-            raise InvalidElement(f"vertex index out of range in {e.vertices}")
+    groups = _kind_arrays(elems)
+    out_of_range = [ids[((conn < 0) | (conn >= n)).any(axis=1)] for ids, conn in groups.values()]
+    first = min((int(bad[0]) for bad in out_of_range if bad.size), default=None)
+    if first is not None:
+        raise InvalidElement(f"vertex index out of range in {elems[first].vertices}")
 
-    valence = np.zeros(n, dtype=np.int64)
-    face_count: Counter = Counter()
-    face_example: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e in elems:
-        for v in e.vertices:
-            valence[v] += 1
-        for face in e.faces():
-            key = tuple(sorted(face))
-            face_count[key] += 1
-            face_example.setdefault(key, face)
-
+    incidences = [conn.ravel() for _, conn in groups.values()]
+    valence = np.bincount(np.concatenate(incidences), minlength=n) if incidences else np.zeros(n)
+    valence = valence.astype(np.int64, copy=False)
     boundary = np.zeros(n, dtype=bool)
-    for key, count in face_count.items():
-        if count == 1:
-            boundary[list(key)] = True
-
+    for faces, _, once in _faces_by_size(groups).values():
+        boundary[faces[once]] = True
     return Mesh(_freeze(pts), elems, _freeze(valence), _freeze(boundary))
 
 
@@ -144,15 +187,11 @@ def build_adjacency(mesh: Mesh) -> Mesh:
 
 
 def boundary_faces(mesh: Mesh) -> list[tuple[int, ...]]:
-    """Oriented faces incident to exactly one element."""
-    seen: Counter = Counter()
-    oriented: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e in mesh.elements:
-        for face in e.faces():
-            key = tuple(sorted(face))
-            seen[key] += 1
-            oriented.setdefault(key, face)
-    return [oriented[key] for key, count in seen.items() if count == 1]
+    """Oriented faces incident to exactly one element, in element order."""
+    found = []
+    for faces, order, once in _faces_by_size(_kind_arrays(mesh.elements)).values():
+        found += zip(order[once].tolist(), map(tuple, faces[once].tolist()))
+    return [face for _, face in sorted(found)]
 
 
 def kind_groups(mesh: Mesh) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
@@ -160,13 +199,8 @@ def kind_groups(mesh: Mesh) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
 
     Returns ``{kind: (element_ids, connectivity)}`` where ``connectivity``
     has shape (m, n_e). Element ids refer to positions in ``mesh.elements``.
+    The arrays are built on every call and not stored on the mesh: a
+    top-level operation builds them once and passes them to the kernels it
+    calls through their ``groups`` argument.
     """
-    ids: dict[ElementKind, list[int]] = {}
-    conn: dict[ElementKind, list[tuple[int, ...]]] = {}
-    for i, e in enumerate(mesh.elements):
-        ids.setdefault(e.kind, []).append(i)
-        conn.setdefault(e.kind, []).append(e.vertices)
-    return {
-        kind: (np.asarray(ids[kind], dtype=np.int64), np.asarray(conn[kind], dtype=np.int64))
-        for kind in ids
-    }
+    return _kind_arrays(mesh.elements)

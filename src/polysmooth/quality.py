@@ -143,39 +143,48 @@ class QualityReport:
         }
 
 
-def mesh_mean_volumes(mesh: Mesh, coords=None) -> np.ndarray:
-    """Mean volume of every element, in element order."""
+def mesh_mean_volumes(mesh: Mesh, coords=None, *, groups=None) -> np.ndarray:
+    """Mean volume of every element, in element order.
+
+    ``groups`` is :func:`~polysmooth.mesh.kind_groups` of the mesh, built by
+    the caller when it makes several passes; omitted, it is built here.
+    """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     vols = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in kind_groups(mesh).items():
+    if groups is None:
+        groups = kind_groups(mesh)
+    for kind, (ids, conn) in groups.items():
         vols[ids] = geometry.element_mean_volumes(kind, coords[conn])
     return vols
 
 
-def _shifted_volumes(mesh: Mesh, coords, shift: float | None) -> np.ndarray:
-    v = mesh_mean_volumes(mesh, coords) + (shift or 0.0)
+def _require_positive(v: np.ndarray) -> np.ndarray:
+    """``v`` itself, or ``NonPositiveVolume`` naming its first entry <= 0."""
     bad = np.nonzero(v <= 0.0)[0]
     if bad.size:
         raise NonPositiveVolume(int(bad[0]), float(v[bad[0]]))
     return v
 
 
-def _per_element_values(mesh: Mesh, coords, spec: QualityMeasureSpec) -> np.ndarray:
+def _shifted_volumes(mesh: Mesh, coords, shift: float | None, groups) -> np.ndarray:
+    return _require_positive(mesh_mean_volumes(mesh, coords, groups=groups) + (shift or 0.0))
+
+
+def _per_element_values(mesh: Mesh, coords, spec: QualityMeasureSpec, groups) -> np.ndarray:
     m = spec.measure
     if m is Measure.MEAN_VOLUME_SUM:
-        return mesh_mean_volumes(mesh, coords)
+        return mesh_mean_volumes(mesh, coords, groups=groups)
     if m is Measure.PRODUCT_SQUARED:
-        return _shifted_volumes(mesh, coords, spec.volume_shift) ** 2
+        return _shifted_volumes(mesh, coords, spec.volume_shift, groups) ** 2
     if m is Measure.INVERSE_SQUARED_SUM:
-        return -1.0 / _shifted_volumes(mesh, coords, spec.volume_shift) ** 2
+        return -1.0 / _shifted_volumes(mesh, coords, spec.volume_shift, groups) ** 2
+    coords_ = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     if m is Measure.MEAN_RATIO:
         if any(e.kind is not ElementKind.TETRA for e in mesh.elements):
             raise MixedMeshMeanRatio("mean ratio is defined for all-tetrahedra meshes")
-        coords_ = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
         return np.array([mean_ratio(coords_[list(e.vertices)]) for e in mesh.elements])
-    coords_ = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     values = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in kind_groups(mesh).items():
+    for kind, (ids, conn) in groups.items():
         values[ids] = geometry.element_iqs(kind, coords_[conn])
     return values
 
@@ -187,8 +196,9 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     its definition); every other measure is combined by ``spec.combiner``.
     """
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
-    values = _per_element_values(mesh, coords, spec)
-    invalid = int(np.sum(mesh_mean_volumes(mesh, coords) <= 0.0))
+    groups = kind_groups(mesh)
+    values = _per_element_values(mesh, coords, spec, groups)
+    invalid = int(np.sum(mesh_mean_volumes(mesh, coords, groups=groups) <= 0.0))
     if spec.measure is Measure.PRODUCT_SQUARED:
         global_value = float(np.prod(values))
     elif spec.combiner is Combiner.SUM:
@@ -209,29 +219,46 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     )
 
 
-def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
+def _scatter(n: int, conns, values) -> np.ndarray:
+    """Sum per-element vertex vectors onto ``n`` vertices.
+
+    ``conns`` and ``values`` list, per kind, (m, n_e) vertex indices and the
+    matching (m, n_e, 3) vectors. ``np.bincount`` adds them in the order of
+    the concatenation, which is the order ``np.add.at`` would use, so the
+    sums are bit for bit the same.
+    """
+    if not conns:
+        return np.zeros((n, 3))
+    idx = np.concatenate([conn.ravel() for conn in conns])
+    vectors = np.concatenate([v.reshape(-1, 3) for v in values])
+    return np.stack([np.bincount(idx, vectors[:, j], minlength=n) for j in range(3)], axis=1)
+
+
+def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None, *, groups=None) -> np.ndarray:
     """Sum per-element transformation fields onto mesh vertices.
 
     ``per_element_scale`` optionally multiplies each element's field before
-    the scatter (indexed in element order).
+    the scatter (indexed in element order). ``groups`` is as in
+    :func:`mesh_mean_volumes`.
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    out = np.zeros_like(coords)
-    for kind, (ids, conn) in kind_groups(mesh).items():
-        fields = geometry.element_fields(kind, coords[conn])
+    if groups is None:
+        groups = kind_groups(mesh)
+    conns, fields = [], []
+    for kind, (ids, conn) in groups.items():
+        f = geometry.element_fields(kind, coords[conn])
         if per_element_scale is not None:
-            fields = fields * np.asarray(per_element_scale)[ids][:, None, None]
-        np.add.at(out, conn.ravel(), fields.reshape(-1, 3))
-    return out
+            f = f * np.asarray(per_element_scale)[ids][:, None, None]
+        conns.append(conn)
+        fields.append(f)
+    return _scatter(len(coords), conns, fields)
 
 
-def _scatter_iq_gradients(mesh: Mesh, coords) -> np.ndarray:
+def _scatter_iq_gradients(mesh: Mesh, coords, groups) -> np.ndarray:
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    out = np.zeros_like(coords)
-    for kind, (ids, conn) in kind_groups(mesh).items():
-        grads = geometry.element_iq_gradients(kind, coords[conn])
-        np.add.at(out, conn.ravel(), grads.reshape(-1, 3))
-    return out
+    conns = [conn for _, conn in groups.values()]
+    grads = [geometry.element_iq_gradients(kind, coords[conn]) for kind, (_, conn) in groups.items()]
+    return _scatter(len(coords), conns, grads)
 
 
 def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> np.ndarray:
@@ -248,22 +275,26 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     if m is Measure.MEAN_RATIO:
         raise InvalidSpec("no gradient field is defined for the mean ratio measure")
     scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
+    groups = kind_groups(mesh)
     if m is Measure.MEAN_VOLUME_SUM:
-        return scale / 6.0 * scatter_element_fields(mesh, coords)
+        return scale / 6.0 * scatter_element_fields(mesh, coords, groups=groups)
     if m is Measure.PRODUCT_SQUARED:
-        v = _shifted_volumes(mesh, coords, spec.volume_shift)
+        v = _shifted_volumes(mesh, coords, spec.volume_shift, groups)
         q1 = np.prod(v**2)
-        return q1 / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=1.0 / v)
+        return q1 / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=1.0 / v, groups=groups)
     if m is Measure.INVERSE_SQUARED_SUM:
-        v = _shifted_volumes(mesh, coords, spec.volume_shift)
-        return scale / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=v**-3)
-    return scale * _scatter_iq_gradients(mesh, coords)
+        v = _shifted_volumes(mesh, coords, spec.volume_shift, groups)
+        return scale / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=v**-3, groups=groups)
+    return scale * _scatter_iq_gradients(mesh, coords, groups)
 
 
 def compute_volume_shift(mesh: Mesh, coords=None) -> float:
     """Shift making every shifted mean volume positive: 0 for valid meshes,
     twice the worst inversion otherwise."""
-    vols = mesh_mean_volumes(mesh, coords)
+    return _volume_shift(mesh_mean_volumes(mesh, coords), mesh.vertices if coords is None else coords)
+
+
+def _volume_shift(vols: np.ndarray, coords) -> float:
     if vols.size == 0:
         return 0.0
     worst = float(vols.min())
@@ -272,6 +303,6 @@ def compute_volume_shift(mesh: Mesh, coords=None) -> float:
     if worst < 0.0:
         return 2.0 * abs(worst)
     # exactly degenerate: any positive value restores positivity
-    coords_ = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    diag = float(np.linalg.norm(coords_.max(axis=0) - coords_.min(axis=0)))
+    coords = np.asarray(coords, dtype=float)
+    diag = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
     return max(1e-12 * diag**3, np.finfo(float).tiny)

@@ -31,12 +31,15 @@ from .errors import (
     NonPositiveVolume,
     ZeroField,
 )
-from .mesh import Mesh, boundary_faces
+from .mesh import Mesh, boundary_faces, kind_groups
 from .quality import (
     Combiner,
     Measure,
     QualityMeasureSpec,
-    compute_volume_shift,
+    _per_element_values,
+    _require_positive,
+    _scatter_iq_gradients,
+    _volume_shift,
     mesh_mean_volumes,
     scatter_element_fields,
 )
@@ -120,28 +123,22 @@ class SmoothingReport:
         return "\n".join(lines) + "\n"
 
 
-def assemble_field(mesh: Mesh, coords=None, assembly: Assembly = Assembly.RAW_SUM,
-                   element_field_fn=None) -> np.ndarray:
-    """Scatter per-element fields to vertices and sum; optionally average.
+def assemble_field(mesh: Mesh, coords=None, assembly: Assembly = Assembly.RAW_SUM) -> np.ndarray:
+    """Scatter per-element transformation fields to vertices and sum; optionally average.
 
-    ``element_field_fn(kind, batch)`` defaults to the transformation field.
     Valence averaging divides vertex i's total by the number of elements
     containing it and is undefined on isolated vertices.
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    if element_field_fn is None:
-        out = scatter_element_fields(mesh, coords)
-    else:
-        from .mesh import kind_groups
+    return _averaged(mesh, scatter_element_fields(mesh, coords), assembly)
 
-        out = np.zeros_like(coords)
-        for kind, (ids, conn) in kind_groups(mesh).items():
-            np.add.at(out, conn.ravel(), np.asarray(element_field_fn(kind, coords[conn])).reshape(-1, 3))
+
+def _averaged(mesh: Mesh, field: np.ndarray, assembly: Assembly) -> np.ndarray:
     if assembly is Assembly.VALENCE_AVERAGED:
         if np.any(mesh.valence == 0):
             raise IsolatedVertex("valence averaging undefined on isolated vertices")
-        out = out / mesh.valence[:, None]
-    return out
+        return field / mesh.valence[:, None]
+    return field
 
 
 def project_shape(coords) -> np.ndarray:
@@ -196,80 +193,97 @@ def scale_normalize(field, degree: float) -> np.ndarray:
 
 @dataclass
 class _Flow:
-    objective: Callable[[np.ndarray], float]
-    field: Callable[[np.ndarray], np.ndarray]
+    """One ascent problem.
+
+    ``objective(coords, guarded)`` returns the objective at ``coords`` and a
+    state that ``field(coords, state)`` reuses at the same coordinates (the
+    mean volumes, or None; ``field`` computes what a None state lacks). With
+    ``guarded`` the objective is ``-inf`` when a step has inverted an element
+    that was valid at the start.
+    """
+
+    objective: Callable[[np.ndarray, bool], tuple[float, object]]
+    field: Callable[[np.ndarray, object], np.ndarray]
     mask: np.ndarray | None
     policy: BoundaryPolicy
     boundary_tris: np.ndarray | None
-    min_volume: Callable[[np.ndarray], float] | None
 
-    def masked_field(self, coords) -> np.ndarray:
-        f = np.asarray(self.field(coords), dtype=float)
+    def masked_field(self, coords, state=None) -> np.ndarray:
+        f = np.asarray(self.field(coords, state), dtype=float)
         if self.mask is not None:
             f = f.copy()
             f[self.mask] = 0.0
         return f
 
 
-def _measure_functions(mesh: Mesh, spec: QualityMeasureSpec, assembly: Assembly):
+def _measure_functions(mesh: Mesh, spec: QualityMeasureSpec, assembly: Assembly, *,
+                       groups=None, guard: bool = False):
+    """Objective and field of a mesh measure, in the form :class:`_Flow` takes.
+
+    One mean-volume pass per objective evaluation serves both the inversion
+    guard (active when ``guard``) and the volume measures, and the field at
+    the same coordinates reuses it. ``groups`` is :func:`kind_groups` of the
+    mesh, built here when omitted.
+    """
+    if groups is None:
+        groups = kind_groups(mesh)
     m = spec.measure
     shift = spec.volume_shift or 0.0
 
-    def averaged(f: np.ndarray) -> np.ndarray:
-        if assembly is Assembly.VALENCE_AVERAGED:
-            if np.any(mesh.valence == 0):
-                raise IsolatedVertex("valence averaging undefined on isolated vertices")
-            return f / mesh.valence[:, None]
-        return f
+    def volumes(c, vols):
+        return mesh_mean_volumes(mesh, c, groups=groups) if vols is None else vols
 
     if m is Measure.MEAN_VOLUME_SUM:
-        def objective(c):
-            return float(mesh_mean_volumes(mesh, c).sum())
+        def value(c, vols):
+            return float(vols.sum())
 
-        def field(c):
-            return averaged(scatter_element_fields(mesh, c) / 6.0)
+        def field(c, vols=None):
+            return _averaged(mesh, scatter_element_fields(mesh, c, groups=groups) / 6.0, assembly)
 
     elif m is Measure.PRODUCT_SQUARED:
-        def objective(c):
-            v = mesh_mean_volumes(mesh, c) + shift
+        def value(c, vols):
+            v = vols + shift
             if np.any(v <= 0.0):
                 return -np.inf
             return float(2.0 * np.log(v).sum())
 
-        def field(c):
-            v = mesh_mean_volumes(mesh, c) + shift
-            bad = np.nonzero(v <= 0.0)[0]
-            if bad.size:
-                raise NonPositiveVolume(int(bad[0]), float(v[bad[0]]))
-            return averaged(scatter_element_fields(mesh, c, per_element_scale=1.0 / v) / 3.0)
+        def field(c, vols=None):
+            v = _require_positive(volumes(c, vols) + shift)
+            f = scatter_element_fields(mesh, c, per_element_scale=1.0 / v, groups=groups)
+            return _averaged(mesh, f / 3.0, assembly)
 
     elif m is Measure.INVERSE_SQUARED_SUM:
-        def objective(c):
-            v = mesh_mean_volumes(mesh, c) + shift
+        def value(c, vols):
+            v = vols + shift
             if np.any(v <= 0.0):
                 return -np.inf
             return float(-np.sum(v**-2))
 
-        def field(c):
-            v = mesh_mean_volumes(mesh, c) + shift
-            bad = np.nonzero(v <= 0.0)[0]
-            if bad.size:
-                raise NonPositiveVolume(int(bad[0]), float(v[bad[0]]))
-            return averaged(scatter_element_fields(mesh, c, per_element_scale=v**-3) / 3.0)
+        def field(c, vols=None):
+            v = _require_positive(volumes(c, vols) + shift)
+            f = scatter_element_fields(mesh, c, per_element_scale=v**-3, groups=groups)
+            return _averaged(mesh, f / 3.0, assembly)
 
     elif m is Measure.ISOPERIMETRIC_QUOTIENT:
-        from .quality import _per_element_values, _scatter_iq_gradients
-
         iq_spec = QualityMeasureSpec(Measure.ISOPERIMETRIC_QUOTIENT, Combiner.SUM)
 
-        def objective(c):
-            return float(_per_element_values(mesh, c, iq_spec).sum())
+        def value(c, vols):
+            return float(_per_element_values(mesh, c, iq_spec, groups).sum())
 
-        def field(c):
-            return averaged(_scatter_iq_gradients(mesh, c))
+        def field(c, vols=None):
+            return _averaged(mesh, _scatter_iq_gradients(mesh, c, groups), assembly)
 
     else:
         raise InvalidSpec(f"no smoothing field is defined for measure {m.value!r}")
+
+    needs_volumes = m is not Measure.ISOPERIMETRIC_QUOTIENT
+
+    def objective(c, guarded):
+        guarded = guarded and guard
+        vols = mesh_mean_volumes(mesh, c, groups=groups) if needs_volumes or guarded else None
+        if guarded and not vols.min() > 0.0:
+            return -np.inf, vols
+        return value(c, vols), vols
 
     return objective, field
 
@@ -350,9 +364,13 @@ def _apply_step(coords: np.ndarray, direction: np.ndarray, sigma: float, flow: _
     return moved
 
 
-def _field_degree(flow: _Flow, coords: np.ndarray) -> float:
+def _field_degree(flow: _Flow, coords: np.ndarray, state) -> float:
+    def field_fn(c):
+        # the probe at coords itself reuses the state computed there
+        return flow.masked_field(c, state if c is coords else None)
+
     try:
-        return homogeneity_degree(flow.masked_field, coords)
+        return homogeneity_degree(field_fn, coords)
     except (NonHomogeneous, NonPositiveVolume):
         # shifted measures are not homogeneous; fall back to the raw field
         return 1.0
@@ -363,7 +381,8 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
     coords = np.array(coords, dtype=float)
     if flow.policy is BoundaryPolicy.FREE:
         coords = project_shape(coords)
-    q0 = q = flow.objective(coords)
+    q, state = flow.objective(coords, False)
+    q0 = q
     quality_hist: list[float] = []
     sigma_hist: list[float] = []
     norm_hist: list[float] = []
@@ -371,32 +390,29 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
     degree = None
 
     for _ in range(config.max_iterations):
-        f = flow.masked_field(coords)
+        f = flow.masked_field(coords, state)
         fnorm = float(np.linalg.norm(f))
         if fnorm < config.field_tol:
             termination = Termination.FIELD_BELOW_TOL
             break
         if degree is None:
-            degree = _field_degree(flow, coords)
+            degree = _field_degree(flow, coords, state)
         direction = scale_normalize(f, degree)
 
         sigma = config.sigma0
         accepted = None
         for _h in range(config.max_halvings + 1):
             cand = _apply_step(coords, direction, sigma, flow, boundary_mask)
-            if flow.min_volume is not None and not flow.min_volume(cand) > 0.0:
-                qc = -np.inf
-            else:
-                qc = flow.objective(cand)
+            qc, cand_state = flow.objective(cand, True)
             if qc > q:
-                accepted = (cand, qc, sigma)
+                accepted = (cand, qc, sigma, cand_state)
                 break
             sigma *= config.shrink
         if accepted is None:
             termination = Termination.BACKTRACKING_FAILED
             break
 
-        coords, qc, sigma = accepted
+        coords, qc, sigma, state = accepted
         quality_hist.append(qc)
         sigma_hist.append(sigma)
         norm_hist.append(fnorm)
@@ -419,16 +435,16 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
 
 def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Flow:
     spec = config.measure
+    groups = kind_groups(mesh)
+    vols0 = mesh_mean_volumes(mesh, coords0, groups=groups)
     if spec.measure in (Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM):
         if spec.volume_shift is None:
-            shift = compute_volume_shift(mesh, coords0)
+            shift = _volume_shift(vols0, coords0)
             if shift > 0.0:
                 spec = dataclasses.replace(spec, volume_shift=shift)
-        v = mesh_mean_volumes(mesh, coords0) + (spec.volume_shift or 0.0)
-        bad = np.nonzero(v <= 0.0)[0]
-        if bad.size:
-            raise NonPositiveVolume(int(bad[0]), float(v[bad[0]]))
-    objective, field_fn = _measure_functions(mesh, spec, config.assembly)
+        _require_positive(vols0 + (spec.volume_shift or 0.0))
+    guard = bool(np.all(vols0 > 0.0))
+    objective, field_fn = _measure_functions(mesh, spec, config.assembly, groups=groups, guard=guard)
     policy = config.boundary_policy
     mask = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
     tris = (
@@ -436,9 +452,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Fl
         if policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY
         else None
     )
-    guard = bool(np.all(mesh_mean_volumes(mesh, coords0) > 0.0))
-    min_volume = (lambda c: float(mesh_mean_volumes(mesh, c).min())) if guard else None
-    return _Flow(objective, field_fn, mask, policy, tris, min_volume)
+    return _Flow(objective, field_fn, mask, policy, tris)
 
 
 def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) -> np.ndarray:
@@ -453,7 +467,7 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     f = flow.masked_field(coords)
     if sigma == 0.0 or not np.any(f):
         return coords
-    degree = _field_degree(flow, coords)
+    degree = _field_degree(flow, coords, None)
     direction = scale_normalize(f, degree)
     boundary_mask = mesh.boundary if flow.policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY else None
     return _apply_step(coords, direction, sigma, flow, boundary_mask)
@@ -482,12 +496,17 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     are ignored, only its numeric knobs apply.
     """
     config = config or SmoothingConfig()
+
+    def objective(c, guarded):
+        if guarded and not geometry.polyhedron_mean_volume(faces, c) > 0.0:
+            return -np.inf, None
+        return geometry.polyhedron_iq(faces, c), None
+
     flow = _Flow(
-        objective=lambda c: geometry.polyhedron_iq(faces, c),
-        field=lambda c: geometry.polyhedron_iq_gradient(faces, c),
+        objective=objective,
+        field=lambda c, _state: geometry.polyhedron_iq_gradient(faces, c),
         mask=None,
         policy=BoundaryPolicy.FREE,
         boundary_tris=None,
-        min_volume=lambda c: geometry.polyhedron_mean_volume(faces, c),
     )
     return _drive(np.array(coords, dtype=float), flow, config, None)

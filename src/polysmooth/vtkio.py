@@ -8,6 +8,12 @@ vertically i <-> i+3), so only the 0-based indexing carries over.
 Output is byte-stable: fixed section order, 17-significant-digit floats, LF
 line endings. Writing and re-reading a mesh reproduces coordinates bit for
 bit.
+
+The reader accepts any whitespace layout. It parses the POINTS, CELLS,
+CELL_TYPES and scalar sections with numpy, which reads each number as
+``float``/``int`` would. Every format violation, including a negative count
+or a non-ASCII byte, raises :class:`~polysmooth.errors.MalformedFile` with
+the line where it was found.
 """
 
 from __future__ import annotations
@@ -39,52 +45,104 @@ class MeshDocument:
     cell_data: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-class _Tokens:
-    """Whitespace token stream that remembers line numbers for diagnostics."""
+# ASCII whitespace as str.split() knows it
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = True
 
-    def __init__(self, text: str, first_line: int = 1):
-        self.items: list[tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), first_line):
-            for tok in line.split():
-                self.items.append((tok, lineno))
+
+class _Tokens:
+    """Whitespace-separated tokens of an ASCII text, with line numbers for diagnostics.
+
+    One vectorized pass finds every token's offsets; only those are kept.
+    Bulk sections are parsed by numpy, and a section numpy rejects is re-read
+    token by token so that the error names the offending token and its line.
+    """
+
+    def __init__(self, data: bytes, first_line: int):
+        self.text = data.decode("ascii")
+        raw = np.frombuffer(data, dtype=np.uint8)
+        edges = np.diff(np.concatenate(([True], _SPACE[raw], [True])).view(np.int8))
+        self.starts = np.flatnonzero(edges == -1)
+        self.ends = np.flatnonzero(edges == 1)
+        self.newlines = np.flatnonzero(raw == ord("\n"))
+        self.first_line = first_line
         self.pos = 0
         self.last_line = first_line
 
+    def _line(self, index: int) -> int:
+        return self.first_line + int(np.searchsorted(self.newlines, self.starts[index]))
+
+    def peek(self) -> str | None:
+        if self.exhausted():
+            return None
+        return self.text[self.starts[self.pos]:self.ends[self.pos]]
+
     def next(self, what: str) -> str:
-        if self.pos >= len(self.items):
+        if self.exhausted():
             raise MalformedFile(f"unexpected end of file, expected {what}", self.last_line)
-        tok, line = self.items[self.pos]
+        tok = self.peek()
+        self.last_line = self._line(self.pos)
         self.pos += 1
-        self.last_line = line
         return tok
 
-    def next_int(self, what: str) -> int:
+    def _parse(self, convert, kind: str, what: str):
         tok = self.next(what)
         try:
-            return int(tok)
+            return convert(tok)
         except ValueError:
-            raise MalformedFile(f"expected integer {what}, got {tok!r}", self.last_line) from None
+            raise MalformedFile(f"expected {kind} {what}, got {tok!r}", self.last_line) from None
+
+    def next_int(self, what: str) -> int:
+        return self._parse(int, "integer", what)
+
+    def next_count(self, what: str) -> int:
+        count = self.next_int(what)
+        if count < 0:
+            raise MalformedFile(f"negative {what} {count}", self.last_line)
+        return count
 
     def next_float(self, what: str) -> float:
-        tok = self.next(what)
+        return self._parse(float, "number", what)
+
+    def array(self, count: int, dtype, what: str) -> np.ndarray:
+        """The next ``count`` tokens as integers or floats."""
+        first, stop = self.pos, self.pos + count
+        if count and stop <= len(self.starts):
+            try:
+                values = np.fromstring(self.text[self.starts[first]:self.ends[stop - 1]], dtype=dtype, sep=" ")
+            except ValueError:
+                values = None
+            if values is not None and values.size == count:
+                self.pos = stop
+                self.last_line = self._line(stop - 1)
+                return values
+        read = self.next_int if dtype is int else self.next_float
+        values = [read(what) for _ in range(count)]
         try:
-            return float(tok)
-        except ValueError:
-            raise MalformedFile(f"expected number {what}, got {tok!r}", self.last_line) from None
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            raise MalformedFile(f"{what} out of range", self.last_line) from None
 
     def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+        return self.pos >= len(self.starts)
 
 
 def read_document(path) -> MeshDocument:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# vtk DataFile Version"):
+    """Parse a file into points, cells, cell types and scalar data arrays."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    non_ascii = np.flatnonzero(raw >= 0x80)
+    if non_ascii.size:
+        at = int(non_ascii[0])
+        line = 1 + int(np.count_nonzero(raw[:at] == ord("\n")))
+        raise MalformedFile(f"non-ASCII byte 0x{raw[at]:02x}", line)
+    head = data.split(b"\n", 2)
+    if not head[0].startswith(b"# vtk DataFile Version"):
         raise MalformedFile("missing '# vtk DataFile Version' header", 1)
-    if len(lines) < 2:
+    if len(head) == 1 or (len(head) == 2 and not head[1]):
         raise MalformedFile("missing title line", 2)
-    body = _Tokens("\n".join(lines[2:]), first_line=3)
+    body = _Tokens(head[2] if len(head) == 3 else b"", first_line=3)
 
     def fail(msg: str):
         raise MalformedFile(msg, body.last_line)
@@ -96,51 +154,56 @@ def read_document(path) -> MeshDocument:
 
     if body.next("POINTS keyword") != "POINTS":
         fail("expected POINTS section")
-    n_points = body.next_int("point count")
+    n_points = body.next_count("point count")
     dtype = body.next("point data type")
     if dtype not in ("float", "double"):
         fail(f"unsupported point type {dtype!r}")
-    points = np.empty((n_points, 3))
-    for i in range(n_points):
-        for j in range(3):
-            points[i, j] = body.next_float("point coordinate")
+    points = body.array(3 * n_points, float, "point coordinate").reshape(n_points, 3)
 
     if body.next("CELLS keyword") != "CELLS":
         fail("expected CELLS section")
-    n_cells = body.next_int("cell count")
-    total = body.next_int("cell list size")
+    n_cells = body.next_count("cell count")
+    total = body.next_count("cell list size")
+    flat = body.array(total, int, "cell list entry")
+    values = flat.tolist()
+    if total and flat.min() >= 0 and flat.max() < n_points:
+        # one int object per vertex index, shared by all cells that use it
+        shared = list(range(n_points))
+        values = [shared[v] for v in values]
     cells: list[tuple[int, ...]] = []
     consumed = 0
     for _ in range(n_cells):
-        arity = body.next_int("cell arity")
-        cells.append(tuple(body.next_int("cell vertex") for _ in range(arity)))
-        consumed += arity + 1
+        if consumed >= total:
+            fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
+        arity = values[consumed]
+        end = consumed + 1 + arity
+        if arity < 0 or end > total:
+            fail(f"cell {len(cells)} has arity {arity} beyond the {total} advertised integers")
+        cells.append(tuple(values[consumed + 1:end]))
+        consumed = end
     if consumed != total:
         fail(f"CELLS advertised {total} integers but contained {consumed}")
 
     if body.next("CELL_TYPES keyword") != "CELL_TYPES":
         fail("expected CELL_TYPES section")
-    if body.next_int("cell type count") != n_cells:
+    if body.next_count("cell type count") != n_cells:
         fail("CELL_TYPES count differs from CELLS count")
-    cell_types = [body.next_int("cell type") for _ in range(n_cells)]
+    cell_types = body.array(n_cells, int, "cell type").tolist()
 
     doc = MeshDocument(points=points, cells=cells, cell_types=cell_types)
     while not body.exhausted():
         section = body.next("data section")
         if section == "POINT_DATA":
-            count, store = body.next_int("point data count"), doc.point_data
+            count, store = body.next_count("point data count"), doc.point_data
             if count != n_points:
                 fail("POINT_DATA count differs from point count")
         elif section == "CELL_DATA":
-            count, store = body.next_int("cell data count"), doc.cell_data
+            count, store = body.next_count("cell data count"), doc.cell_data
             if count != n_cells:
                 fail("CELL_DATA count differs from cell count")
         else:
             fail(f"unexpected section {section!r}")
-        while not body.exhausted():
-            peek, _ = body.items[body.pos]
-            if peek in ("POINT_DATA", "CELL_DATA"):
-                break
+        while not body.exhausted() and body.peek() not in ("POINT_DATA", "CELL_DATA"):
             if body.next("SCALARS keyword") != "SCALARS":
                 fail("only SCALARS data arrays are supported")
             name = body.next("array name")
@@ -152,7 +215,7 @@ def read_document(path) -> MeshDocument:
                 if body.next("LOOKUP_TABLE keyword") != "LOOKUP_TABLE":
                     fail("expected LOOKUP_TABLE after SCALARS")
             body.next("lookup table name")
-            store[name] = np.array([body.next_float("scalar value") for _ in range(count)])
+            store[name] = body.array(count, float, "scalar value")
     return doc
 
 

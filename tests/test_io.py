@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polysmooth import ElementKind, GeneratorSpec, generate
+from polysmooth.cli import main
 from polysmooth.errors import MalformedFile, UnsupportedCellType
 from polysmooth.generators import GENERATOR_NAMES
 from polysmooth.quality import mesh_mean_volumes
@@ -184,3 +187,87 @@ def test_validity_preserved_through_file(tmp_path):
     assert (mesh_mean_volumes(mesh) > 0).all()
     _, back = _roundtrip(mesh, tmp_path)
     assert (mesh_mean_volumes(back) > 0).all()
+
+
+def test_points_parse_bit_for_bit_like_float(tmp_path, rng):
+    values = rng.standard_normal(90) * 10.0 ** rng.integers(-300, 300, size=90)
+    values[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
+    formats = itertools.cycle([repr, lambda v: format(v, ".17g"), lambda v: format(v, ".6E"),
+                               lambda v: format(v, ".3f"), lambda v: format(v, "+.0e")])
+    tokens = [fmt(float(v)) for fmt, v in zip(formats, values)]
+    spacing = itertools.cycle([" ", "\t", "\n", "  \n ", "\r\n"])
+    body = "".join(tok + sep for tok, sep in zip(tokens, spacing))
+    path = tmp_path / "points.vtk"
+    path.write_text(
+        "# vtk DataFile Version 3.0\npoints\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS 30 double {body}CELLS 0 0\nCELL_TYPES 0\n",
+        newline="",
+    )
+    points = read_document(path).points
+    expected = np.array([float(tok) for tok in tokens])
+    assert points.shape == (30, 3)
+    assert np.array_equal(points.ravel().view(np.int64), expected.view(np.int64))
+
+
+_TET_WITH_DATA = [
+    "# vtk DataFile Version 3.0", "one tet", "ASCII", "DATASET UNSTRUCTURED_GRID",
+    "POINTS 4 double", "0 0 0", "1 0 0", "0 1 0", "0 0 1",  # lines 5-9
+    "CELLS 1 5", "4 0 1 2 3",  # lines 10-11
+    "CELL_TYPES 1", "10",  # lines 12-13
+    "POINT_DATA 4", "SCALARS flag double 1", "LOOKUP_TABLE default", "0", "1", "0", "1",
+]
+
+
+def _write_lines(path, lines, replace=None):
+    lines = list(lines)
+    for line, text in (replace or {}).items():
+        lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_line_endings(tmp_path, newline):
+    path = tmp_path / "ends.vtk"
+    path.write_bytes(newline.join(_TET_WITH_DATA).encode("ascii"))
+    doc = read_document(path)
+    assert doc.cells == [(0, 1, 2, 3)] and doc.point_data["flag"].tolist() == [0, 1, 0, 1]
+    lines = list(_TET_WITH_DATA)
+    lines[12] = "x"
+    path.write_bytes(newline.join(lines).encode("ascii"))
+    with pytest.raises(MalformedFile) as err:
+        read_mesh(path)
+    assert err.value.line == 13
+
+
+@pytest.mark.parametrize(
+    "line,text",
+    [
+        (5, "POINTS -4 double"),
+        (10, "CELLS -1 5"),
+        (10, "CELLS 1 -5"),
+        (11, "-4 0 1 2 3"),
+        (12, "CELL_TYPES -1"),
+        (14, "POINT_DATA -4"),
+        (11, "4 0 1 2 1_0000000000000000000000"),  # an int, but beyond int64
+    ],
+)
+def test_negative_count_or_huge_index_is_malformed_with_its_line(tmp_path, capsys, line, text):
+    assert read_document(_write_lines(tmp_path / "ok.vtk", _TET_WITH_DATA)).point_data["flag"].size == 4
+    path = _write_lines(tmp_path / "bad.vtk", _TET_WITH_DATA, {line: text})
+    with pytest.raises(MalformedFile) as err:
+        read_mesh(path)
+    assert err.value.line == line
+    assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3
+
+
+@pytest.mark.parametrize("line,text", [(2, "caf\u00e9 mesh"), (7, "1 0 0\u00a0")])
+def test_non_ascii_byte_is_malformed_with_its_line(tmp_path, capsys, line, text):
+    path = tmp_path / "bad.vtk"
+    lines = list(_TET_WITH_DATA)
+    lines[line - 1] = text
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with pytest.raises(MalformedFile) as err:
+        read_mesh(path)
+    assert err.value.line == line
+    assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3

@@ -15,7 +15,8 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.geometry import element_field
+from polysmooth.geometry import element_field, element_fields, element_iq_gradients
+from polysmooth.mesh import kind_groups
 from polysmooth.quality import (
     Combiner,
     Measure,
@@ -27,7 +28,9 @@ from polysmooth.quality import (
     mesh_mean_volumes,
     mesh_quality,
     quality_gradient_field,
+    scatter_element_fields,
 )
+from polysmooth.quality import _scatter_iq_gradients
 
 
 def _random_valid_tet(rng):
@@ -269,3 +272,27 @@ def test_shift_positive_for_exactly_degenerate():
     s = compute_volume_shift(mesh)
     assert s > 0
     assert mesh_mean_volumes(mesh)[0] + s > 0
+
+
+def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
+    mesh = interleaved_mesh
+    kinds = [e.kind for e in mesh.elements]
+    assert len(set(kinds)) == 4
+    assert sum(a is not b for a, b in zip(kinds, kinds[1:])) > 8  # the kinds interleave
+    coords = mesh.vertices + rng.uniform(-0.1, 0.1, size=mesh.vertices.shape)
+    scale = rng.uniform(0.5, 2.0, size=mesh.n_elements)
+    groups = kind_groups(mesh)
+
+    def add_at(per_element):
+        out = np.zeros_like(coords)
+        for kind, (ids, conn) in groups.items():
+            np.add.at(out, conn.ravel(), per_element(kind, ids, coords[conn]).reshape(-1, 3))
+        return out
+
+    assert np.array_equal(
+        scatter_element_fields(mesh, coords), add_at(lambda k, ids, x: element_fields(k, x)))
+    assert np.array_equal(
+        scatter_element_fields(mesh, coords, per_element_scale=scale),
+        add_at(lambda k, ids, x: element_fields(k, x) * scale[ids][:, None, None]))
+    assert np.array_equal(
+        _scatter_iq_gradients(mesh, coords, groups), add_at(lambda k, ids, x: element_iq_gradients(k, x)))

@@ -1,9 +1,15 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysmooth import Element, ElementKind, make_mesh
+from polysmooth import mesh as mesh_module
+from polysmooth import quality as quality_module
+from polysmooth import smoothing as smoothing_module
 from polysmooth.errors import (
     DegenerateMesh,
     InvalidDegree,
@@ -18,6 +24,7 @@ from polysmooth.generators import (
     perturb_mesh,
     random_valid_mesh,
     regular_element,
+    tet_grid,
     tet_with_inner_vertex,
     unit_element,
 )
@@ -379,3 +386,44 @@ def test_closest_point_on_triangles_regions():
     assert np.allclose(_closest_on_triangles(tris, np.array([-1.0, -1.0, 0.5])), [0, 0, 0])
     assert np.allclose(_closest_on_triangles(tris, np.array([1.0, -3.0, 0.0])), [1, 0, 0])
     assert np.allclose(_closest_on_triangles(tris, np.array([3.0, 3.0, 0.0])), [1, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "measure,policy,passes_besides_trials",
+    [
+        # flow set-up, initial objective and the two scaled degree probes
+        (Measure.PRODUCT_SQUARED, BoundaryPolicy.FIX_BOUNDARY, 4),
+        (Measure.INVERSE_SQUARED_SUM, BoundaryPolicy.FIX_BOUNDARY, 4),
+        # its field needs no volumes, so the degree probes make no pass; with
+        # the boundary fixed its field vanishes
+        (Measure.MEAN_VOLUME_SUM, BoundaryPolicy.FREE, 2),
+        # the iq objective needs no volumes either: only the flow set-up
+        (Measure.ISOPERIMETRIC_QUOTIENT, BoundaryPolicy.FIX_BOUNDARY, 1),
+    ],
+)
+def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(
+        measure, policy, passes_besides_trials, monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    groups = counting("kind_groups", mesh_module.kind_groups)
+    volumes = counting("volume_passes", quality_module.mesh_mean_volumes)
+    for module in (mesh_module, quality_module, smoothing_module):
+        monkeypatch.setattr(module, "kind_groups", groups)
+    for module in (quality_module, smoothing_module):
+        monkeypatch.setattr(module, "mesh_mean_volumes", volumes)
+
+    mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
+    config = _config(measure, max_iterations=20, sigma0=2.0, boundary_policy=policy)
+    _, report = smooth(mesh, config)
+    trials = sum(1 + round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma)
+    if report.termination is Termination.BACKTRACKING_FAILED:
+        trials += config.max_halvings + 1
+    assert trials > report.iterations > 0  # backtracking happened
+    assert counts["kind_groups"] == 1
+    assert counts["volume_passes"] == trials + passes_besides_trials
