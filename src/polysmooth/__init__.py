@@ -34,7 +34,7 @@ from .geometry import (
     polyhedron_mean_volume,
     tet_signed_volume,
 )
-from .mesh import Element, ElementKind, Mesh, build_adjacency, make_mesh
+from .mesh import Element, ElementKind, Mesh, make_mesh
 from .quality import (
     Combiner,
     Measure,
@@ -84,7 +84,6 @@ __all__ = [
     "SmoothingReport",
     "Termination",
     "assemble_field",
-    "build_adjacency",
     "check_field",
     "compute_volume_shift",
     "element_field",

@@ -15,20 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry, quality
 from .errors import InvalidSpec
+from .geometry import REGULAR_TETRA
 from .mesh import Element, ElementKind, Mesh, make_mesh
 
-_S3 = math.sqrt(3.0)
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-REGULAR_TETRA = np.array(
-    [
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.5, _S3 / 2.0, 0.0],
-        [0.5, _S3 / 6.0, math.sqrt(6.0) / 3.0],
-    ]
-)
 
 _ICOSA_VERTICES = np.array(
     [
@@ -73,7 +65,7 @@ def regular_element_coords(kind: ElementKind) -> np.ndarray:
         )
     if kind is ElementKind.PRISM:
         h = math.sqrt(2.0 / 3.0)
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, _S3 / 2.0]])
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
         tri -= tri.mean(axis=0)
         bottom = np.hstack([tri, np.full((3, 1), -h / 2.0)])
         top = np.hstack([tri, np.full((3, 1), h / 2.0)])
@@ -100,9 +92,10 @@ def _grid_points(k: int) -> tuple[np.ndarray, callable]:
     axis = np.linspace(0.0, 1.0, k + 1)
     zz, yy, xx = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+    shared = list(range(len(pts)))  # elements share one int object per vertex index
 
     def vid(ix, iy, iz):
-        return ix + iy * (k + 1) + iz * (k + 1) ** 2
+        return shared[ix + iy * (k + 1) + iz * (k + 1) ** 2]
 
     return pts, vid
 
@@ -197,8 +190,6 @@ def random_element_coords(
 ) -> np.ndarray:
     """Random valid element coordinates: jittered regular shape, optionally
     rotated, scaled and translated. Resamples until comfortably non-degenerate."""
-    from . import geometry
-
     base = regular_element_coords(kind)
     vol0 = geometry.element_mean_volume(kind, base)
     while True:
@@ -228,8 +219,6 @@ def random_valid_mesh(rng: np.random.Generator) -> Mesh:
     Draws from a zoo: single elements of every kind, the inner-vertex tet
     split, a mixed cube+pyramid pair, and perturbed 2x2x2 grids.
     """
-    from . import geometry
-
     pick = rng.integers(0, 8)
     if pick < 4:
         kind = list(ElementKind)[pick]
@@ -248,19 +237,9 @@ def random_valid_mesh(rng: np.random.Generator) -> Mesh:
         base, eps = hex_grid(2), 0.08
     for attempt in range(100):
         mesh = perturb_mesh(base, eps, seed=int(rng.integers(2**31)), fix_boundary=False)
-        vols = _all_mean_volumes(mesh, geometry)
-        if np.all(vols > 0):
+        if np.all(quality.mesh_mean_volumes(mesh) > 0):
             return mesh
     raise RuntimeError("could not draw a valid random mesh")  # pragma: no cover
-
-
-def _all_mean_volumes(mesh: Mesh, geometry) -> np.ndarray:
-    from .mesh import kind_groups
-
-    vols = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in kind_groups(mesh).items():
-        vols[ids] = geometry.element_mean_volumes(kind, mesh.vertices[conn])
-    return vols
 
 
 @dataclass(frozen=True)

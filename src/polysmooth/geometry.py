@@ -64,6 +64,17 @@ ELEMENT_KINDS = tuple(ElementKind)
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
 
+# Unit-edge regular tetrahedron, positively oriented: the reference shape of
+# the mean ratio and the stationary tetrahedron of the volume-ascent flow.
+REGULAR_TETRA = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.5, math.sqrt(3.0) / 2.0, 0.0],
+        [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
+    ]
+)
+
 
 def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -143,15 +143,17 @@ def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray
             faces.append(conn[:, face])
             order.append(ids * _MAX_FACES + j)
     out = {}
-    for size, (faces, order) in stacks.items():
-        faces, order = np.concatenate(faces), np.concatenate(order)
-        keys = np.sort(faces, axis=1)
+    for size in list(stacks):
+        # parts dropped once stacked, int32 keys: half the peak memory at size
+        faces, order = (np.concatenate(parts) for parts in stacks.pop(size))
+        keys = faces.astype(np.int32 if faces.max(initial=0) < 2**31 else np.int64)
+        keys.sort(axis=1)
         perm = np.lexsort(keys.T[::-1])
-        ranked = keys[perm]
-        starts = np.ones(len(ranked), dtype=bool)
-        starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        keys = keys[perm]
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = np.any(keys[1:] != keys[:-1], axis=1)
         run = np.cumsum(starts) - 1
-        once = np.empty(len(ranked), dtype=bool)
+        once = np.empty(len(keys), dtype=bool)
         once[perm] = np.bincount(run)[run] == 1
         out[size] = (faces, order, once)
     return out
@@ -179,11 +181,6 @@ def make_mesh(points, elements) -> Mesh:
     for faces, _, once in _faces_by_size(groups).values():
         boundary[faces[once]] = True
     return Mesh(_freeze(pts), elems, _freeze(valence), _freeze(boundary))
-
-
-def build_adjacency(mesh: Mesh) -> Mesh:
-    """Recompute valence and boundary flags; idempotent."""
-    return make_mesh(np.array(mesh.vertices), mesh.elements)
 
 
 def boundary_faces(mesh: Mesh) -> list[tuple[int, ...]]:

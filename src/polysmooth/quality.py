@@ -1,10 +1,9 @@
 """Element and mesh quality: mean ratio, volume-based measures, gradients.
 
-Mesh-level measures combine per-element values. The product measure
-multiplies squared mean volumes and the inverse-square measure sums negative
-inverse squares; both admit a closed-form gradient assembled from the
-per-element transformation fields. Per-element contributions are summed in
-element order, so repeated runs are bit-reproducible.
+Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
+:func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing
+driver all read. Per-element contributions are summed in element order, so
+repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,13 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from . import geometry
 from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume
-from .generators import REGULAR_TETRA
+from .geometry import REGULAR_TETRA
 from .mesh import ElementKind, Mesh, kind_groups
+
+
+def _difference_matrix(x: np.ndarray) -> np.ndarray:
+    """Edge vectors from the first vertex as columns, (..., 4, 3) -> (..., 3, 3)."""
+    return np.swapaxes(x[..., 1:, :] - x[..., :1, :], -1, -2)
 
 
 @dataclass(frozen=True)
@@ -50,15 +55,25 @@ class ReferenceFrame:
 
     @classmethod
     def regular(cls) -> "ReferenceFrame":
-        pts = REGULAR_TETRA
-        return cls(np.column_stack([pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]]))
+        return cls(_difference_matrix(REGULAR_TETRA))
 
 
 _DEFAULT_FRAME = ReferenceFrame.regular()
 
 
-def _difference_matrix(x: np.ndarray) -> np.ndarray:
-    return np.column_stack([x[1] - x[0], x[2] - x[0], x[3] - x[0]])
+def _mean_ratios(x: np.ndarray, reference: ReferenceFrame = _DEFAULT_FRAME) -> np.ndarray:
+    """Mean ratios of a batch of tetrahedra, (m, 4, 3) -> (m,).
+
+    ``np.float_power`` calls the same ``pow`` as a scalar power, so each
+    value is bit for bit the single-element formula.
+    """
+    s = np.matmul(_difference_matrix(x), reference.inverse)
+    det = np.linalg.det(s)
+    q = np.zeros(len(x))
+    ok = ~(det <= 0.0)
+    s = s[ok]
+    q[ok] = 3.0 * np.float_power(det[ok], 2.0 / 3.0) / np.sum((s * s).reshape(-1, 9), axis=1)
+    return q
 
 
 def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
@@ -66,13 +81,8 @@ def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
 
     Invalid orientations (nonpositive determinant) map to 0 by convention.
     """
-    ref = reference or _DEFAULT_FRAME
     x = np.asarray(x, dtype=float)
-    s = _difference_matrix(x) @ ref.inverse
-    det = np.linalg.det(s)
-    if det <= 0.0:
-        return 0.0
-    return float(3.0 * det ** (2.0 / 3.0) / np.sum(s * s))
+    return float(_mean_ratios(x[None], reference or _DEFAULT_FRAME)[0])
 
 
 def mean_ratio_volume_equivalence(x, reference: ReferenceFrame | None = None) -> tuple[float, float]:
@@ -100,9 +110,6 @@ class Combiner(Enum):
     MIN = "min"
 
 
-_SHIFTED = (Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM)
-
-
 @dataclass(frozen=True)
 class QualityMeasureSpec:
     """Which element measure and combiner assemble the global quality."""
@@ -113,7 +120,7 @@ class QualityMeasureSpec:
 
     def __post_init__(self):
         if self.volume_shift is not None:
-            if self.measure not in _SHIFTED:
+            if not _MEASURES[self.measure].shifted:
                 raise InvalidSpec("volume_shift applies to the q1/q2 measures only")
             if self.volume_shift < 0:
                 raise InvalidSpec("volume_shift must be >= 0")
@@ -143,6 +150,14 @@ class QualityReport:
         }
 
 
+def _per_kind(kernel, mesh: Mesh, coords, groups) -> np.ndarray:
+    """``kernel(kind, x)`` of every element, in element order."""
+    values = np.empty(mesh.n_elements)
+    for kind, (ids, conn) in groups.items():
+        values[ids] = kernel(kind, coords[conn])
+    return values
+
+
 def mesh_mean_volumes(mesh: Mesh, coords=None, *, groups=None) -> np.ndarray:
     """Mean volume of every element, in element order.
 
@@ -150,12 +165,8 @@ def mesh_mean_volumes(mesh: Mesh, coords=None, *, groups=None) -> np.ndarray:
     the caller when it makes several passes; omitted, it is built here.
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    vols = np.empty(mesh.n_elements)
-    if groups is None:
-        groups = kind_groups(mesh)
-    for kind, (ids, conn) in groups.items():
-        vols[ids] = geometry.element_mean_volumes(kind, coords[conn])
-    return vols
+    groups = kind_groups(mesh) if groups is None else groups
+    return _per_kind(geometry.element_mean_volumes, mesh, coords, groups)
 
 
 def _require_positive(v: np.ndarray) -> np.ndarray:
@@ -164,59 +175,6 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
     if bad.size:
         raise NonPositiveVolume(int(bad[0]), float(v[bad[0]]))
     return v
-
-
-def _shifted_volumes(mesh: Mesh, coords, shift: float | None, groups) -> np.ndarray:
-    return _require_positive(mesh_mean_volumes(mesh, coords, groups=groups) + (shift or 0.0))
-
-
-def _per_element_values(mesh: Mesh, coords, spec: QualityMeasureSpec, groups) -> np.ndarray:
-    m = spec.measure
-    if m is Measure.MEAN_VOLUME_SUM:
-        return mesh_mean_volumes(mesh, coords, groups=groups)
-    if m is Measure.PRODUCT_SQUARED:
-        return _shifted_volumes(mesh, coords, spec.volume_shift, groups) ** 2
-    if m is Measure.INVERSE_SQUARED_SUM:
-        return -1.0 / _shifted_volumes(mesh, coords, spec.volume_shift, groups) ** 2
-    coords_ = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    if m is Measure.MEAN_RATIO:
-        if any(e.kind is not ElementKind.TETRA for e in mesh.elements):
-            raise MixedMeshMeanRatio("mean ratio is defined for all-tetrahedra meshes")
-        return np.array([mean_ratio(coords_[list(e.vertices)]) for e in mesh.elements])
-    values = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in groups.items():
-        values[ids] = geometry.element_iqs(kind, coords_[conn])
-    return values
-
-
-def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> QualityReport:
-    """Evaluate the configured measure over the mesh.
-
-    The product measure combines per-element values multiplicatively (that is
-    its definition); every other measure is combined by ``spec.combiner``.
-    """
-    spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
-    groups = kind_groups(mesh)
-    values = _per_element_values(mesh, coords, spec, groups)
-    invalid = int(np.sum(mesh_mean_volumes(mesh, coords, groups=groups) <= 0.0))
-    if spec.measure is Measure.PRODUCT_SQUARED:
-        global_value = float(np.prod(values))
-    elif spec.combiner is Combiner.SUM:
-        global_value = float(values.sum())
-    elif spec.combiner is Combiner.MIN:
-        global_value = float(values.min())
-    else:
-        global_value = float(values.mean())
-    return QualityReport(
-        measure=spec.measure,
-        combiner=spec.combiner,
-        global_value=global_value,
-        minimum=float(values.min()),
-        maximum=float(values.max()),
-        mean=float(values.mean()),
-        invalid_count=invalid,
-        per_element=values,
-    )
 
 
 def _scatter(n: int, conns, values) -> np.ndarray:
@@ -242,8 +200,7 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None, *, groups
     :func:`mesh_mean_volumes`.
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    if groups is None:
-        groups = kind_groups(mesh)
+    groups = kind_groups(mesh) if groups is None else groups
     conns, fields = [], []
     for kind, (ids, conn) in groups.items():
         f = geometry.element_fields(kind, coords[conn])
@@ -254,11 +211,115 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None, *, groups
     return _scatter(len(coords), conns, fields)
 
 
-def _scatter_iq_gradients(mesh: Mesh, coords, groups) -> np.ndarray:
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
+def _scatter_iq_gradients(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
     conns = [conn for _, conn in groups.values()]
     grads = [geometry.element_iq_gradients(kind, coords[conn]) for kind, (_, conn) in groups.items()]
     return _scatter(len(coords), conns, grads)
+
+
+def _mesh_iqs(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
+    return _per_kind(geometry.element_iqs, mesh, coords, groups)
+
+
+def _mesh_mean_ratios(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
+    if any(kind is not ElementKind.TETRA for kind in groups):
+        raise MixedMeshMeanRatio("mean ratio is defined for all-tetrahedra meshes")
+    return _per_kind(lambda kind, x: _mean_ratios(x), mesh, coords, groups)
+
+
+def _transformation_field(weight=None):
+    """Scatter of the element transformation fields, each scaled by ``weight(v)``."""
+
+    def scatter(mesh: Mesh, coords, groups, v) -> np.ndarray:
+        scale = None if weight is None else weight(_require_positive(v))
+        return scatter_element_fields(mesh, coords, per_element_scale=scale, groups=groups)
+
+    return scatter
+
+
+@dataclass(frozen=True)
+class _MeasureDef:
+    """One measure. Its functions take ``(mesh, coords, groups, v)``, with
+    ``v`` the element mean volumes plus any volume shift (None is allowed
+    when ``volumes`` is False: the measure does not read them).
+
+    ``values`` are the per-element values, ``objective`` the sum or log
+    objective the driver ascends. ``vertex_field`` scatters the weighted
+    per-element fields; over ``divisor`` it is the objective's gradient, of
+    scaling degree ``degree`` when there is no shift. ``product``: the global
+    value multiplies the values; ``shifted``: the measure takes a shift.
+    """
+
+    values: Callable
+    objective: Callable | None = None
+    vertex_field: Callable | None = None
+    divisor: float = 1.0
+    degree: float | None = None
+    volumes: bool = False
+    shifted: bool = False
+    product: bool = False
+
+
+_MEASURES: dict[Measure, _MeasureDef] = {
+    Measure.MEAN_VOLUME_SUM: _MeasureDef(
+        values=lambda mesh, c, groups, v: v,
+        objective=lambda mesh, c, groups, v: float(v.sum()),
+        vertex_field=_transformation_field(), divisor=6.0, degree=2.0,
+        volumes=True,
+    ),
+    Measure.PRODUCT_SQUARED: _MeasureDef(
+        values=lambda mesh, c, groups, v: _require_positive(v) ** 2,
+        objective=lambda mesh, c, groups, v: (
+            -np.inf if np.any(v <= 0.0) else float(2.0 * np.log(v).sum())),
+        vertex_field=_transformation_field(lambda v: 1.0 / v), divisor=3.0, degree=-1.0,
+        volumes=True, shifted=True, product=True,
+    ),
+    Measure.INVERSE_SQUARED_SUM: _MeasureDef(
+        values=lambda mesh, c, groups, v: -1.0 / _require_positive(v) ** 2,
+        objective=lambda mesh, c, groups, v: (
+            -np.inf if np.any(v <= 0.0) else float(-np.sum(v**-2))),
+        vertex_field=_transformation_field(lambda v: v**-3), divisor=3.0, degree=-7.0,
+        volumes=True, shifted=True,
+    ),
+    Measure.MEAN_RATIO: _MeasureDef(values=_mesh_mean_ratios),
+    Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
+        values=_mesh_iqs,
+        objective=lambda mesh, c, groups, v: float(_mesh_iqs(mesh, c, groups).sum()),
+        vertex_field=_scatter_iq_gradients, degree=-1.0,
+    ),
+}
+
+
+_COMBINE = {Combiner.ARITHMETIC_MEAN: np.mean, Combiner.SUM: np.sum, Combiner.MIN: np.min}
+
+
+def _shifted(vols: np.ndarray | None, shift: float | None) -> np.ndarray | None:
+    return vols + shift if shift and vols is not None else vols
+
+
+def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> QualityReport:
+    """Evaluate the configured measure over the mesh.
+
+    The product measure combines per-element values multiplicatively (that is
+    its definition); every other measure is combined by ``spec.combiner``.
+    """
+    spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
+    measure = _MEASURES[spec.measure]
+    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
+    groups = kind_groups(mesh)
+    vols = mesh_mean_volumes(mesh, coords, groups=groups)
+    values = measure.values(mesh, coords, groups, _shifted(vols, spec.volume_shift))
+    combine = np.prod if measure.product else _COMBINE[spec.combiner]
+    return QualityReport(
+        measure=spec.measure,
+        combiner=spec.combiner,
+        global_value=float(combine(values)),
+        minimum=float(values.min()),
+        maximum=float(values.max()),
+        mean=float(values.mean()),
+        invalid_count=int(np.sum(vols <= 0.0)),
+        per_element=values,
+    )
 
 
 def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> np.ndarray:
@@ -271,21 +332,19 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
     if spec.combiner is Combiner.MIN:
         raise InvalidSpec("the min combiner has no gradient")
-    m = spec.measure
-    if m is Measure.MEAN_RATIO:
-        raise InvalidSpec("no gradient field is defined for the mean ratio measure")
-    scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
+    measure = _MEASURES[spec.measure]
+    if measure.vertex_field is None:
+        raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
+    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     groups = kind_groups(mesh)
-    if m is Measure.MEAN_VOLUME_SUM:
-        return scale / 6.0 * scatter_element_fields(mesh, coords, groups=groups)
-    if m is Measure.PRODUCT_SQUARED:
-        v = _shifted_volumes(mesh, coords, spec.volume_shift, groups)
-        q1 = np.prod(v**2)
-        return q1 / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=1.0 / v, groups=groups)
-    if m is Measure.INVERSE_SQUARED_SUM:
-        v = _shifted_volumes(mesh, coords, spec.volume_shift, groups)
-        return scale / 3.0 * scatter_element_fields(mesh, coords, per_element_scale=v**-3, groups=groups)
-    return scale * _scatter_iq_gradients(mesh, coords, groups)
+    vols = mesh_mean_volumes(mesh, coords, groups=groups) if measure.volumes else None
+    v = _shifted(vols, spec.volume_shift)
+    if measure.product:
+        # d(prod)/dx = prod * d(log prod)/dx
+        scale = np.prod(measure.values(mesh, coords, groups, v))
+    else:
+        scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
+    return scale / measure.divisor * measure.vertex_field(mesh, coords, groups, v)
 
 
 def compute_volume_shift(mesh: Mesh, coords=None) -> float:

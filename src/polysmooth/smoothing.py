@@ -8,6 +8,12 @@ product measure the driver tracks the logarithm of the product, which has
 the same maximizers and an identical gradient direction but cannot
 underflow on large meshes.
 
+Objective, field and the field's scaling degree come from the measure table
+in :mod:`polysmooth.quality`; the degrees are closed-form (2 for the mean
+volume, -1 for q1, -7 for q2, -1 for iq). A nonzero volume shift makes the
+q1/q2 fields inhomogeneous, and the driver then steps along the raw field
+(degree 1).
+
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
 """
@@ -28,17 +34,15 @@ from .errors import (
     InvalidSpec,
     IsolatedVertex,
     NonHomogeneous,
-    NonPositiveVolume,
     ZeroField,
 )
 from .mesh import Mesh, boundary_faces, kind_groups
 from .quality import (
-    Combiner,
+    _MEASURES,
     Measure,
     QualityMeasureSpec,
-    _per_element_values,
     _require_positive,
-    _scatter_iq_gradients,
+    _shifted,
     _volume_shift,
     mesh_mean_volumes,
     scatter_element_fields,
@@ -199,11 +203,12 @@ class _Flow:
     state that ``field(coords, state)`` reuses at the same coordinates (the
     mean volumes, or None; ``field`` computes what a None state lacks). With
     ``guarded`` the objective is ``-inf`` when a step has inverted an element
-    that was valid at the start.
+    that was valid at the start. ``degree`` is the field's scaling degree.
     """
 
     objective: Callable[[np.ndarray, bool], tuple[float, object]]
     field: Callable[[np.ndarray, object], np.ndarray]
+    degree: float
     mask: np.ndarray | None
     policy: BoundaryPolicy
     boundary_tris: np.ndarray | None
@@ -225,65 +230,24 @@ def _measure_functions(mesh: Mesh, spec: QualityMeasureSpec, assembly: Assembly,
     the same coordinates reuses it. ``groups`` is :func:`kind_groups` of the
     mesh, built here when omitted.
     """
-    if groups is None:
-        groups = kind_groups(mesh)
-    m = spec.measure
-    shift = spec.volume_shift or 0.0
-
-    def volumes(c, vols):
-        return mesh_mean_volumes(mesh, c, groups=groups) if vols is None else vols
-
-    if m is Measure.MEAN_VOLUME_SUM:
-        def value(c, vols):
-            return float(vols.sum())
-
-        def field(c, vols=None):
-            return _averaged(mesh, scatter_element_fields(mesh, c, groups=groups) / 6.0, assembly)
-
-    elif m is Measure.PRODUCT_SQUARED:
-        def value(c, vols):
-            v = vols + shift
-            if np.any(v <= 0.0):
-                return -np.inf
-            return float(2.0 * np.log(v).sum())
-
-        def field(c, vols=None):
-            v = _require_positive(volumes(c, vols) + shift)
-            f = scatter_element_fields(mesh, c, per_element_scale=1.0 / v, groups=groups)
-            return _averaged(mesh, f / 3.0, assembly)
-
-    elif m is Measure.INVERSE_SQUARED_SUM:
-        def value(c, vols):
-            v = vols + shift
-            if np.any(v <= 0.0):
-                return -np.inf
-            return float(-np.sum(v**-2))
-
-        def field(c, vols=None):
-            v = _require_positive(volumes(c, vols) + shift)
-            f = scatter_element_fields(mesh, c, per_element_scale=v**-3, groups=groups)
-            return _averaged(mesh, f / 3.0, assembly)
-
-    elif m is Measure.ISOPERIMETRIC_QUOTIENT:
-        iq_spec = QualityMeasureSpec(Measure.ISOPERIMETRIC_QUOTIENT, Combiner.SUM)
-
-        def value(c, vols):
-            return float(_per_element_values(mesh, c, iq_spec, groups).sum())
-
-        def field(c, vols=None):
-            return _averaged(mesh, _scatter_iq_gradients(mesh, c, groups), assembly)
-
-    else:
-        raise InvalidSpec(f"no smoothing field is defined for measure {m.value!r}")
-
-    needs_volumes = m is not Measure.ISOPERIMETRIC_QUOTIENT
+    groups = kind_groups(mesh) if groups is None else groups
+    measure = _MEASURES[spec.measure]
+    if measure.vertex_field is None:
+        raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
+    shift = spec.volume_shift
 
     def objective(c, guarded):
         guarded = guarded and guard
-        vols = mesh_mean_volumes(mesh, c, groups=groups) if needs_volumes or guarded else None
+        vols = mesh_mean_volumes(mesh, c, groups=groups) if measure.volumes or guarded else None
         if guarded and not vols.min() > 0.0:
             return -np.inf, vols
-        return value(c, vols), vols
+        return measure.objective(mesh, c, groups, _shifted(vols, shift)), vols
+
+    def field(c, vols=None):
+        if vols is None and measure.volumes:
+            vols = mesh_mean_volumes(mesh, c, groups=groups)
+        f = measure.vertex_field(mesh, c, groups, _shifted(vols, shift))
+        return _averaged(mesh, f / measure.divisor, assembly)
 
     return objective, field
 
@@ -364,18 +328,6 @@ def _apply_step(coords: np.ndarray, direction: np.ndarray, sigma: float, flow: _
     return moved
 
 
-def _field_degree(flow: _Flow, coords: np.ndarray, state) -> float:
-    def field_fn(c):
-        # the probe at coords itself reuses the state computed there
-        return flow.masked_field(c, state if c is coords else None)
-
-    try:
-        return homogeneity_degree(field_fn, coords)
-    except (NonHomogeneous, NonPositiveVolume):
-        # shifted measures are not homogeneous; fall back to the raw field
-        return 1.0
-
-
 def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
            boundary_mask: np.ndarray | None) -> tuple[np.ndarray, SmoothingReport]:
     coords = np.array(coords, dtype=float)
@@ -387,17 +339,14 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
     sigma_hist: list[float] = []
     norm_hist: list[float] = []
     termination = Termination.MAX_ITERATIONS
-    degree = None
 
     for _ in range(config.max_iterations):
         f = flow.masked_field(coords, state)
         fnorm = float(np.linalg.norm(f))
-        if fnorm < config.field_tol:
+        if fnorm <= config.field_tol:
             termination = Termination.FIELD_BELOW_TOL
             break
-        if degree is None:
-            degree = _field_degree(flow, coords, state)
-        direction = scale_normalize(f, degree)
+        direction = scale_normalize(f, flow.degree)
 
         sigma = config.sigma0
         accepted = None
@@ -435,9 +384,10 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
 
 def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Flow:
     spec = config.measure
+    measure = _MEASURES[spec.measure]
     groups = kind_groups(mesh)
     vols0 = mesh_mean_volumes(mesh, coords0, groups=groups)
-    if spec.measure in (Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM):
+    if measure.shifted:
         if spec.volume_shift is None:
             shift = _volume_shift(vols0, coords0)
             if shift > 0.0:
@@ -445,6 +395,8 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Fl
         _require_positive(vols0 + (spec.volume_shift or 0.0))
     guard = bool(np.all(vols0 > 0.0))
     objective, field_fn = _measure_functions(mesh, spec, config.assembly, groups=groups, guard=guard)
+    # a shifted field is not homogeneous: step along the raw field
+    degree = 1.0 if spec.volume_shift else measure.degree
     policy = config.boundary_policy
     mask = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
     tris = (
@@ -452,7 +404,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Fl
         if policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY
         else None
     )
-    return _Flow(objective, field_fn, mask, policy, tris)
+    return _Flow(objective, field_fn, degree, mask, policy, tris)
 
 
 def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) -> np.ndarray:
@@ -467,8 +419,7 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     f = flow.masked_field(coords)
     if sigma == 0.0 or not np.any(f):
         return coords
-    degree = _field_degree(flow, coords, None)
-    direction = scale_normalize(f, degree)
+    direction = scale_normalize(f, flow.degree)
     boundary_mask = mesh.boundary if flow.policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY else None
     return _apply_step(coords, direction, sigma, flow, boundary_mask)
 
@@ -505,6 +456,7 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     flow = _Flow(
         objective=objective,
         field=lambda c, _state: geometry.polyhedron_iq_gradient(faces, c),
+        degree=_MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree,
         mask=None,
         policy=BoundaryPolicy.FREE,
         boundary_tris=None,

@@ -96,6 +96,15 @@ def test_missing_input_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_smooth_zero_field_with_zero_tolerance(tmp_path, capsys):
+    src = str(tmp_path / "tet.vtk")
+    assert main(["generate", "--spec", "unit-tetra", "--out", src]) == 0
+    code, out, _ = _run(capsys, "smooth", "--in", src, "--out", str(tmp_path / "out.vtk"),
+                        "--measure", "q1", "--field-tol", "0")
+    assert code == 0
+    assert "iterations=0 termination=field_below_tol" in out
+
+
 def test_mean_ratio_on_mixed_mesh_is_numerical_failure(tmp_path, capsys):
     path = str(tmp_path / "hex.vtk")
     assert main(["generate", "--spec", "unit-hexa", "--out", path]) == 0

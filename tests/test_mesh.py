@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polysmooth import Element, ElementKind, build_adjacency, make_mesh
+from polysmooth import Element, ElementKind, make_mesh
 from polysmooth.errors import InvalidElement, InvalidSpec
 from polysmooth.generators import _house_mesh, hex_grid, tet_with_inner_vertex, unit_element
 from polysmooth.mesh import boundary_faces, kind_groups
@@ -37,14 +37,6 @@ def test_hex_grid_2_center_vertex_interior():
     assert mesh.valence[center] == 8
     assert not mesh.boundary[center]
     assert mesh.boundary[np.arange(27) != center].all()
-
-
-def test_build_adjacency_idempotent():
-    mesh = tet_with_inner_vertex()
-    again = build_adjacency(mesh)
-    assert np.array_equal(mesh.valence, again.valence)
-    assert np.array_equal(mesh.boundary, again.boundary)
-    assert np.array_equal(mesh.vertices, again.vertices)
 
 
 def test_duplicate_vertex_rejected():

@@ -8,10 +8,12 @@ from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     _house_mesh,
+    perturb_mesh,
     random_element_coords,
     random_rotation,
     regular_element,
     regular_element_coords,
+    tet_grid,
     tet_with_inner_vertex,
     unit_element,
 )
@@ -131,6 +133,21 @@ def test_report_json_schema():
     assert set(doc) == {"measure", "combiner", "global", "min", "max", "mean",
                         "invalid_count", "per_element"}
     assert doc["per_element"] == [doc["global"]]
+
+
+def test_batched_mean_ratio_matches_per_element_formula():
+    mesh = perturb_mesh(tet_grid(4), 0.9 / 4, seed=0)
+    inverse = ReferenceFrame.regular().inverse
+
+    def scalar(x):
+        s = np.column_stack([x[1] - x[0], x[2] - x[0], x[3] - x[0]]) @ inverse
+        det = np.linalg.det(s)
+        return 0.0 if det <= 0.0 else float(3.0 * det ** (2.0 / 3.0) / np.sum(s * s))
+
+    expected = np.array([scalar(mesh.vertices[list(e.vertices)]) for e in mesh.elements])
+    got = mesh_quality(mesh, spec=QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
+    assert 0 < np.sum(expected == 0.0) < mesh.n_elements  # some elements are inverted
+    assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
 
 
 def test_mean_ratio_rejects_mixed_mesh():

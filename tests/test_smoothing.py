@@ -29,7 +29,13 @@ from polysmooth.generators import (
     unit_element,
 )
 from polysmooth.geometry import element_field
-from polysmooth.quality import Combiner, Measure, QualityMeasureSpec, mesh_mean_volumes
+from polysmooth.quality import (
+    Combiner,
+    Measure,
+    QualityMeasureSpec,
+    compute_volume_shift,
+    mesh_mean_volumes,
+)
 from polysmooth.smoothing import (
     Assembly,
     BoundaryPolicy,
@@ -157,14 +163,11 @@ def test_degree_of_transformation_field_is_two():
 
 @pytest.mark.parametrize(
     "measure,degree",
-    [
-        (Measure.MEAN_VOLUME_SUM, 2.0),
-        (Measure.PRODUCT_SQUARED, -1.0),
-        (Measure.INVERSE_SQUARED_SUM, -7.0),
-        (Measure.ISOPERIMETRIC_QUOTIENT, -1.0),
-    ],
+    [(m, entry.degree) for m, entry in quality_module._MEASURES.items() if entry.vertex_field],
 )
 def test_measure_field_degrees(measure, degree):
+    # the driver steps with the table's closed-form degree; the numeric
+    # estimate is the oracle
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
     field = _measure_field(mesh, measure)
     assert homogeneity_degree(field, np.array(mesh.vertices)) == pytest.approx(degree, abs=1e-8)
@@ -290,6 +293,31 @@ def test_no_inversion_with_aggressive_step(rng):
     assert mesh_mean_volumes(mesh, coords).min() > 0
 
 
+def test_zero_field_with_zero_tolerance_stops_at_once():
+    mesh = unit_element(ElementKind.TETRA)  # every vertex is on the fixed boundary
+    coords, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, field_tol=0.0))
+    assert report.termination is Termination.FIELD_BELOW_TOL
+    assert report.iterations == 0
+    assert np.array_equal(coords, mesh.vertices)
+
+
+def test_shifted_q1_ascends_out_of_inversion():
+    # the inner vertex lies above the apex, so some elements start inverted
+    # and the automatic volume shift applies: the first step moves along the
+    # raw shifted field (degree 1)
+    mesh = tet_with_inner_vertex([0.5, 0.29, 0.9])
+    assert mesh_mean_volumes(mesh).min() < 0
+    spec = QualityMeasureSpec(Measure.PRODUCT_SQUARED, Combiner.SUM, compute_volume_shift(mesh))
+    _, shifted_field = _measure_functions(mesh, spec, Assembly.RAW_SUM)
+    first, step = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=1))
+    expected = mesh.vertices[4] + step.sigma[0] * shifted_field(np.array(mesh.vertices))[4]
+    assert np.allclose(first[4], expected, rtol=1e-12, atol=0)
+    coords, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=200))
+    assert report.iterations > 0
+    assert _strictly_increasing(report)
+    assert mesh_mean_volumes(mesh, coords).min() > 0
+
+
 def test_quality_stall_termination():
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
     cfg = _config(Measure.PRODUCT_SQUARED, quality_tol=1e9, max_iterations=50)
@@ -391,13 +419,12 @@ def test_closest_point_on_triangles_regions():
 @pytest.mark.parametrize(
     "measure,policy,passes_besides_trials",
     [
-        # flow set-up, initial objective and the two scaled degree probes
-        (Measure.PRODUCT_SQUARED, BoundaryPolicy.FIX_BOUNDARY, 4),
-        (Measure.INVERSE_SQUARED_SUM, BoundaryPolicy.FIX_BOUNDARY, 4),
-        # its field needs no volumes, so the degree probes make no pass; with
-        # the boundary fixed its field vanishes
+        # flow set-up and initial objective; the field degree is closed-form
+        (Measure.PRODUCT_SQUARED, BoundaryPolicy.FIX_BOUNDARY, 2),
+        (Measure.INVERSE_SQUARED_SUM, BoundaryPolicy.FIX_BOUNDARY, 2),
+        # with the boundary fixed its field vanishes
         (Measure.MEAN_VOLUME_SUM, BoundaryPolicy.FREE, 2),
-        # the iq objective needs no volumes either: only the flow set-up
+        # the iq objective needs no volumes: only the flow set-up
         (Measure.ISOPERIMETRIC_QUOTIENT, BoundaryPolicy.FIX_BOUNDARY, 1),
     ],
 )
