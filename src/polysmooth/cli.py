@@ -54,11 +54,7 @@ def _write_report(report: smoothing.SmoothingReport, path: str) -> None:
 def _cmd_smooth(args) -> int:
     mesh = vtkio.read_mesh(args.infile)
     config = smoothing.SmoothingConfig(
-        measure=quality.QualityMeasureSpec(
-            measure=quality.Measure(args.measure),
-            combiner=quality.Combiner.SUM,
-            volume_shift=args.shift,
-        ),
+        measure=_measure_spec(args),
         assembly=smoothing.Assembly(args.assembly),
         sigma0=args.sigma0,
         max_iterations=args.max_iter,

@@ -334,11 +334,6 @@ def polyhedron_mean_area(faces, x) -> float:
     return float(_mean_areas(_face_triangles(faces), x[None])[0])
 
 
-def polyhedron_area_gradient(faces, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)[None]
-    return _area_gradients(_face_triangles(faces), x, _DEGENERACY * _bbox_diag(x) ** 2)[0]
-
-
 def polyhedron_iq(faces, x) -> float:
     """Isoperimetric quotient of a closed polyhedron."""
     x = np.asarray(x, dtype=float)[None]

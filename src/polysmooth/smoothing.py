@@ -14,13 +14,19 @@ volume, -1 for q1, -7 for q2, -1 for iq). A nonzero volume shift makes the
 q1/q2 fields inhomogeneous, and the driver then steps along the raw field
 (degree 1).
 
+The boundary policy is decided once, when the flow is set up: the field is
+zero on fixed vertices (fix), and every step is mapped back onto the shape
+sphere (free) or onto the start's boundary surface (project). A free run is
+set up on the shape representative of its start, so its volume shift and
+trajectory do not depend on the scale of the input. The set-up's volume
+pass also gives the objective at the start.
+
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable
@@ -197,59 +203,22 @@ def scale_normalize(field, degree: float) -> np.ndarray:
 
 @dataclass
 class _Flow:
-    """One ascent problem.
+    """One ascent problem, with the boundary policy already applied.
 
-    ``objective(coords, guarded)`` returns the objective at ``coords`` and a
-    state that ``field(coords, state)`` reuses at the same coordinates (the
-    mean volumes, or None; ``field`` computes what a None state lacks). With
-    ``guarded`` the objective is ``-inf`` when a step has inverted an element
-    that was valid at the start. ``degree`` is the field's scaling degree.
+    ``objective(coords)`` returns the objective at ``coords`` and a state
+    that ``field(coords, state)`` reuses at the same coordinates (the mean
+    volumes, or None when the measure reads none and no guard is active).
+    The objective is ``-inf`` when a step has inverted an element that was
+    valid at the start. ``field`` is zero on the vertices the policy fixes,
+    and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
+    configuration back onto the policy's constraint: the identity (fix), the
+    shape sphere (free) or the original boundary surface (project).
     """
 
-    objective: Callable[[np.ndarray, bool], tuple[float, object]]
+    objective: Callable[[np.ndarray], tuple[float, object]]
     field: Callable[[np.ndarray, object], np.ndarray]
     degree: float
-    mask: np.ndarray | None
-    policy: BoundaryPolicy
-    boundary_tris: np.ndarray | None
-
-    def masked_field(self, coords, state=None) -> np.ndarray:
-        f = np.asarray(self.field(coords, state), dtype=float)
-        if self.mask is not None:
-            f = f.copy()
-            f[self.mask] = 0.0
-        return f
-
-
-def _measure_functions(mesh: Mesh, spec: QualityMeasureSpec, assembly: Assembly, *,
-                       groups=None, guard: bool = False):
-    """Objective and field of a mesh measure, in the form :class:`_Flow` takes.
-
-    One mean-volume pass per objective evaluation serves both the inversion
-    guard (active when ``guard``) and the volume measures, and the field at
-    the same coordinates reuses it. ``groups`` is :func:`kind_groups` of the
-    mesh, built here when omitted.
-    """
-    groups = kind_groups(mesh) if groups is None else groups
-    measure = _MEASURES[spec.measure]
-    if measure.vertex_field is None:
-        raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
-    shift = spec.volume_shift
-
-    def objective(c, guarded):
-        guarded = guarded and guard
-        vols = mesh_mean_volumes(mesh, c, groups=groups) if measure.volumes or guarded else None
-        if guarded and not vols.min() > 0.0:
-            return -np.inf, vols
-        return measure.objective(mesh, c, groups, _shifted(vols, shift)), vols
-
-    def field(c, vols=None):
-        if vols is None and measure.volumes:
-            vols = mesh_mean_volumes(mesh, c, groups=groups)
-        f = measure.vertex_field(mesh, c, groups, _shifted(vols, shift))
-        return _averaged(mesh, f / measure.divisor, assembly)
-
-    return objective, field
+    constrain: Callable[[np.ndarray], np.ndarray]
 
 
 def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
@@ -316,24 +285,9 @@ def _closest_on_triangles(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
     return cand[int(np.argmin(dist))]
 
 
-def _apply_step(coords: np.ndarray, direction: np.ndarray, sigma: float, flow: _Flow,
-                boundary_mask: np.ndarray | None) -> np.ndarray:
-    moved = coords + sigma * direction
-    if flow.policy is BoundaryPolicy.FREE:
-        return project_shape(moved)
-    if flow.policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY and flow.boundary_tris is not None:
-        idx = np.nonzero(boundary_mask)[0]
-        for i in idx:
-            moved[i] = _closest_on_triangles(flow.boundary_tris, moved[i])
-    return moved
-
-
-def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
-           boundary_mask: np.ndarray | None) -> tuple[np.ndarray, SmoothingReport]:
-    coords = np.array(coords, dtype=float)
-    if flow.policy is BoundaryPolicy.FREE:
-        coords = project_shape(coords)
-    q, state = flow.objective(coords, False)
+def _drive(coords: np.ndarray, flow: _Flow, q: float, state,
+           config: SmoothingConfig) -> tuple[np.ndarray, SmoothingReport]:
+    """Backtracking ascent from ``coords``, where the objective and its state are ``q``, ``state``."""
     q0 = q
     quality_hist: list[float] = []
     sigma_hist: list[float] = []
@@ -341,7 +295,7 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
     termination = Termination.MAX_ITERATIONS
 
     for _ in range(config.max_iterations):
-        f = flow.masked_field(coords, state)
+        f = flow.field(coords, state)
         fnorm = float(np.linalg.norm(f))
         if fnorm <= config.field_tol:
             termination = Termination.FIELD_BELOW_TOL
@@ -351,8 +305,8 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
         sigma = config.sigma0
         accepted = None
         for _h in range(config.max_halvings + 1):
-            cand = _apply_step(coords, direction, sigma, flow, boundary_mask)
-            qc, cand_state = flow.objective(cand, True)
+            cand = flow.constrain(coords + sigma * direction)
+            qc, cand_state = flow.objective(cand)
             if qc > q:
                 accepted = (cand, qc, sigma, cand_state)
                 break
@@ -371,40 +325,65 @@ def _drive(coords: np.ndarray, flow: _Flow, config: SmoothingConfig,
             termination = Termination.QUALITY_STALLED
             break
 
-    report = SmoothingReport(
-        iterations=len(quality_hist),
-        quality=quality_hist,
-        sigma=sigma_hist,
-        field_norm=norm_hist,
-        termination=termination,
-        initial_quality=q0,
-    )
-    return coords, report
+    return coords, SmoothingReport(
+        iterations=len(quality_hist), quality=quality_hist, sigma=sigma_hist,
+        field_norm=norm_hist, termination=termination, initial_quality=q0)
 
 
-def _build_flow(mesh: Mesh, config: SmoothingConfig, coords0: np.ndarray) -> _Flow:
+def _build_flow(mesh: Mesh, config: SmoothingConfig,
+                coords0: np.ndarray) -> tuple[_Flow, float, np.ndarray]:
+    """The flow of ``config`` on ``mesh``, with its objective and mean volumes at ``coords0``.
+
+    Its one mean-volume pass serves the volume shift, the validity check,
+    the guard decision and the objective at the start.
+    """
     spec = config.measure
     measure = _MEASURES[spec.measure]
+    if measure.vertex_field is None:
+        raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
     groups = kind_groups(mesh)
     vols0 = mesh_mean_volumes(mesh, coords0, groups=groups)
+    shift = spec.volume_shift
     if measure.shifted:
-        if spec.volume_shift is None:
+        if shift is None:
             shift = _volume_shift(vols0, coords0)
-            if shift > 0.0:
-                spec = dataclasses.replace(spec, volume_shift=shift)
-        _require_positive(vols0 + (spec.volume_shift or 0.0))
+        _require_positive(vols0 + shift)
     guard = bool(np.all(vols0 > 0.0))
-    objective, field_fn = _measure_functions(mesh, spec, config.assembly, groups=groups, guard=guard)
-    # a shifted field is not homogeneous: step along the raw field
-    degree = 1.0 if spec.volume_shift else measure.degree
+
+    def objective(c):
+        vols = mesh_mean_volumes(mesh, c, groups=groups) if measure.volumes or guard else None
+        if guard and not vols.min() > 0.0:
+            return -np.inf, vols
+        return measure.objective(mesh, c, groups, _shifted(vols, shift)), vols
+
     policy = config.boundary_policy
-    mask = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
-    tris = (
-        _boundary_triangles(mesh, coords0)
-        if policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY
-        else None
-    )
-    return _Flow(objective, field_fn, degree, mask, policy, tris)
+    fixed = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
+
+    def field(c, vols):
+        f = measure.vertex_field(mesh, c, groups, _shifted(vols, shift))
+        f = _averaged(mesh, f / measure.divisor, config.assembly)
+        if fixed is not None:
+            f[fixed] = 0.0
+        return f
+
+    if policy is BoundaryPolicy.FREE:
+        constrain = project_shape
+    elif policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY:
+        tris = _boundary_triangles(mesh, coords0)
+        on_boundary = np.nonzero(mesh.boundary)[0]
+
+        def constrain(moved):
+            for i in on_boundary:
+                moved[i] = _closest_on_triangles(tris, moved[i])
+            return moved
+    else:
+        def constrain(moved):
+            return moved
+
+    # a shifted field is not homogeneous: step along the raw field
+    degree = 1.0 if shift else measure.degree
+    q0 = measure.objective(mesh, coords0, groups, _shifted(vols0, shift))
+    return _Flow(objective, field, degree, constrain), q0, vols0
 
 
 def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) -> np.ndarray:
@@ -415,13 +394,11 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     a vanishing field returns the input unchanged.
     """
     coords = np.array(coords, dtype=float)
-    flow = _build_flow(mesh, config, coords)
-    f = flow.masked_field(coords)
+    flow, _, vols = _build_flow(mesh, config, coords)
+    f = flow.field(coords, vols)
     if sigma == 0.0 or not np.any(f):
         return coords
-    direction = scale_normalize(f, flow.degree)
-    boundary_mask = mesh.boundary if flow.policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY else None
-    return _apply_step(coords, direction, sigma, flow, boundary_mask)
+    return flow.constrain(coords + sigma * scale_normalize(f, flow.degree))
 
 
 def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tuple[np.ndarray, SmoothingReport]:
@@ -430,13 +407,15 @@ def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tu
     The driver optimizes the sum form of the measure (the log product for the
     product measure). Every accepted step strictly increases the objective;
     with all elements initially valid, steps that would invert an element are
-    rejected during backtracking.
+    rejected during backtracking. Under the free policy the run starts from,
+    and is set up on, the shape representative of the start.
     """
     config = config or SmoothingConfig()
     coords0 = np.array(mesh.vertices if coords is None else coords, dtype=float)
-    flow = _build_flow(mesh, config, coords0)
-    boundary_mask = mesh.boundary if config.boundary_policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY else None
-    return _drive(coords0, flow, config, boundary_mask)
+    if config.boundary_policy is BoundaryPolicy.FREE:
+        coords0 = project_shape(coords0)
+    flow, q0, vols0 = _build_flow(mesh, config, coords0)
+    return _drive(coords0, flow, q0, vols0, config)
 
 
 def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> tuple[np.ndarray, SmoothingReport]:
@@ -447,18 +426,13 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     are ignored, only its numeric knobs apply.
     """
     config = config or SmoothingConfig()
+    coords = project_shape(np.array(coords, dtype=float))
 
-    def objective(c, guarded):
-        if guarded and not geometry.polyhedron_mean_volume(faces, c) > 0.0:
+    def objective(c):
+        if not geometry.polyhedron_mean_volume(faces, c) > 0.0:
             return -np.inf, None
         return geometry.polyhedron_iq(faces, c), None
 
-    flow = _Flow(
-        objective=objective,
-        field=lambda c, _state: geometry.polyhedron_iq_gradient(faces, c),
-        degree=_MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree,
-        mask=None,
-        policy=BoundaryPolicy.FREE,
-        boundary_tris=None,
-    )
-    return _drive(np.array(coords, dtype=float), flow, config, None)
+    flow = _Flow(objective, lambda c, _state: geometry.polyhedron_iq_gradient(faces, c),
+                 _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
+    return _drive(coords, flow, geometry.polyhedron_iq(faces, coords), None, config)

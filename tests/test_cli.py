@@ -76,6 +76,24 @@ def test_generate_deterministic_bytes(tmp_path, capsys):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("boundary", ["free", "project"])
+def test_smooth_deterministic_bytes(tmp_path, capsys, boundary):
+    src = str(tmp_path / "in.vtk")
+    assert main(["generate", "--spec", "hex-cube", "--size", "2", "--perturb", "0.05", "--out", src]) == 0
+    capsys.readouterr()
+    runs = []
+    for name in ("a", "b"):
+        out, rep = tmp_path / f"{name}.vtk", tmp_path / f"{name}.json"
+        code, stdout, _ = _run(
+            capsys,
+            "smooth", "--in", src, "--out", str(out), "--measure", "q2",
+            "--boundary", boundary, "--max-iter", "10", "--report", str(rep),
+        )
+        runs.append((code, stdout, out.read_bytes(), rep.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 def test_unknown_spec_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--spec", "dodecahedron", "--out", str(tmp_path / "x.vtk")])

@@ -41,8 +41,8 @@ from polysmooth.smoothing import (
     BoundaryPolicy,
     SmoothingConfig,
     Termination,
+    _build_flow,
     _closest_on_triangles,
-    _measure_functions,
     assemble_field,
     homogeneity_degree,
     project_shape,
@@ -150,10 +150,10 @@ def test_project_shape_one_point_mesh():
 
 
 def _measure_field(mesh, measure):
-    _, field = _measure_functions(
-        mesh, QualityMeasureSpec(measure, Combiner.SUM), Assembly.RAW_SUM
-    )
-    return field
+    # the free policy leaves the field unmasked
+    config = _config(measure, boundary_policy=BoundaryPolicy.FREE)
+    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
+    return lambda c: flow.field(c, mesh_mean_volumes(mesh, c))
 
 
 def test_degree_of_transformation_field_is_two():
@@ -308,9 +308,9 @@ def test_shifted_q1_ascends_out_of_inversion():
     mesh = tet_with_inner_vertex([0.5, 0.29, 0.9])
     assert mesh_mean_volumes(mesh).min() < 0
     spec = QualityMeasureSpec(Measure.PRODUCT_SQUARED, Combiner.SUM, compute_volume_shift(mesh))
-    _, shifted_field = _measure_functions(mesh, spec, Assembly.RAW_SUM)
+    shifted, _, vols = _build_flow(mesh, SmoothingConfig(measure=spec), np.array(mesh.vertices))
     first, step = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=1))
-    expected = mesh.vertices[4] + step.sigma[0] * shifted_field(np.array(mesh.vertices))[4]
+    expected = mesh.vertices[4] + step.sigma[0] * shifted.field(np.array(mesh.vertices), vols)[4]
     assert np.allclose(first[4], expected, rtol=1e-12, atol=0)
     coords, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=200))
     assert report.iterations > 0
@@ -416,20 +416,9 @@ def test_closest_point_on_triangles_regions():
     assert np.allclose(_closest_on_triangles(tris, np.array([3.0, 3.0, 0.0])), [1, 1, 0])
 
 
-@pytest.mark.parametrize(
-    "measure,policy,passes_besides_trials",
-    [
-        # flow set-up and initial objective; the field degree is closed-form
-        (Measure.PRODUCT_SQUARED, BoundaryPolicy.FIX_BOUNDARY, 2),
-        (Measure.INVERSE_SQUARED_SUM, BoundaryPolicy.FIX_BOUNDARY, 2),
-        # with the boundary fixed its field vanishes
-        (Measure.MEAN_VOLUME_SUM, BoundaryPolicy.FREE, 2),
-        # the iq objective needs no volumes: only the flow set-up
-        (Measure.ISOPERIMETRIC_QUOTIENT, BoundaryPolicy.FIX_BOUNDARY, 1),
-    ],
-)
-def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(
-        measure, policy, passes_besides_trials, monkeypatch):
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of ``kind_groups`` and of the mean-volume pass, by name."""
     counts = Counter()
 
     def counting(name, fn):
@@ -444,7 +433,20 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(
         monkeypatch.setattr(module, "kind_groups", groups)
     for module in (quality_module, smoothing_module):
         monkeypatch.setattr(module, "mesh_mean_volumes", volumes)
+    return counts
 
+
+@pytest.mark.parametrize(
+    "measure,policy",
+    [
+        (Measure.PRODUCT_SQUARED, BoundaryPolicy.FIX_BOUNDARY),
+        (Measure.INVERSE_SQUARED_SUM, BoundaryPolicy.FIX_BOUNDARY),
+        # with the boundary fixed its field vanishes
+        (Measure.MEAN_VOLUME_SUM, BoundaryPolicy.FREE),
+        (Measure.ISOPERIMETRIC_QUOTIENT, BoundaryPolicy.FIX_BOUNDARY),
+    ],
+)
+def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, policy, counts):
     mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
     config = _config(measure, max_iterations=20, sigma0=2.0, boundary_policy=policy)
     _, report = smooth(mesh, config)
@@ -453,4 +455,45 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(
         trials += config.max_halvings + 1
     assert trials > report.iterations > 0  # backtracking happened
     assert counts["kind_groups"] == 1
-    assert counts["volume_passes"] == trials + passes_besides_trials
+    # besides the trials, only the flow set-up, which also gives the initial objective
+    assert counts["volume_passes"] == trials + 1
+
+
+def test_smoothing_step_makes_one_volume_pass(counts):
+    mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
+    smoothing_step(mesh, mesh.vertices, _config(Measure.PRODUCT_SQUARED), 0.1)
+    assert counts["kind_groups"] == 1
+    assert counts["volume_passes"] == 1
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_smoothing_step_is_the_first_step_of_smooth(policy):
+    mesh = perturb_mesh(hex_grid(2), 0.05, seed=2)
+    config = _config(Measure.INVERSE_SQUARED_SUM, boundary_policy=policy, max_iterations=1)
+    first, report = smooth(mesh, config)
+    assert report.iterations == 1
+    start = project_shape(mesh.vertices) if policy is BoundaryPolicy.FREE else mesh.vertices
+    assert np.array_equal(smoothing_step(mesh, start, config, report.sigma[0]), first)
+
+
+@pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM])
+def test_free_policy_with_volume_shift_is_scale_invariant(measure):
+    # the start has inverted elements, so the automatic volume shift applies;
+    # the run is set up on the shape representative, whatever the input scale
+    base = tet_with_inner_vertex([0.5, 0.29, 0.9])
+    config = _config(measure, boundary_policy=BoundaryPolicy.FREE, max_iterations=30)
+    reports = []
+    for s in (0.01, 1.0, 10.0):
+        mesh = make_mesh(s * np.asarray(base.vertices), base.elements)
+        coords, report = smooth(mesh, config)
+        assert mesh_mean_volumes(mesh, coords).min() > 0
+        reports.append(report)
+    ref = reports[1]
+    for report in reports:
+        assert report.termination is ref.termination
+        assert report.iterations == ref.iterations
+        assert report.sigma == ref.sigma
+        assert np.allclose(report.quality, ref.quality, rtol=1e-12, atol=0)
+        assert report.initial_quality == pytest.approx(ref.initial_quality, rel=1e-12)
+        # q2 weighs each element by v**-3, which amplifies the rounding of the start
+        assert np.allclose(report.field_norm, ref.field_norm, rtol=1e-10, atol=0)
