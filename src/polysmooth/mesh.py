@@ -74,14 +74,13 @@ class Element:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
-        n = self.kind.vertex_count
-        if len(self.vertices) != n:
-            raise InvalidElement(
-                f"{self.kind.value} needs {n} vertices, got {len(self.vertices)}"
-            )
-        if len(set(self.vertices)) != n:
-            raise InvalidElement(f"repeated vertex index in {self.vertices}")
+        vertices = tuple(map(int, self.vertices))
+        object.__setattr__(self, "vertices", vertices)
+        n = _VERTEX_COUNT[self.kind]
+        if len(vertices) != n:
+            raise InvalidElement(f"{self.kind.value} needs {n} vertices, got {len(vertices)}")
+        if len(set(vertices)) != n:
+            raise InvalidElement(f"repeated vertex index in {vertices}")
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Boundary faces as global vertex indices, outward-oriented."""
@@ -183,10 +182,14 @@ def make_mesh(points, elements) -> Mesh:
     return Mesh(_freeze(pts), elems, _freeze(valence), _freeze(boundary))
 
 
-def boundary_faces(mesh: Mesh) -> list[tuple[int, ...]]:
-    """Oriented faces incident to exactly one element, in element order."""
+def boundary_faces(mesh: Mesh, *, groups=None) -> list[tuple[int, ...]]:
+    """Oriented faces incident to exactly one element, in element order.
+
+    ``groups`` are the mesh's :func:`kind_groups`, built here when omitted.
+    """
     found = []
-    for faces, order, once in _faces_by_size(_kind_arrays(mesh.elements)).values():
+    groups = _kind_arrays(mesh.elements) if groups is None else groups
+    for faces, order, once in _faces_by_size(groups).values():
         found += zip(order[once].tolist(), map(tuple, faces[once].tolist()))
     return [face for _, face in sorted(found)]
 

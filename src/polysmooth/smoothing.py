@@ -21,6 +21,13 @@ set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input. The set-up's volume
 pass also gives the objective at the start.
 
+Under the project policy the set-up triangulates the start's boundary once
+and stores each triangle's bounding sphere. Each step then maps all boundary
+vertices in one batched pass: a triangle is tested exactly only when its
+sphere's lower distance bound does not exceed the best upper bound by more
+than a slack far above rounding, so the result is bit for bit that of
+testing every triangle.
+
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
 """
@@ -212,7 +219,8 @@ class _Flow:
     valid at the start. ``field`` is zero on the vertices the policy fixes,
     and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
     configuration back onto the policy's constraint: the identity (fix), the
-    shape sphere (free) or the original boundary surface (project).
+    shape sphere (free) or the original boundary surface (project; each
+    boundary vertex goes to its closest point, see :func:`_closest_points`).
     """
 
     objective: Callable[[np.ndarray], tuple[float, object]]
@@ -221,26 +229,88 @@ class _Flow:
     constrain: Callable[[np.ndarray], np.ndarray]
 
 
-def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
-    """Boundary surface as triangles; quads split along their shorter diagonal."""
-    tris = []
-    for face in boundary_faces(mesh):
-        if len(face) == 3:
-            tris.append(face)
-        else:
-            a, b, c, d = face
-            if np.linalg.norm(coords[a] - coords[c]) <= np.linalg.norm(coords[b] - coords[d]):
-                tris += [(a, b, c), (a, c, d)]
-            else:
-                tris += [(a, b, d), (b, c, d)]
-    if not tris:
-        return np.zeros((0, 3, 3))
-    return coords[np.asarray(tris, dtype=np.int64)]
+def _boundary_triangles(mesh: Mesh, coords: np.ndarray, *, groups=None) -> np.ndarray:
+    """Boundary surface as triangles (T, 3, 3) in face order; quads split along their shorter diagonal.
+
+    The order decides ties between equally close triangles, so it is part of
+    the result.
+    """
+    faces = boundary_faces(mesh, groups=groups)
+    quad = np.array([len(f) == 4 for f in faces], dtype=bool)
+    corners = np.array([f if len(f) == 4 else f + f[:1] for f in faces], dtype=np.int64).reshape(-1, 4)
+    d = coords[corners]
+    ac, bd = d[:, 0] - d[:, 2], d[:, 1] - d[:, 3]
+    # row by row, (1, 3) @ (3, 1) rounds as np.linalg.norm of one vector does; a sum over axis 1 does not
+    short = (np.sqrt(ac[:, None] @ ac[:, :, None]) <= np.sqrt(bd[:, None] @ bd[:, :, None])).ravel()
+    first = np.where((quad & ~short)[:, None], corners[:, [0, 1, 3]], corners[:, :3])
+    second = np.where(short[:, None], corners[:, [0, 2, 3]], corners[:, 1:])[quad]
+    tris = np.insert(first, np.flatnonzero(quad) + 1, second, axis=0)
+    return coords[tris]
 
 
-def _closest_on_triangles(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Closest point to p over a triangle soup (T, 3, 3)."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+@dataclass(frozen=True)
+class _Surface:
+    """A triangle soup set up for :func:`_closest_points`.
+
+    The corners ``a``, ``b``, ``c`` are stored component-major, each (T, 3)
+    in triangle order. Triangle t lies in the ball of centre ``g[t]`` (its
+    centroid) and radius ``r[t]`` (the largest corner distance from it);
+    ``scale`` is the largest coordinate magnitude.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+    r: np.ndarray
+    scale: float
+
+    @classmethod
+    def of(cls, tris: np.ndarray) -> _Surface:
+        a, b, c = (np.ascontiguousarray(tris[:, k]) for k in range(3))
+        g = (a + b + c) / 3.0
+        r = np.sqrt(np.max([np.einsum("ij,ij->i", x - g, x - g) for x in (a, b, c)], axis=0, initial=0.0))
+        return cls(a, b, c, g, r, float(np.abs(tris).max(initial=0.0)))
+
+
+# (vertex, triangle) pairs per pass of the sphere filter: 128 kB per float
+# temporary, about 1 MB for all of them together
+_BLOCK_PAIRS = 1 << 14
+
+
+def _closest_points(surface: _Surface, pts: np.ndarray) -> np.ndarray:
+    """Closest point on the surface to each row of ``pts`` (m, 3).
+
+    Bit for bit the per-point search over every triangle: the smallest
+    distance, the lowest triangle index on ties, and the first NaN distance
+    when there is one (as ``np.argmin``). The exact point-triangle test runs
+    only on the pairs the bounding spheres cannot rule out: triangle t is
+    skipped for point p when ``|p-g| - r`` exceeds ``min_t(|p-g| + r)`` by
+    more than a slack far above rounding. A non-finite point keeps every
+    triangle.
+    """
+    out = np.empty_like(pts)
+    block = max(1, _BLOCK_PAIRS // max(len(surface.r), 1))
+    for lo in range(0, len(pts), block):
+        p = pts[lo:lo + block]
+        centre = np.sqrt(sum((p[:, k, None] - surface.g[:, k]) ** 2 for k in range(3)))
+        upper = np.min(centre + surface.r, axis=1)
+        slack = 1e-9 * (upper + surface.scale)
+        rows, tri = np.nonzero(~(centre - surface.r > (upper + slack)[:, None]))
+        cand, dist = _closest_on_pairs(surface.a[tri], surface.b[tri], surface.c[tri], p[rows])
+        # pairs are sorted by row, then triangle: the first hit of the row's minimum is argmin's pick
+        low = np.minimum.reduceat(dist, np.unique(rows, return_index=True)[1])[rows]
+        hits = np.flatnonzero((dist == low) | (np.isnan(dist) & np.isnan(low)))
+        first = hits[np.unique(rows[hits], return_index=True)[1]]
+        out[lo:lo + block] = cand[first]
+    return out
+
+
+def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
+    """Closest point on triangle (a, b, c) to p, row by row, and its distance.
+
+    Ericson, *Real-Time Collision Detection*, section 5.1.5, by Voronoi region.
+    """
     ab, ac = b - a, c - a
     ap = p - a
     d1 = np.einsum("ij,ij->i", ab, ap)
@@ -280,9 +350,12 @@ def _closest_on_triangles(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
     cand = np.where(on_c[:, None], c, cand)
     cand = np.where(on_b[:, None], b, cand)
     cand = np.where(on_a[:, None], a, cand)
+    return cand, np.linalg.norm(cand - p, axis=1)
 
-    dist = np.linalg.norm(cand - p, axis=1)
-    return cand[int(np.argmin(dist))]
+
+def _closest_on_triangles(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Closest point to p over a triangle soup (T, 3, 3); :func:`_closest_points` for one point."""
+    return _closest_points(_Surface.of(tris), np.asarray(p, dtype=float)[None])[0]
 
 
 def _drive(coords: np.ndarray, flow: _Flow, q: float, state,
@@ -335,7 +408,9 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     """The flow of ``config`` on ``mesh``, with its objective and mean volumes at ``coords0``.
 
     Its one mean-volume pass serves the volume shift, the validity check,
-    the guard decision and the objective at the start.
+    the guard decision and the objective at the start. Under the project
+    policy it also sets up the boundary surface at ``coords0`` once, as a
+    :class:`_Surface`, from the connectivity it holds.
     """
     spec = config.measure
     measure = _MEASURES[spec.measure]
@@ -369,12 +444,11 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     if policy is BoundaryPolicy.FREE:
         constrain = project_shape
     elif policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY:
-        tris = _boundary_triangles(mesh, coords0)
+        surface = _Surface.of(_boundary_triangles(mesh, coords0, groups=groups))
         on_boundary = np.nonzero(mesh.boundary)[0]
 
         def constrain(moved):
-            for i in on_boundary:
-                moved[i] = _closest_on_triangles(tris, moved[i])
+            moved[on_boundary] = _closest_points(surface, moved[on_boundary])
             return moved
     else:
         def constrain(moved):

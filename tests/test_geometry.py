@@ -16,6 +16,7 @@ from polysmooth.generators import (
 )
 from polysmooth.geometry import (
     FACES,
+    _cross,
     element_field,
     element_iq,
     element_iq_gradient,
@@ -316,3 +317,11 @@ def test_polyhedron_iq_gradient_matches_fd(rng):
 def test_kind_faces_reproduce_element_iq(kind, rng):
     x = random_element_coords(kind, rng)
     assert polyhedron_iq(FACES[kind], x) == pytest.approx(element_iq(kind, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 7, 384, 4096])
+def test_cross_is_np_cross_bit_for_bit(m, rng):
+    scale = np.exp(rng.uniform(-30, 30, size=(m, 1)))
+    u, v = rng.standard_normal((2, m, 3)) * scale
+    assert np.array_equal(_cross(u, v), np.cross(u, v))
+    assert np.array_equal(_cross(u[:, None], v[:, None]), np.cross(u[:, None], v[:, None]))

@@ -40,12 +40,12 @@ def test_hex_grid_2_center_vertex_interior():
 
 
 def test_duplicate_vertex_rejected():
-    with pytest.raises(InvalidElement):
+    with pytest.raises(InvalidElement, match=r"^repeated vertex index in \(0, 1, 2, 2\)$"):
         Element(ElementKind.TETRA, (0, 1, 2, 2))
 
 
 def test_wrong_vertex_count_rejected():
-    with pytest.raises(InvalidElement):
+    with pytest.raises(InvalidElement, match=r"^prism needs 6 vertices, got 4$"):
         Element(ElementKind.PRISM, (0, 1, 2, 3))
 
 

@@ -41,8 +41,12 @@ from polysmooth.smoothing import (
     BoundaryPolicy,
     SmoothingConfig,
     Termination,
+    _BLOCK_PAIRS,
+    _boundary_triangles,
     _build_flow,
     _closest_on_triangles,
+    _closest_points,
+    _Surface,
     assemble_field,
     homogeneity_degree,
     project_shape,
@@ -352,8 +356,6 @@ def test_project_policy_keeps_boundary_on_original_surface():
     )
     coords, report = smooth(mesh, cfg)
     assert _strictly_increasing(report)
-    from polysmooth.smoothing import _boundary_triangles
-
     tris = _boundary_triangles(mesh, np.array(mesh.vertices))
     for i in np.nonzero(mesh.boundary)[0]:
         foot = _closest_on_triangles(tris, coords[i])
@@ -416,6 +418,147 @@ def test_closest_point_on_triangles_regions():
     assert np.allclose(_closest_on_triangles(tris, np.array([3.0, 3.0, 0.0])), [1, 1, 0])
 
 
+def _closest_on_triangles_per_point(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Closest point to p over a triangle soup (T, 3, 3)."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab, ac = b - a, c - a
+    ap = p - a
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    def safe(x, cond):
+        return np.where(cond, x, 1.0)
+
+    on_a = (d1 <= 0) & (d2 <= 0)
+    on_b = (d3 >= 0) & (d4 <= d3)
+    on_c = (d6 >= 0) & (d5 <= d6)
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+
+    t_ab = d1 / safe(d1 - d3, on_ab)
+    t_ac = d2 / safe(d2 - d6, on_ac)
+    t_bc = (d4 - d3) / safe((d4 - d3) + (d5 - d6), on_bc)
+    denom = safe(va + vb + vc, ~(on_a | on_b | on_c | on_ab | on_ac | on_bc))
+    v_face = vb / denom
+    w_face = vc / denom
+
+    cand = a + v_face[:, None] * ab + w_face[:, None] * ac
+    cand = np.where(on_bc[:, None], b + t_bc[:, None] * (c - b), cand)
+    cand = np.where(on_ac[:, None], a + t_ac[:, None] * ac, cand)
+    cand = np.where(on_ab[:, None], a + t_ab[:, None] * ab, cand)
+    cand = np.where(on_c[:, None], c, cand)
+    cand = np.where(on_b[:, None], b, cand)
+    cand = np.where(on_a[:, None], a, cand)
+
+    dist = np.linalg.norm(cand - p, axis=1)
+    return cand[int(np.argmin(dist))]
+
+
+def _boundary_triangles_per_face(mesh, coords):
+    """Boundary surface as triangles; quads split along their shorter diagonal."""
+    tris = []
+    for face in mesh_module.boundary_faces(mesh):
+        if len(face) == 3:
+            tris.append(face)
+        else:
+            a, b, c, d = face
+            if np.linalg.norm(coords[a] - coords[c]) <= np.linalg.norm(coords[b] - coords[d]):
+                tris += [(a, b, c), (a, c, d)]
+            else:
+                tris += [(a, b, d), (b, c, d)]
+    if not tris:
+        return np.zeros((0, 3, 3))
+    return coords[np.asarray(tris, dtype=np.int64)]
+
+
+def _bumpy_surface():
+    """A hex grid's boundary with its vertices moved: 108 triangles of varied shape."""
+    mesh = perturb_mesh(hex_grid(3), 0.1, seed=3, fix_boundary=False)
+    coords = np.array(mesh.vertices)
+    return coords[mesh.boundary], _boundary_triangles(mesh, coords)
+
+
+def _surface_points(case, rng):
+    corners, tris = _bumpy_surface()
+    near = corners + rng.normal(scale=0.05, size=corners.shape)
+    if case == "corners and shared edges":
+        return tris, np.concatenate([corners, (tris + np.roll(tris, 1, axis=1)).reshape(-1, 3) / 2])
+    if case == "far outside":
+        return tris, 1e3 * rng.standard_normal((50, 3)) + 10 * corners[:50]
+    if case == "translated by 1e6":
+        return tris + 1e6, near + 1e6
+    if case == "scaled by 1e-6":
+        return tris * 1e-6, near * 1e-6
+    if case == "block remainder":
+        block = _BLOCK_PAIRS // len(tris)
+        return tris, corners[rng.integers(len(corners), size=2 * block + 5)] + rng.normal(scale=0.05, size=3)
+    if case == "a large triangle among small ones":
+        # the small triangles' spheres bound the distance more tightly than
+        # the large one's centroid, yet the large triangle is the closest
+        big = np.array([[[0.0, 0, 0], [10, 0, 0], [0, 10, 0]]])
+        small = np.array([5.0, 0, 2.2]) + 0.1 * rng.standard_normal((20, 3, 3))
+        band = np.column_stack([rng.uniform(2, 8, 30), rng.uniform(-0.3, 0.3, 30), rng.uniform(0.8, 1.2, 30)])
+        return np.concatenate([small, big]), band
+    if case == "single point":
+        return tris, near[:1]
+    if case == "no point":
+        return tris, near[:0]
+    if case == "non-finite points":
+        near[[3, 7], [1, 0]] = np.nan, np.inf
+        return tris, near
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "corners and shared edges", "far outside", "translated by 1e6", "scaled by 1e-6",
+    "block remainder", "a large triangle among small ones", "single point", "no point", "non-finite points",
+])
+def test_batched_closest_points_match_the_per_point_search(case, rng):
+    tris, points = _surface_points(case, rng)
+    with np.errstate(invalid="ignore"):  # NaN and inf points, as in the per-point search
+        expected = np.array([_closest_on_triangles_per_point(tris, p) for p in points]).reshape(-1, 3)
+        found = _closest_points(_Surface.of(tris), points)
+    assert np.array_equal(found, expected, equal_nan=True)
+
+
+def test_boundary_triangles_match_the_per_face_split(rng):
+    meshes = [perturb_mesh(hex_grid(3), 0.1, seed=3, fix_boundary=False), hex_grid(2)]
+    meshes += [random_valid_mesh(rng) for _ in range(30)]
+    for mesh in meshes:
+        coords = np.array(mesh.vertices)
+        assert np.array_equal(_boundary_triangles(mesh, coords), _boundary_triangles_per_face(mesh, coords))
+
+
+def test_project_policy_contract_on_a_10_cube():
+    mesh = perturb_mesh(tet_grid(10), 0.03, seed=0, fix_boundary=False)
+    start = np.array(mesh.vertices)
+    assert mesh_mean_volumes(mesh).min() > 0
+    # a long first step, so that trials backtrack and the boundary moves by a fifth of a cell
+    config = _config(Measure.INVERSE_SQUARED_SUM, max_iterations=3, sigma0=100.0,
+                     boundary_policy=BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY)
+    coords, report = smooth(mesh, config)
+    assert report.iterations == 3
+    assert report.sigma[0] < config.sigma0
+    assert _strictly_increasing(report)
+    assert mesh_mean_volumes(mesh, coords).min() > 0
+    tris = _boundary_triangles_per_face(mesh, start)
+    boundary = np.flatnonzero(mesh.boundary)
+    assert np.abs(coords[boundary] - start[boundary]).max() > 0.02
+    for i in boundary:
+        assert np.linalg.norm(_closest_on_triangles_per_point(tris, coords[i]) - coords[i]) <= 1e-12
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of ``kind_groups`` and of the mean-volume pass, by name."""
@@ -457,6 +600,22 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, pol
     assert counts["kind_groups"] == 1
     # besides the trials, only the flow set-up, which also gives the initial objective
     assert counts["volume_passes"] == trials + 1
+
+
+def test_project_policy_builds_connectivity_once(monkeypatch):
+    # the boundary surface comes from the flow's groups, not from a second build
+    mesh = perturb_mesh(hex_grid(2), 0.05, seed=2)
+    calls = Counter()
+    build = mesh_module._kind_arrays
+
+    def counting(elements):
+        calls["built"] += 1
+        return build(elements)
+
+    monkeypatch.setattr(mesh_module, "_kind_arrays", counting)
+    smooth(mesh, _config(Measure.INVERSE_SQUARED_SUM, max_iterations=2,
+                         boundary_policy=BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY))
+    assert calls["built"] == 1
 
 
 def test_smoothing_step_makes_one_volume_pass(counts):
