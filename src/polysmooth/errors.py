@@ -36,6 +36,10 @@ class NonPositiveVolume(PolysmoothError):
         self.volume = volume
 
 
+class ProductUnderflow(PolysmoothError):
+    """A product measure of positive factors rounds to 0; use its logarithm."""
+
+
 class MixedMeshMeanRatio(PolysmoothError):
     """Mean ratio is defined for tetrahedra only; the mesh has other kinds."""
 

@@ -9,7 +9,7 @@ unit triangle edge). Equal-edge pyramids and prisms are not stationary.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry, quality
 from .errors import InvalidSpec
 from .geometry import REGULAR_TETRA
-from .mesh import Element, ElementKind, Mesh, make_mesh
+from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, make_mesh, vertex_array
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -88,31 +88,30 @@ def tet_with_inner_vertex(inner=None) -> Mesh:
     return make_mesh(pts, [Element(ElementKind.TETRA, c) for c in conn])
 
 
-def _grid_points(k: int) -> tuple[np.ndarray, callable]:
+# Cube corners are numbered x + 2y + 4z. The six tets share the main
+# diagonal 0-7 and are positively oriented.
+_HEXA_CORNERS = ((0, 1, 3, 2, 4, 5, 7, 6),)
+_TETRA_CORNERS = ((0, 1, 3, 7), (0, 5, 1, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 4, 5, 7), (0, 6, 4, 7))
+
+
+def _grid(k: int, kind: ElementKind, corners) -> Mesh:
+    """Unit-cube grid of k^3 cells, x fastest, each split into elements on the cube ``corners``."""
+    if k < 1:
+        raise InvalidSpec(f"grid size must be positive, got {k}")
     axis = np.linspace(0.0, 1.0, k + 1)
     zz, yy, xx = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    shared = list(range(len(pts)))  # elements share one int object per vertex index
-
-    def vid(ix, iy, iz):
-        return shared[ix + iy * (k + 1) + iz * (k + 1) ** 2]
-
-    return pts, vid
+    c = np.asarray(corners)
+    offsets = (c & 1) + (c >> 1 & 1) * (k + 1) + (c >> 2) * (k + 1) ** 2
+    i = np.arange(k)
+    lowest = (i[:, None, None] * (k + 1) + i[:, None]) * (k + 1) + i  # [z, y, x]
+    flat = (lowest.reshape(-1, 1, 1) + offsets).ravel()
+    return make_mesh(pts, Connectivity(np.full(k**3 * len(c), KIND_CODES[kind]), flat))
 
 
 def hex_grid(k: int) -> Mesh:
     """Structured k x k x k hexahedral grid on the unit cube."""
-    if k < 1:
-        raise InvalidSpec(f"grid size must be positive, got {k}")
-    pts, vid = _grid_points(k)
-    elems = []
-    for cz in range(k):
-        for cy in range(k):
-            for cx in range(k):
-                b = [vid(cx, cy, cz), vid(cx + 1, cy, cz), vid(cx + 1, cy + 1, cz), vid(cx, cy + 1, cz)]
-                t = [v + (k + 1) ** 2 for v in b]
-                elems.append(Element(ElementKind.HEXA, b + t))
-    return make_mesh(pts, elems)
+    return _grid(k, ElementKind.HEXA, _HEXA_CORNERS)
 
 
 def tet_grid(k: int) -> Mesh:
@@ -121,26 +120,7 @@ def tet_grid(k: int) -> Mesh:
     All cells use the same main-diagonal split, so shared faces carry
     matching diagonals and the mesh is conforming.
     """
-    if k < 1:
-        raise InvalidSpec(f"grid size must be positive, got {k}")
-    pts, vid = _grid_points(k)
-    basis = np.eye(3, dtype=int)
-    elems = []
-    for cz in range(k):
-        for cy in range(k):
-            for cx in range(k):
-                c0 = np.array([cx, cy, cz])
-                for perm in itertools.permutations(range(3)):
-                    a = c0 + basis[perm[0]]
-                    b = a + basis[perm[1]]
-                    quad = [c0, a, b, c0 + 1]
-                    parity = sum(
-                        1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j]
-                    )
-                    if parity % 2:
-                        quad[1], quad[2] = quad[2], quad[1]
-                    elems.append(Element(ElementKind.TETRA, [vid(*q) for q in quad]))
-    return make_mesh(pts, elems)
+    return _grid(k, ElementKind.TETRA, _TETRA_CORNERS)
 
 
 def icosahedron_polyhedron() -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
@@ -157,7 +137,10 @@ def icosahedron_mesh() -> Mesh:
 
 
 def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = True) -> Mesh:
-    """Displace vertices by at most ``eps`` each; ``eps == 0`` is the identity."""
+    """Displace vertices by at most ``eps`` each; ``eps == 0`` is the identity.
+
+    The result shares the elements and adjacency of ``mesh``.
+    """
     if eps < 0:
         raise InvalidSpec(f"perturbation amplitude must be >= 0, got {eps}")
     pts = np.array(mesh.vertices)
@@ -170,7 +153,7 @@ def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = Tru
         if fix_boundary:
             step[mesh.boundary] = 0.0
         pts += step
-    return make_mesh(pts, mesh.elements)
+    return dataclasses.replace(mesh, vertices=vertex_array(pts))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

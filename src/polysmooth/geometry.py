@@ -59,8 +59,6 @@ _NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
     ),
 }
 
-ELEMENT_KINDS = tuple(ElementKind)
-
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
 

@@ -10,21 +10,26 @@ Canonical vertex orderings (0-based in code):
 A mesh is immutable once built: coordinate and adjacency arrays are marked
 read-only, smoothing works on detached coordinate arrays.
 
-A mesh stores its elements as :class:`Element` objects plus vertex valence and
-boundary flags. :func:`make_mesh` counts valence with one ``np.bincount`` and
-finds boundary faces with one sort over the stacked element faces.
+A mesh stores its elements as integer arrays, a :class:`Connectivity` in the
+CSR layout of the legacy VTK ``CELLS`` section. ``mesh.elements`` is the
+connectivity itself; indexing or iterating it builds :class:`Element` objects
+on demand. The connectivity caches the per-kind groups the batched kernels
+read (:func:`kind_groups`), built on first use. A mesh built from another
+mesh's ``elements`` shares the arrays and the cached groups.
 
-The per-kind integer connectivity that the batched kernels need
-(:func:`kind_groups`) is not stored: each top-level call (one ``smooth``, one
-quality report) builds it once and hands it to the kernels. Kept on the mesh,
-it would add 40 bytes per tetrahedron to every mesh a caller holds.
+:func:`make_mesh` also stores vertex valence and boundary flags, from one
+``np.bincount`` and one sort over the stacked element faces.
+:func:`~polysmooth.generators.perturb_mesh` moves vertices only and keeps
+its input's adjacency.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -88,16 +93,73 @@ class Element:
         return tuple(tuple(v[i] for i in face) for face in FACES[self.kind])
 
 
+_KINDS = tuple(ElementKind)
+KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_ARITY = np.array([kind.vertex_count for kind in _KINDS])
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Connectivity(Sequence):
+    """Elements in CSR form: element i has the kind numbered ``codes[i]`` in
+    :data:`KIND_CODES` and the vertices ``flat[offsets[i]:offsets[i + 1]]``.
+
+    The arrays are read-only. As a sequence it yields :class:`Element`
+    objects, built on every access.
+    """
+
+    codes: np.ndarray
+    flat: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "codes", _freeze(np.asarray(self.codes, dtype=np.int8)))
+        object.__setattr__(self, "flat", _freeze(np.asarray(self.flat, dtype=np.int64)))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The vertex count of every element."""
+        return _ARITY[self.codes]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return _freeze(np.concatenate([[0], np.cumsum(self.counts)]))
+
+    @cached_property
+    def groups(self) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
+        """``{kind: (element_ids, connectivity)}``, kinds in first-occurrence order."""
+        return _group_by_kind(self)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]
+        return Element(_KINDS[self.codes[i]], self.flat[self.offsets[i]:self.offsets[i + 1]].tolist())
+
+    def __iter__(self):
+        flat, offsets = self.flat.tolist(), self.offsets.tolist()
+        for code, a, b in zip(self.codes.tolist(), offsets, offsets[1:]):
+            yield Element(_KINDS[code], flat[a:b])
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Vertex coordinates, typed elements and precomputed adjacency.
 
-    ``valence[i]`` counts the elements containing vertex i; ``boundary[i]``
-    is True when vertex i lies on a face owned by exactly one element.
+    ``elements`` is the mesh's :class:`Connectivity`, a sequence of
+    :class:`Element`. ``valence[i]`` counts the elements containing vertex i;
+    ``boundary[i]`` is True when vertex i lies on a face owned by exactly one
+    element.
     """
 
     vertices: np.ndarray
-    elements: tuple[Element, ...]
+    elements: Connectivity
     valence: np.ndarray
     boundary: np.ndarray
 
@@ -110,20 +172,17 @@ class Mesh:
         return len(self.elements)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _kind_arrays(elements) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
-    by_kind: dict[ElementKind, list[int]] = {}
-    for i, e in enumerate(elements):
-        by_kind.setdefault(e.kind, []).append(i)
+def _group_by_kind(cells: Connectivity) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
+    _, first = np.unique(cells.codes, return_index=True)
     groups = {}
-    for kind, ids in by_kind.items():
-        flat = itertools.chain.from_iterable([elements[i].vertices for i in ids])
-        conn = np.fromiter(flat, dtype=np.int64, count=len(ids) * kind.vertex_count)
-        groups[kind] = (np.asarray(ids, dtype=np.int64), conn.reshape(len(ids), kind.vertex_count))
+    for code in cells.codes[np.sort(first)]:
+        kind = _KINDS[code]
+        ids = np.flatnonzero(cells.codes == code)
+        if len(ids) == len(cells):  # one kind: the flat array is the table
+            conn = cells.flat.reshape(-1, kind.vertex_count)
+        else:
+            conn = cells.flat[cells.offsets[ids, None] + np.arange(kind.vertex_count)]
+        groups[kind] = (_freeze(ids), _freeze(conn))
     return groups
 
 
@@ -158,38 +217,48 @@ def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray
     return out
 
 
-def make_mesh(points, elements) -> Mesh:
-    """Build a mesh from raw coordinates and elements, computing adjacency."""
+def vertex_array(points) -> np.ndarray:
+    """``points`` as read-only (n, 3) finite float coordinates."""
     pts = np.ascontiguousarray(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidSpec(f"points must have shape (n, 3), got {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidSpec("vertex coordinates must be finite")
-    elems = tuple(elements)
-    n = pts.shape[0]
-    groups = _kind_arrays(elems)
-    out_of_range = [ids[((conn < 0) | (conn >= n)).any(axis=1)] for ids, conn in groups.values()]
-    first = min((int(bad[0]) for bad in out_of_range if bad.size), default=None)
-    if first is not None:
-        raise InvalidElement(f"vertex index out of range in {elems[first].vertices}")
-
-    incidences = [conn.ravel() for _, conn in groups.values()]
-    valence = np.bincount(np.concatenate(incidences), minlength=n) if incidences else np.zeros(n)
-    valence = valence.astype(np.int64, copy=False)
-    boundary = np.zeros(n, dtype=bool)
-    for faces, _, once in _faces_by_size(groups).values():
-        boundary[faces[once]] = True
-    return Mesh(_freeze(pts), elems, _freeze(valence), _freeze(boundary))
+    return _freeze(pts)
 
 
-def boundary_faces(mesh: Mesh, *, groups=None) -> list[tuple[int, ...]]:
-    """Oriented faces incident to exactly one element, in element order.
+def make_mesh(points, elements) -> Mesh:
+    """Build a mesh from raw coordinates and elements, computing adjacency.
 
-    ``groups`` are the mesh's :func:`kind_groups`, built here when omitted.
+    ``elements`` is any iterable of :class:`Element`, or a mesh's
+    ``elements``, whose arrays and cached groups are then shared.
     """
+    pts = vertex_array(points)
+    if isinstance(elements, Connectivity):
+        cells = elements
+    else:
+        elems = tuple(elements)
+        cells = Connectivity(
+            [KIND_CODES[e.kind] for e in elems],
+            np.fromiter(itertools.chain.from_iterable(e.vertices for e in elems), dtype=np.int64),
+        )
+    n = pts.shape[0]
+    bad = np.flatnonzero((cells.flat < 0) | (cells.flat >= n))
+    if bad.size:
+        first = int(np.searchsorted(cells.offsets, bad[0], side="right")) - 1
+        raise InvalidElement(f"vertex index out of range in {cells[first].vertices}")
+
+    valence = np.bincount(cells.flat, minlength=n)
+    boundary = np.zeros(n, dtype=bool)
+    for faces, _, once in _faces_by_size(cells.groups).values():
+        boundary[faces[once]] = True
+    return Mesh(pts, cells, _freeze(valence), _freeze(boundary))
+
+
+def boundary_faces(mesh: Mesh) -> list[tuple[int, ...]]:
+    """Oriented faces incident to exactly one element, in element order."""
     found = []
-    groups = _kind_arrays(mesh.elements) if groups is None else groups
-    for faces, order, once in _faces_by_size(groups).values():
+    for faces, order, once in _faces_by_size(mesh.elements.groups).values():
         found += zip(order[once].tolist(), map(tuple, faces[once].tolist()))
     return [face for _, face in sorted(found)]
 
@@ -198,9 +267,8 @@ def kind_groups(mesh: Mesh) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
     """Group elements by kind for batched geometry.
 
     Returns ``{kind: (element_ids, connectivity)}`` where ``connectivity``
-    has shape (m, n_e). Element ids refer to positions in ``mesh.elements``.
-    The arrays are built on every call and not stored on the mesh: a
-    top-level operation builds them once and passes them to the kernels it
-    calls through their ``groups`` argument.
+    has shape (m, n_e), kinds in the order of their first element. Element
+    ids refer to positions in ``mesh.elements``. The arrays are read-only
+    and cached on the mesh's connectivity: every call returns the same ones.
     """
-    return _kind_arrays(mesh.elements)
+    return mesh.elements.groups

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume
+from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
 from .geometry import REGULAR_TETRA
 from .mesh import ElementKind, Mesh, kind_groups
 
@@ -128,6 +128,10 @@ class QualityMeasureSpec:
 
 @dataclass
 class QualityReport:
+    """One measure over a mesh. ``log_global`` is set for a product measure:
+    the sum of the logs of its factors, finite where ``global_value``
+    underflows to 0."""
+
     measure: Measure
     combiner: Combiner
     global_value: float
@@ -136,17 +140,20 @@ class QualityReport:
     mean: float
     invalid_count: int
     per_element: np.ndarray = field(repr=False)
+    log_global: float | None = None
 
     def to_json_dict(self) -> dict:
+        logs = {} if self.log_global is None else {"log_global": self.log_global}
         return {
             "measure": self.measure.value,
             "combiner": self.combiner.value,
             "global": self.global_value,
+            **logs,
             "min": self.minimum,
             "max": self.maximum,
             "mean": self.mean,
             "invalid_count": self.invalid_count,
-            "per_element": [float(v) for v in self.per_element],
+            "per_element": self.per_element.tolist(),
         }
 
 
@@ -158,15 +165,10 @@ def _per_kind(kernel, mesh: Mesh, coords, groups) -> np.ndarray:
     return values
 
 
-def mesh_mean_volumes(mesh: Mesh, coords=None, *, groups=None) -> np.ndarray:
-    """Mean volume of every element, in element order.
-
-    ``groups`` is :func:`~polysmooth.mesh.kind_groups` of the mesh, built by
-    the caller when it makes several passes; omitted, it is built here.
-    """
+def mesh_mean_volumes(mesh: Mesh, coords=None) -> np.ndarray:
+    """Mean volume of every element, in element order."""
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    groups = kind_groups(mesh) if groups is None else groups
-    return _per_kind(geometry.element_mean_volumes, mesh, coords, groups)
+    return _per_kind(geometry.element_mean_volumes, mesh, coords, mesh.elements.groups)
 
 
 def _require_positive(v: np.ndarray) -> np.ndarray:
@@ -192,17 +194,15 @@ def _scatter(n: int, conns, values) -> np.ndarray:
     return np.stack([np.bincount(idx, vectors[:, j], minlength=n) for j in range(3)], axis=1)
 
 
-def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None, *, groups=None) -> np.ndarray:
+def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
     """Sum per-element transformation fields onto mesh vertices.
 
     ``per_element_scale`` optionally multiplies each element's field before
-    the scatter (indexed in element order). ``groups`` is as in
-    :func:`mesh_mean_volumes`.
+    the scatter (indexed in element order).
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    groups = kind_groups(mesh) if groups is None else groups
     conns, fields = [], []
-    for kind, (ids, conn) in groups.items():
+    for kind, (ids, conn) in mesh.elements.groups.items():
         f = geometry.element_fields(kind, coords[conn])
         if per_element_scale is not None:
             f = f * np.asarray(per_element_scale)[ids][:, None, None]
@@ -232,7 +232,7 @@ def _transformation_field(weight=None):
 
     def scatter(mesh: Mesh, coords, groups, v) -> np.ndarray:
         scale = None if weight is None else weight(_require_positive(v))
-        return scatter_element_fields(mesh, coords, per_element_scale=scale, groups=groups)
+        return scatter_element_fields(mesh, coords, per_element_scale=scale)
 
     return scatter
 
@@ -304,11 +304,14 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     its definition); every other measure is combined by ``spec.combiner``.
     """
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
+    if mesh.n_elements == 0:
+        raise InvalidSpec("a mesh without elements has no quality")
     measure = _MEASURES[spec.measure]
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     groups = kind_groups(mesh)
-    vols = mesh_mean_volumes(mesh, coords, groups=groups)
-    values = measure.values(mesh, coords, groups, _shifted(vols, spec.volume_shift))
+    vols = mesh_mean_volumes(mesh, coords)
+    v = _shifted(vols, spec.volume_shift)
+    values = measure.values(mesh, coords, groups, v)
     combine = np.prod if measure.product else _COMBINE[spec.combiner]
     return QualityReport(
         measure=spec.measure,
@@ -319,6 +322,7 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
         mean=float(values.mean()),
         invalid_count=int(np.sum(vols <= 0.0)),
         per_element=values,
+        log_global=measure.objective(mesh, coords, groups, v) if measure.product else None,
     )
 
 
@@ -337,11 +341,15 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
         raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     groups = kind_groups(mesh)
-    vols = mesh_mean_volumes(mesh, coords, groups=groups) if measure.volumes else None
+    vols = mesh_mean_volumes(mesh, coords) if measure.volumes else None
     v = _shifted(vols, spec.volume_shift)
     if measure.product:
         # d(prod)/dx = prod * d(log prod)/dx
         scale = np.prod(measure.values(mesh, coords, groups, v))
+        if scale == 0.0:  # every factor is positive: the product underflowed
+            raise ProductUnderflow(
+                f"the {spec.measure.value} product underflows to 0 (log "
+                f"{measure.objective(mesh, coords, groups, v)!r}); its gradient is not representable")
     else:
         scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
     return scale / measure.divisor * measure.vertex_field(mesh, coords, groups, v)

@@ -229,13 +229,13 @@ class _Flow:
     constrain: Callable[[np.ndarray], np.ndarray]
 
 
-def _boundary_triangles(mesh: Mesh, coords: np.ndarray, *, groups=None) -> np.ndarray:
+def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
     """Boundary surface as triangles (T, 3, 3) in face order; quads split along their shorter diagonal.
 
     The order decides ties between equally close triangles, so it is part of
     the result.
     """
-    faces = boundary_faces(mesh, groups=groups)
+    faces = boundary_faces(mesh)
     quad = np.array([len(f) == 4 for f in faces], dtype=bool)
     corners = np.array([f if len(f) == 4 else f + f[:1] for f in faces], dtype=np.int64).reshape(-1, 4)
     d = coords[corners]
@@ -417,7 +417,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     if measure.vertex_field is None:
         raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
     groups = kind_groups(mesh)
-    vols0 = mesh_mean_volumes(mesh, coords0, groups=groups)
+    vols0 = mesh_mean_volumes(mesh, coords0)
     shift = spec.volume_shift
     if measure.shifted:
         if shift is None:
@@ -426,7 +426,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     guard = bool(np.all(vols0 > 0.0))
 
     def objective(c):
-        vols = mesh_mean_volumes(mesh, c, groups=groups) if measure.volumes or guard else None
+        vols = mesh_mean_volumes(mesh, c) if measure.volumes or guard else None
         if guard and not vols.min() > 0.0:
             return -np.inf, vols
         return measure.objective(mesh, c, groups, _shifted(vols, shift)), vols
@@ -444,7 +444,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     if policy is BoundaryPolicy.FREE:
         constrain = project_shape
     elif policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY:
-        surface = _Surface.of(_boundary_triangles(mesh, coords0, groups=groups))
+        surface = _Surface.of(_boundary_triangles(mesh, coords0))
         on_boundary = np.nonzero(mesh.boundary)[0]
 
         def constrain(moved):

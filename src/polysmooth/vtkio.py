@@ -7,13 +7,14 @@ vertically i <-> i+3), so only the 0-based indexing carries over.
 
 Output is byte-stable: fixed section order, 17-significant-digit floats, LF
 line endings. Writing and re-reading a mesh reproduces coordinates bit for
-bit.
+bit. Each section is formatted by one ``%`` operation over all its numbers.
 
 The reader accepts any whitespace layout. It parses the POINTS, CELLS,
 CELL_TYPES and scalar sections with numpy, which reads each number as
-``float``/``int`` would. Every format violation, including a negative count
-or a non-ASCII byte, raises :class:`~polysmooth.errors.MalformedFile` with
-the line where it was found.
+``float``/``int`` would, and keeps the cells in the CSR form of
+:class:`~polysmooth.mesh.Connectivity`. Every format violation, including a
+negative count or a non-ASCII byte, raises
+:class:`~polysmooth.errors.MalformedFile` with the line where it was found.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedFile, UnsupportedCellType
-from .mesh import Element, ElementKind, Mesh, make_mesh
+from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, make_mesh
 
 CELL_TYPE_BY_KIND = {
     ElementKind.TETRA: 10,
@@ -36,11 +37,17 @@ KIND_BY_CELL_TYPE = {code: kind for kind, code in CELL_TYPE_BY_KIND.items()}
 
 @dataclass
 class MeshDocument:
-    """Parsed file content before mesh assembly."""
+    """Parsed file content before mesh assembly.
+
+    Cell i lists the vertices ``connectivity[offsets[i]:offsets[i + 1]]``;
+    its entry in the CELLS section starts on line ``cell_lines[i]``.
+    """
 
     points: np.ndarray
-    cells: list[tuple[int, ...]]
-    cell_types: list[int]
+    cell_types: np.ndarray
+    offsets: np.ndarray
+    connectivity: np.ndarray
+    cell_lines: np.ndarray
     point_data: dict[str, np.ndarray] = field(default_factory=dict)
     cell_data: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -69,19 +76,21 @@ class _Tokens:
         self.pos = 0
         self.last_line = first_line
 
-    def _line(self, index: int) -> int:
-        return self.first_line + int(np.searchsorted(self.newlines, self.starts[index]))
+    def lines(self, indices):
+        """Line numbers of the tokens at ``indices``."""
+        return self.first_line + np.searchsorted(self.newlines, self.starts[indices])
 
     def peek(self) -> str | None:
-        if self.exhausted():
-            return None
-        return self.text[self.starts[self.pos]:self.ends[self.pos]]
+        """The next token, or None at the end."""
+        if self.pos < len(self.starts):
+            return self.text[self.starts[self.pos]:self.ends[self.pos]]
+        return None
 
     def next(self, what: str) -> str:
-        if self.exhausted():
-            raise MalformedFile(f"unexpected end of file, expected {what}", self.last_line)
         tok = self.peek()
-        self.last_line = self._line(self.pos)
+        if tok is None:
+            raise MalformedFile(f"unexpected end of file, expected {what}", self.last_line)
+        self.last_line = int(self.lines(self.pos))
         self.pos += 1
         return tok
 
@@ -101,9 +110,6 @@ class _Tokens:
             raise MalformedFile(f"negative {what} {count}", self.last_line)
         return count
 
-    def next_float(self, what: str) -> float:
-        return self._parse(float, "number", what)
-
     def array(self, count: int, dtype, what: str) -> np.ndarray:
         """The next ``count`` tokens as integers or floats."""
         first, stop = self.pos, self.pos + count
@@ -114,17 +120,14 @@ class _Tokens:
                 values = None
             if values is not None and values.size == count:
                 self.pos = stop
-                self.last_line = self._line(stop - 1)
+                self.last_line = int(self.lines(stop - 1))
                 return values
-        read = self.next_int if dtype is int else self.next_float
+        read = self.next_int if dtype is int else lambda w: self._parse(float, "number", w)
         values = [read(what) for _ in range(count)]
         try:
             return np.array(values, dtype=dtype)
         except OverflowError:
             raise MalformedFile(f"{what} out of range", self.last_line) from None
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.starts)
 
 
 def read_document(path) -> MeshDocument:
@@ -164,34 +167,31 @@ def read_document(path) -> MeshDocument:
         fail("expected CELLS section")
     n_cells = body.next_count("cell count")
     total = body.next_count("cell list size")
+    first_token = body.pos
     flat = body.array(total, int, "cell list entry")
-    values = flat.tolist()
-    if total and flat.min() >= 0 and flat.max() < n_points:
-        # one int object per vertex index, shared by all cells that use it
-        shared = list(range(n_points))
-        values = [shared[v] for v in values]
-    cells: list[tuple[int, ...]] = []
-    consumed = 0
-    for _ in range(n_cells):
+    values, starts, consumed = flat.tolist(), [], 0
+    for i in range(n_cells):
         if consumed >= total:
             fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
         arity = values[consumed]
         end = consumed + 1 + arity
         if arity < 0 or end > total:
-            fail(f"cell {len(cells)} has arity {arity} beyond the {total} advertised integers")
-        cells.append(tuple(values[consumed + 1:end]))
+            fail(f"cell {i} has arity {arity} beyond the {total} advertised integers")
+        starts.append(consumed)
         consumed = end
     if consumed != total:
         fail(f"CELLS advertised {total} integers but contained {consumed}")
+    starts = np.array(starts, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(flat[starts])])
 
     if body.next("CELL_TYPES keyword") != "CELL_TYPES":
         fail("expected CELL_TYPES section")
     if body.next_count("cell type count") != n_cells:
         fail("CELL_TYPES count differs from CELLS count")
-    cell_types = body.array(n_cells, int, "cell type").tolist()
+    cell_types = body.array(n_cells, int, "cell type")
 
-    doc = MeshDocument(points=points, cells=cells, cell_types=cell_types)
-    while not body.exhausted():
+    doc = MeshDocument(points, cell_types, offsets, np.delete(flat, starts), body.lines(first_token + starts))
+    while body.peek() is not None:
         section = body.next("data section")
         if section == "POINT_DATA":
             count, store = body.next_count("point data count"), doc.point_data
@@ -203,7 +203,7 @@ def read_document(path) -> MeshDocument:
                 fail("CELL_DATA count differs from cell count")
         else:
             fail(f"unexpected section {section!r}")
-        while not body.exhausted() and body.peek() not in ("POINT_DATA", "CELL_DATA"):
+        while body.peek() not in (None, "POINT_DATA", "CELL_DATA"):
             if body.next("SCALARS keyword") != "SCALARS":
                 fail("only SCALARS data arrays are supported")
             name = body.next("array name")
@@ -220,15 +220,26 @@ def read_document(path) -> MeshDocument:
 
 
 def mesh_from_document(doc: MeshDocument) -> Mesh:
-    elements = []
-    for i, (cell, code) in enumerate(zip(doc.cells, doc.cell_types)):
-        kind = KIND_BY_CELL_TYPE.get(code)
+    """Assemble the mesh; the first bad cell in file order raises, checked
+    for its type, then its vertex count, then a repeated vertex."""
+    types, offsets, conn = doc.cell_types, doc.offsets, doc.connectivity
+    counts = np.diff(offsets)
+    codes = np.full(len(types), -1, dtype=np.int8)
+    ok = np.zeros(len(types), dtype=bool)
+    for cell_type, kind in KIND_BY_CELL_TYPE.items():
+        codes[types == cell_type] = KIND_CODES[kind]
+        ids = np.flatnonzero((types == cell_type) & (counts == kind.vertex_count))
+        rows = np.sort(conn[offsets[ids, None] + np.arange(kind.vertex_count)], axis=1)
+        ok[ids] = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        kind = KIND_BY_CELL_TYPE.get(int(types[i]))
         if kind is None:
-            raise UnsupportedCellType(f"cell {i} has unsupported type {code}")
-        if len(cell) != kind.vertex_count:
-            raise MalformedFile(f"cell {i} of type {code} has {len(cell)} vertices", 0)
-        elements.append(Element(kind, cell))
-    return make_mesh(doc.points, elements)
+            raise UnsupportedCellType(f"cell {i} has unsupported type {types[i]}")
+        if counts[i] != kind.vertex_count:
+            raise MalformedFile(f"cell {i} of type {types[i]} has {counts[i]} vertices", int(doc.cell_lines[i]))
+        Element(kind, conn[offsets[i]:offsets[i + 1]])  # raises InvalidElement: a repeated vertex
+    return make_mesh(doc.points, Connectivity(codes, conn))
 
 
 def read_mesh(path) -> Mesh:
@@ -236,8 +247,8 @@ def read_mesh(path) -> Mesh:
     return mesh_from_document(read_document(path))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CELL_LINE = {code: "%d" + " %d" * kind.vertex_count + "\n" for kind, code in KIND_CODES.items()}
+_TYPE_LINE = {code: f"{CELL_TYPE_BY_KIND[kind]}\n" for kind, code in KIND_CODES.items()}
 
 
 def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -> None:
@@ -247,35 +258,30 @@ def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -
     scalar arrays in sorted name order.
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append("polysmooth mesh")
-    out.append("ASCII")
-    out.append("DATASET UNSTRUCTURED_GRID")
-    out.append(f"POINTS {len(coords)} double")
-    for p in coords:
-        out.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    total = sum(len(e.vertices) + 1 for e in mesh.elements)
-    out.append(f"CELLS {mesh.n_elements} {total}")
-    for e in mesh.elements:
-        out.append(" ".join([str(len(e.vertices))] + [str(v) for v in e.vertices]))
-    out.append(f"CELL_TYPES {mesh.n_elements}")
-    for e in mesh.elements:
-        out.append(str(CELL_TYPE_BY_KIND[e.kind]))
+    cells = mesh.elements
+    n, counts, codes = len(cells), cells.counts, cells.codes.tolist()
+    listing = np.insert(cells.flat, np.cumsum(counts) - counts, counts)  # each count, then the vertices
+    out = [
+        "# vtk DataFile Version 3.0\npolysmooth mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {len(coords)} double\n",
+        "%.17g %.17g %.17g\n" * len(coords) % tuple(coords.ravel().tolist()),
+        f"CELLS {n} {len(listing)}\n",
+        "".join([_CELL_LINE[c] for c in codes]) % tuple(listing.tolist()),
+        f"CELL_TYPES {n}\n",
+        "".join([_TYPE_LINE[c] for c in codes]),
+    ]
     for keyword, count, data in (
         ("POINT_DATA", mesh.n_vertices, point_data),
-        ("CELL_DATA", mesh.n_elements, cell_data),
+        ("CELL_DATA", n, cell_data),
     ):
         if not data:
             continue
-        out.append(f"{keyword} {count}")
+        out.append(f"{keyword} {count}\n")
         for name in sorted(data):
             values = np.asarray(data[name], dtype=float)
             if values.shape != (count,):
                 raise ValueError(f"{keyword} array {name!r} must have shape ({count},)")
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            for v in values:
-                out.append(_fmt(v))
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            out.append("%.17g\n" * count % tuple(values.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("".join(out))

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polysmooth.cli import main
+from polysmooth.quality import mesh_mean_volumes
+from polysmooth.vtkio import read_mesh
 
 
 def _run(capsys, *argv):
@@ -153,3 +156,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "smooth" in proc.stdout
+
+
+def test_tet_cube_20_cli_contract(tmp_path, capsys):
+    # at full size: generate, then a 3-step q1 smooth, twice over
+    runs = []
+    for name in ("first", "second"):
+        cube, out, report = (str(tmp_path / f"{name}-{f}") for f in ("cube.vtk", "out.vtk", "report.json"))
+        code, _, _ = _run(capsys, "generate", "--spec", "tet-cube", "--size", "20", "--perturb", "0.015",
+                          "--out", cube)
+        assert code == 0
+        code, stdout, stderr = _run(capsys, "smooth", "--in", cube, "--out", out, "--measure", "q1",
+                                    "--boundary", "fix", "--max-iter", "3", "--report", report)
+        assert code == 0 and stderr == ""
+        runs.append([Path(p).read_bytes() for p in (cube, out, report)] + [stdout])
+    assert runs[0] == runs[1]  # byte-identical files and standard output
+    doc = json.loads(runs[0][2])
+    history = [doc["initial_quality"]] + doc["quality"]
+    assert doc["iterations"] == 3
+    assert all(b > a for a, b in zip(history, history[1:]))
+    before = mesh_mean_volumes(read_mesh(cube))
+    after = mesh_mean_volumes(read_mesh(out))
+    assert len(before) == 48_000 and before.min() > 0
+    assert after.min() > 0  # no element inverted

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysmooth import ElementKind, GeneratorSpec, generate
 from polysmooth.cli import main
-from polysmooth.errors import MalformedFile, UnsupportedCellType
+from polysmooth.errors import InvalidElement, MalformedFile, UnsupportedCellType
 from polysmooth.generators import GENERATOR_NAMES
 from polysmooth.quality import mesh_mean_volumes
 from polysmooth.vtkio import read_document, read_mesh, write_mesh
@@ -231,7 +235,8 @@ def test_crlf_and_cr_line_endings(tmp_path, newline):
     path = tmp_path / "ends.vtk"
     path.write_bytes(newline.join(_TET_WITH_DATA).encode("ascii"))
     doc = read_document(path)
-    assert doc.cells == [(0, 1, 2, 3)] and doc.point_data["flag"].tolist() == [0, 1, 0, 1]
+    assert doc.connectivity.tolist() == [0, 1, 2, 3] and doc.offsets.tolist() == [0, 4]
+    assert doc.point_data["flag"].tolist() == [0, 1, 0, 1]
     lines = list(_TET_WITH_DATA)
     lines[12] = "x"
     path.write_bytes(newline.join(lines).encode("ascii"))
@@ -271,3 +276,88 @@ def test_non_ascii_byte_is_malformed_with_its_line(tmp_path, capsys, line, text)
         read_mesh(path)
     assert err.value.line == line
     assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3
+
+
+def test_wrong_vertex_count_reports_the_line_of_its_cell(tmp_path, capsys):
+    path = _write_lines(tmp_path / "short.vtk", _TET_WITH_DATA, {10: "CELLS 1 4", 11: "3 0 1 2"})
+    with pytest.raises(MalformedFile) as err:
+        read_mesh(path)
+    assert err.value.line == 11
+    assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3
+    assert capsys.readouterr().err == "error: line 11: cell 0 of type 10 has 3 vertices\n"
+    # the second of two cells, one line each: its own line, not the section's first
+    lines = _TET_WITH_DATA[:9] + ["CELLS 2 9", "4 0 1 2 3", "3 0 1 2", "CELL_TYPES 2", "10", "10"]
+    with pytest.raises(MalformedFile, match="cell 1 of type 10 has 3 vertices") as err:
+        read_mesh(_write_lines(tmp_path / "second.vtk", lines))
+    assert err.value.line == 12
+
+
+def test_first_bad_cell_in_file_order_decides_the_error(tmp_path):
+    head = _TET_WITH_DATA[:9]
+    cases = [
+        (["CELLS 2 10", "4 0 1 2 2", "4 0 1 2 3", "CELL_TYPES 2", "10", "99"], InvalidElement),
+        (["CELLS 2 9", "4 0 1 2 3", "3 0 1 2", "CELL_TYPES 2", "99", "10"], UnsupportedCellType),
+        (["CELLS 2 10", "4 0 1 2 3", "4 0 1 2 9", "CELL_TYPES 2", "10", "10"], InvalidElement),
+    ]
+    for i, (cells, error) in enumerate(cases):
+        with pytest.raises(error):
+            read_mesh(_write_lines(tmp_path / f"case{i}.vtk", head + cells))
+
+
+def test_quality_of_a_file_without_cells_is_an_input_error(tmp_path, capsys):
+    path = _write_lines(tmp_path / "empty.vtk", _TET_WITH_DATA[:9] + ["CELLS 0 0", "CELL_TYPES 0"])
+    assert read_mesh(path).n_elements == 0
+    assert main(["quality", "--in", str(path), "--measure", "mean-volume"]) == 3
+    assert capsys.readouterr().err == "error: a mesh without elements has no quality\n"
+
+
+def _mutations():
+    """Edits of a file's bytes: flip a byte, replace or drop a token, truncate."""
+    tokens = st.sampled_from(
+        ["0", "1", "-1", "4", "5", "7", "10", "14", "99", "3.5", "1e308", "nan", "inf", "x",
+         "POINTS", "CELLS", "CELL_TYPES", "POINT_DATA", "99999999999999999999", ""])
+    return st.lists(st.one_of(
+        st.tuples(st.just("byte"), st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+        st.tuples(st.just("token"), st.floats(0, 1, exclude_max=True), tokens),
+        st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.none()),
+    ), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, where, value in edits:
+        if kind == "byte" and data:
+            at = int(where * len(data))
+            data = data[:at] + bytes([value]) + data[at + 1:]
+        elif kind == "token":
+            words = data.split(b" ")
+            at = int(where * len(words))
+            lines = words[at].split(b"\n")
+            lines[0] = value.encode()
+            words[at] = b"\n".join(lines)
+            data = b" ".join(words)
+        elif kind == "truncate":
+            data = data[:int(where * len(data))]
+    return data
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    from polysmooth.generators import _house_mesh, tet_grid
+
+    folder = tmp_path_factory.mktemp("valid")
+    tet = _write_lines(folder / "tet.vtk", _TET_WITH_DATA).read_bytes()
+    write_mesh(_house_mesh(), folder / "house.vtk", cell_data={"id": [0.0, 1.0]})
+    write_mesh(tet_grid(1), folder / "cube.vtk")
+    return folder, [tet] + [(folder / name).read_bytes() for name in ("house.vtk", "cube.vtk")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # finite but huge coordinates overflow
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.integers(0, 2), _mutations())
+def test_mutated_files_exit_0_or_3(valid_files, base, edits):
+    folder, files = valid_files
+    path = folder / "mutated.vtk"
+    path.write_bytes(_mutate(files[base], edits))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["quality", "--in", str(path), "--measure", "mean-volume"])
+    assert code in (0, 3)

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from polysmooth import Element, ElementKind, make_mesh
 from polysmooth.errors import InvalidElement, InvalidSpec
-from polysmooth.generators import _house_mesh, hex_grid, tet_with_inner_vertex, unit_element
+from polysmooth.generators import (
+    _house_mesh,
+    hex_grid,
+    perturb_mesh,
+    tet_grid,
+    tet_with_inner_vertex,
+    unit_element,
+)
 from polysmooth.mesh import boundary_faces, kind_groups
 
 
@@ -142,3 +150,87 @@ def test_element_value_semantics_survive_slots():
     assert back == a and hash(back) == hash(a) and back.kind is ElementKind.PRISM
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.kind = ElementKind.TETRA
+
+
+def _random_mixed_elements(rng, n_points=30, count=60):
+    kinds = list(ElementKind)
+    return [
+        Element(kind, rng.choice(n_points, size=kind.vertex_count, replace=False))
+        for kind in (kinds[i] for i in rng.integers(0, len(kinds), size=count))
+    ]
+
+
+def test_elements_view_equals_the_elements_given(rng):
+    elements = _random_mixed_elements(rng)
+    mesh = make_mesh(rng.standard_normal((30, 3)), elements)
+    assert len({e.kind for e in elements}) == 4
+    assert len(mesh.elements) == mesh.n_elements == 60
+    assert list(mesh.elements) == elements
+    assert [mesh.elements[i] for i in range(60)] == elements
+    assert mesh.elements[-1] == elements[-1]
+    assert mesh.elements[7:23] == tuple(elements[7:23])
+    assert mesh.elements[::-5] == tuple(elements[::-5])
+    with pytest.raises(IndexError):
+        mesh.elements[60]
+    # kinds in first-occurrence order, ids ascending within a kind
+    groups = kind_groups(mesh)
+    assert list(groups) == list(dict.fromkeys(e.kind for e in elements))
+    for kind, (ids, conn) in groups.items():
+        assert [elements[i] for i in ids] == [Element(kind, row) for row in conn]
+        assert [elements[i].kind for i in ids] == [kind] * len(ids)
+
+
+def test_mesh_over_the_same_elements_shares_connectivity_and_groups():
+    mesh = hex_grid(3)
+    other = make_mesh(2.0 * mesh.vertices, mesh.elements)
+    assert other.elements is mesh.elements
+    assert np.shares_memory(other.elements.flat, mesh.elements.flat)
+    assert kind_groups(other) is kind_groups(mesh)
+    assert np.array_equal(other.valence, mesh.valence)
+    assert np.array_equal(other.boundary, mesh.boundary)
+
+
+def test_shared_elements_are_checked_against_the_new_vertex_count():
+    mesh = make_mesh(np.zeros((6, 3)), [
+        Element(ElementKind.TETRA, (0, 1, 2, 3)),
+        Element(ElementKind.PYRAMID, (0, 1, 2, 3, 5)),
+        Element(ElementKind.TETRA, (1, 2, 3, 4)),
+    ])
+    with pytest.raises(InvalidElement, match=r"out of range in \(0, 1, 2, 3, 5\)"):
+        make_mesh(np.zeros((5, 3)), mesh.elements)
+    bigger = make_mesh(np.zeros((8, 3)), mesh.elements)
+    assert bigger.valence.tolist() == [2, 3, 3, 3, 1, 1, 0, 0]
+    assert bigger.boundary.tolist() == [True] * 6 + [False] * 2
+
+
+def test_perturbation_shares_adjacency_and_sorts_no_faces(monkeypatch):
+    import polysmooth.mesh as mesh_module
+
+    mesh = tet_grid(3)
+    sorts = Counter()
+
+    def counting(groups):
+        sorts["faces"] += 1
+        return faces_by_size(groups)
+
+    faces_by_size = mesh_module._faces_by_size
+    monkeypatch.setattr(mesh_module, "_faces_by_size", counting)
+    moved = perturb_mesh(mesh, 0.05, seed=1)
+    assert not sorts
+    assert moved.elements is mesh.elements
+    assert moved.valence is mesh.valence and moved.boundary is mesh.boundary
+    assert not np.array_equal(moved.vertices, mesh.vertices)
+    assert not moved.vertices.flags.writeable
+
+
+def test_tet_grid_20_holds_arrays_not_element_objects():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mesh = tet_grid(20)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_elements == 48_000 and mesh.boundary.sum() == 6 * 20**2 + 2
+    # 48,000 Element objects in a tuple took 6.1 MB by themselves
+    assert held < 4e6

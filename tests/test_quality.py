@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polysmooth import Element, ElementKind, make_mesh
-from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume
+from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     _house_mesh,
@@ -313,3 +313,26 @@ def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
         add_at(lambda k, ids, x: element_fields(k, x) * scale[ids][:, None, None]))
     assert np.array_equal(
         _scatter_iq_gradients(mesh, coords, groups), add_at(lambda k, ids, x: element_iq_gradients(k, x)))
+
+
+def test_q1_product_underflow_is_reported_in_logs_and_raised_by_the_gradient():
+    mesh = perturb_mesh(tet_grid(8), 0.3 / 8, seed=0)
+    vols = mesh_mean_volumes(mesh)
+    assert vols.min() > 0
+    spec = QualityMeasureSpec(Measure.PRODUCT_SQUARED)
+    report = mesh_quality(mesh, spec=spec)
+    assert report.global_value == 0.0  # the product of 3,072 squared volumes underflows
+    assert report.log_global == float(2.0 * np.log(vols).sum())
+    assert np.isfinite(report.log_global) and report.log_global < -1e4
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert list(doc)[:4] == ["measure", "combiner", "global", "log_global"]
+    assert doc["log_global"] == report.log_global
+    with pytest.raises(ProductUnderflow, match="underflows"):
+        quality_gradient_field(mesh, spec=spec)
+    # without underflow the log is still reported, and the gradient is defined
+    small = perturb_mesh(tet_grid(2), 0.05, seed=0)
+    report = mesh_quality(small, spec=spec)
+    assert report.global_value > 0
+    assert report.log_global == pytest.approx(np.log(report.global_value), rel=1e-12)
+    assert np.any(quality_gradient_field(small, spec=spec))
+    assert "log_global" not in mesh_quality(small).to_json_dict()

@@ -603,18 +603,23 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, pol
 
 
 def test_project_policy_builds_connectivity_once(monkeypatch):
-    # the boundary surface comes from the flow's groups, not from a second build
-    mesh = perturb_mesh(hex_grid(2), 0.05, seed=2)
+    # the groups are cached with the connectivity: built with the mesh,
+    # shared by its perturbation, and never built again by a smooth
     calls = Counter()
-    build = mesh_module._kind_arrays
+    build = mesh_module._group_by_kind
 
-    def counting(elements):
+    def counting(cells):
         calls["built"] += 1
-        return build(elements)
+        return build(cells)
 
-    monkeypatch.setattr(mesh_module, "_kind_arrays", counting)
-    smooth(mesh, _config(Measure.INVERSE_SQUARED_SUM, max_iterations=2,
-                         boundary_policy=BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY))
+    monkeypatch.setattr(mesh_module, "_group_by_kind", counting)
+    mesh = perturb_mesh(hex_grid(2), 0.05, seed=2)
+    assert calls["built"] == 1
+    config = _config(Measure.INVERSE_SQUARED_SUM, max_iterations=2,
+                     boundary_policy=BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY)
+    first, _ = smooth(mesh, config)
+    second, _ = smooth(mesh, config)
+    assert np.array_equal(first, second)
     assert calls["built"] == 1
 
 
