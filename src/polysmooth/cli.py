@@ -86,10 +86,12 @@ def _cmd_check_gradients(args) -> int:
 def _cmd_generate(args) -> int:
     inner = None
     if args.inner:
-        parts = args.inner.split(",")
-        if len(parts) != 3:
+        try:
+            inner = tuple(float(p) for p in args.inner.split(","))
+        except ValueError:
+            inner = ()
+        if len(inner) != 3:
             raise InvalidSpec(f"--inner expects 'x,y,z', got {args.inner!r}")
-        inner = tuple(float(p) for p in parts)
     spec = generators.GeneratorSpec(
         name=args.spec,
         size=args.size,
@@ -104,6 +106,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_demo_icosahedron(args) -> int:
+    if not 0 <= args.perturb < np.inf:
+        raise InvalidSpec(f"--perturb must be finite and >= 0, got {args.perturb}")
     coords, faces = generators.icosahedron_polyhedron()
     regular_iq = geometry.polyhedron_iq(faces, coords)
     edge = 2.0

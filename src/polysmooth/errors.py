@@ -14,7 +14,8 @@ class InvalidSpec(PolysmoothError):
 
 
 class InvalidPolygon(PolysmoothError):
-    """Polygon operations need at least three vertices."""
+    """A polygon has fewer than three vertices, or a polyhedron face is neither a
+    triangle nor a quadrilateral."""
 
 
 class DegenerateElement(PolysmoothError):

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OracleDomainError
+from .errors import InvalidSpec, OracleDomainError
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], coords, h: float | None = None) -> np.ndarray:
@@ -95,12 +95,14 @@ def gradient_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> list[
 
     Covers the per-element transformation fields (six times the mean-volume
     gradient), the isoperimetric-quotient gradients, the mesh-level quality
-    gradients, and the generic polyhedron quotient gradient.
+    gradients, and the generic polyhedron quotient and volume gradients.
     """
     from . import generators, geometry, quality
     from .mesh import ElementKind
     from .quality import Combiner, Measure, QualityMeasureSpec
 
+    if samples < 1:
+        raise InvalidSpec(f"samples must be >= 1, got {samples}")
     reports = []
     rng = np.random.default_rng(seed)
 
@@ -153,4 +155,10 @@ def gradient_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> list[
             name=f"mesh quality gradient [{spec.measure.value}/{spec.combiner.value}]",
         ))
 
+    # appended last, so the earlier checks keep their samples
+    reports.append(check_field(
+        lambda x: geometry.polyhedron_volume_gradient(faces, x),
+        lambda x: geometry.polyhedron_mean_volume(faces, x),
+        ico_sampler, max(1, samples // 4), tol, name="polyhedron volume gradient",
+    ))
     return reports

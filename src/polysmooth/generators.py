@@ -141,8 +141,8 @@ def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = Tru
 
     The result shares the elements and adjacency of ``mesh``.
     """
-    if eps < 0:
-        raise InvalidSpec(f"perturbation amplitude must be >= 0, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise InvalidSpec(f"perturbation amplitude must be finite and >= 0, got {eps}")
     pts = np.array(mesh.vertices)
     if eps > 0:
         rng = np.random.default_rng(seed)

@@ -9,29 +9,26 @@ signed tetrahedron volume to pyramids, prisms and hexahedra by averaging over
 boundary triangulations; for prisms and hexahedra it is recovered from the
 field through the Euler identity for degree-3 homogeneous functions,
 ``18 * vol = <x, field(x)>``.
+
+Kernels are integer index tables built at import: triangle fans over the
+vertex-link polygons for the fields, a boundary triangulation for areas and
+divergence volumes. Each is one gather, one cross product and one sum of the
+table's rows in the order of the per-polygon loops they replaced, so no result
+bit moved. The tetra field stays on slices, as a gather was slower at size.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateElement, InvalidPolygon
 from .mesh import FACES, ElementKind
 
-# Vertex-link polygons defining each row of the transformation field, one
-# tuple of polygons per element vertex. Rows of the tetra field are single
-# triangle normals; the other kinds average a neighbor triangle with the
-# equator polygon around the vertex and carry a global factor 1/2.
+# Vertex-link polygons defining each row of the transformation field: per
+# element vertex, a neighbor triangle and the equator polygon, averaged.
 _NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    ElementKind.TETRA: (
-        ((3, 2, 1),),
-        ((3, 0, 2),),
-        ((3, 1, 0),),
-        ((0, 1, 2),),
-    ),
     ElementKind.PYRAMID: (
         ((4, 3, 1), (4, 3, 2, 1)),
         ((4, 0, 2), (4, 0, 3, 2)),
@@ -98,20 +95,44 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nu(x: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    """Sum of cyclic cross products over a polygon, batched.
+def _fan(poly) -> list[tuple[int, int, int]]:
+    """Triangle fan anchored at the first vertex, which keeps translation terms out of the rounding."""
+    return [(poly[0], b, c) for b, c in zip(poly[1:-1], poly[2:])]
 
-    Evaluated as a triangle fan anchored at the first polygon vertex, which
-    is algebraically identical and keeps the cancellation of translation
-    terms out of floating point.
+
+def _field_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Fan table (fan position, row, corner) of a kind's field, and row weights.
+
+    A row is half the sum of its two polygon normals. The equator fan goes
+    first, the one-triangle neighbor last: summed in order, that is the
+    polygon-wise sum bit for bit. The pyramid apex's polygons coincide: one
+    normal at weight 1. The null triangle (0, 0, 0) pads short rows with zeros.
     """
-    p0 = x[:, idx[0]]
-    acc = np.zeros((x.shape[0], 3))
-    prev = x[:, idx[1]] - p0
-    for a in idx[2:]:
-        cur = x[:, a] - p0
-        acc += _cross(prev, cur)
-        prev = cur
+    fans = [_fan(b) if a == b else _fan(b) + _fan(a) for a, b in rows]
+    width = max(map(len, fans))
+    table = np.array([f + [(0, 0, 0)] * (width - len(f)) for f in fans])
+    return table.transpose(1, 0, 2), np.array([[[1.0 if a == b else 0.5]] for a, b in rows])
+
+
+_FIELD_TABLES = {kind: _field_table(rows) for kind, rows in _NU_ROWS.items()}
+
+
+def _vertex_major(x: np.ndarray) -> np.ndarray:
+    """A batch (m, n, 3) as (n, m, 3): gathers and reductions over vertices take whole blocks."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _normals(g: np.ndarray) -> np.ndarray:
+    """Normals ``(b - a) x (c - a)`` of gathered triangles (..., 3, m, 3) -> (..., m, 3)."""
+    a = g[..., 0, :, :]
+    return _cross(g[..., 1, :, :] - a, g[..., 2, :, :] - a)
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, row after row from zero (``ndarray.sum`` may go pairwise)."""
+    acc = np.zeros(terms.shape[1:])
+    for row in terms:
+        acc += row
     return acc
 
 
@@ -124,7 +145,7 @@ def polygon_normal(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise InvalidPolygon(f"need at least 3 points of dimension 3, got shape {pts.shape}")
-    return _nu(pts[None], range(pts.shape[0]))[0]
+    return _sum_rows(_normals(_vertex_major(pts[None])[_fan(range(pts.shape[0]))]))[0]
 
 
 def tet_signed_volumes(x) -> np.ndarray:
@@ -148,15 +169,13 @@ def element_fields(kind: ElementKind, x) -> np.ndarray:
     invariant and homogeneous of degree 2 in the coordinates.
     """
     x = _as_batch(x, kind.vertex_count)
-    out = np.empty_like(x)
-    for i, polys in enumerate(_NU_ROWS[kind]):
-        acc = _nu(x, polys[0])
-        for p in polys[1:]:
-            acc = acc + _nu(x, p)
-        out[:, i] = acc
-    if kind is not ElementKind.TETRA:
-        out *= 0.5
-    return out
+    if kind is ElementKind.TETRA:
+        out = np.empty_like(x)  # row i: normal of the face opposite vertex i
+        for i, (a, b, c) in enumerate(((3, 2, 1), (3, 0, 2), (3, 1, 0), (0, 1, 2))):
+            out[:, i] = _cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
+        return out
+    fans, weights = _FIELD_TABLES[kind]
+    return (weights * _sum_rows(_normals(_vertex_major(x)[fans]))).transpose(1, 0, 2).copy()
 
 
 def element_field(kind: ElementKind, x) -> np.ndarray:
@@ -175,13 +194,8 @@ def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
     if kind is ElementKind.TETRA:
         return tet_signed_volumes(x)
     if kind is ElementKind.PYRAMID:
-        v = (
-            tet_signed_volumes(x[:, (0, 1, 2, 4)])
-            + tet_signed_volumes(x[:, (0, 2, 3, 4)])
-            + tet_signed_volumes(x[:, (0, 1, 3, 4)])
-            + tet_signed_volumes(x[:, (1, 2, 3, 4)])
-        )
-        return 0.5 * v
+        v = tet_signed_volumes(x[:, (0, 1, 2, 4)]) + tet_signed_volumes(x[:, (0, 2, 3, 4)])
+        return 0.5 * (v + tet_signed_volumes(x[:, (0, 1, 3, 4)]) + tet_signed_volumes(x[:, (1, 2, 3, 4)]))
     xc = x - x.mean(axis=1, keepdims=True)
     return np.einsum("mij,mij->m", xc, element_fields(kind, xc)) / 18.0
 
@@ -191,99 +205,93 @@ def element_mean_volume(kind: ElementKind, x) -> float:
     return float(element_mean_volumes(kind, np.asarray(x, dtype=float)[None])[0])
 
 
-def _face_triangles(faces) -> tuple[tuple[int, int, int, float], ...]:
-    """Expand faces into (a, b, c, weight) triangles.
+_QUAD_SPLITS = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the corners after and before corner k
 
-    Weights are relative to the generalized-normal norm: a triangle face
-    contributes 0.5*|nu|, a quadrilateral the mean of its two diagonal
-    splits, i.e. 0.25*|nu| for each of the four diagonal triangles.
+
+def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
+    """Index table (T, 3) of the faces' mean triangulation, and weights (T,) on |nu|.
+
+    A triangle face has area 0.5*|nu|; a quadrilateral the mean of its two
+    diagonal splits, i.e. 0.25*|nu| for each of the four diagonal triangles.
     """
-    tris = []
+    tris, weights = [], []
     for f in faces:
-        if len(f) == 3:
-            tris.append((f[0], f[1], f[2], 0.5))
-        elif len(f) == 4:
-            a, b, c, d = f
-            for t in ((a, b, c), (a, c, d), (a, b, d), (b, c, d)):
-                tris.append((*t, 0.25))
-        else:
+        if len(f) not in (3, 4):
             raise InvalidPolygon(f"faces must be triangles or quadrilaterals, got {len(f)} vertices")
-    return tuple(tris)
+        splits = _QUAD_SPLITS if len(f) == 4 else _QUAD_SPLITS[:1]
+        tris += [[f[i] for i in t] for t in splits]
+        weights += [0.25 if len(f) == 4 else 0.5] * len(splits)
+    return np.array(tris, dtype=np.intp).reshape(-1, 3), np.array(weights)
 
 
 _KIND_TRIANGLES = {kind: _face_triangles(FACES[kind]) for kind in ElementKind}
 
 
-def _bbox_diag(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x.max(axis=1) - x.min(axis=1), axis=-1)
+def _boundary(tris, xt: np.ndarray):
+    """Triangle corners gathered from vertex-major ``xt``, their normals and norms, the mean area."""
+    idx, w = tris
+    g = xt[idx]
+    nu = _normals(g)
+    nn = np.linalg.norm(nu, axis=-1)
+    return g, nu, nn, _sum_rows(w[:, None] * nn)
 
 
-def _mean_areas(tris, x: np.ndarray) -> np.ndarray:
-    total = np.zeros(x.shape[0])
-    for a, b, c, w in tris:
-        total += w * np.linalg.norm(_nu(x, (a, b, c)), axis=-1)
-    return total
+def _scatter(idx: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
+    """Add (T, 3, m, 3) corner terms into an (m, n, 3) gradient in (triangle, corner) order."""
+    grad = np.zeros((shape[1], shape[0], 3))
+    np.add.at(grad, idx, terms)
+    return grad.transpose(1, 0, 2).copy()
 
 
-def _area_gradients(tris, x: np.ndarray, tiny: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(x)
-    for a, b, c, w in tris:
-        nu = _nu(x, (a, b, c))
-        nn = np.linalg.norm(nu, axis=-1)
-        if np.any(nn <= tiny):
-            raise DegenerateElement("zero-area triangle in boundary face")
-        u = nu / nn[:, None]
-        grad[:, a] += w * _cross(x[:, b] - x[:, c], u)
-        grad[:, b] += w * _cross(x[:, c] - x[:, a], u)
-        grad[:, c] += w * _cross(x[:, a] - x[:, b], u)
-    return grad
-
-
-def _div_volumes(tris, x: np.ndarray) -> np.ndarray:
-    """Divergence-theorem volume over mean-triangulated closed boundary faces."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    total = np.zeros(x.shape[0])
-    for a, b, c, w in tris:
-        total += (2.0 * w / 6.0) * np.einsum(
-            "ij,ij->i", xc[:, a], _cross(xc[:, b], xc[:, c])
-        )
-    return total
-
-
-def _div_volume_gradients(tris, x: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=1, keepdims=True)
-    grad = np.zeros_like(x)
-    for a, b, c, w in tris:
-        s = 2.0 * w / 6.0
-        grad[:, a] += s * _cross(xc[:, b], xc[:, c])
-        grad[:, b] += s * _cross(xc[:, c], xc[:, a])
-        grad[:, c] += s * _cross(xc[:, a], xc[:, b])
-    return grad
+def _div_volumes(tris, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divergence-theorem volumes over mean-triangulated closed boundary faces, and gradients."""
+    idx, w = tris
+    g = _vertex_major(x - x.mean(axis=1, keepdims=True))[idx]
+    s = 2.0 * w / 6.0
+    corners = _cross(g[:, _NEXT], g[:, _PREV])
+    vols = _sum_rows(s[:, None] * np.einsum("tmj,tmj->tm", g[:, 0], corners[:, 0]))
+    return vols, _scatter(idx, s[:, None, None, None] * corners, x.shape)
 
 
 def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
     """Mean boundary areas for a batch of elements, (m, n_e, 3) -> (m,)."""
-    return _mean_areas(_KIND_TRIANGLES[kind], _as_batch(x, kind.vertex_count))
+    return _boundary(_KIND_TRIANGLES[kind], _vertex_major(_as_batch(x, kind.vertex_count)))[-1]
 
 
 def element_mean_boundary_area(kind: ElementKind, x) -> float:
-    """Mean surface area of one element's boundary.
-
-    Triangle faces contribute their exact area; quadrilateral faces the mean
-    area over their two diagonal triangulations.
-    """
+    """Mean surface area of one element's boundary; a quad face counts the mean of its two splits."""
     return float(element_mean_boundary_areas(kind, np.asarray(x, dtype=float)[None])[0])
 
 
-def _iq_values(vols: np.ndarray, areas: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    if np.any(areas <= _DEGENERACY * diag**2):
+def _iq_boundary(tris, x: np.ndarray, triangles: bool):
+    """:func:`_boundary`, after the degeneracy checks in order (``triangles``: each one too)."""
+    xt = _vertex_major(x)
+    g, nu, nn, areas = _boundary(tris, xt)
+    tiny = _DEGENERACY * np.linalg.norm(xt.max(axis=0) - xt.min(axis=0), axis=-1) ** 2
+    if triangles and np.any(nn <= tiny):
+        raise DegenerateElement("zero-area triangle in boundary face")
+    if np.any(areas <= tiny):
         raise DegenerateElement("boundary area vanished; isoperimetric quotient undefined")
-    return _SIX_SQRT_PI * vols / areas**1.5
+    return g, nu, nn, areas
+
+
+def _iq_values(tris, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    return _SIX_SQRT_PI * vols / _iq_boundary(tris, x, triangles=False)[-1] ** 1.5
+
+
+def _iq_gradients(tris, x: np.ndarray, vols: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
+    g, nu, nn, areas = _iq_boundary(tris, x, triangles=True)
+    idx, w = tris
+    u = (nu / nn[..., None])[:, None]
+    agrad = _scatter(idx, w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u), x.shape)
+    a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
+    return _SIX_SQRT_PI * (vgrad / a32 - 1.5 * (vols[:, None, None] / a52) * agrad)
 
 
 def element_iqs(kind: ElementKind, x) -> np.ndarray:
     x = _as_batch(x, kind.vertex_count)
-    return _iq_values(element_mean_volumes(kind, x), element_mean_boundary_areas(kind, x), _bbox_diag(x))
+    return _iq_values(_KIND_TRIANGLES[kind], x, element_mean_volumes(kind, x))
 
 
 def element_iq(kind: ElementKind, x) -> float:
@@ -295,27 +303,10 @@ def element_iq(kind: ElementKind, x) -> float:
     return float(element_iqs(kind, np.asarray(x, dtype=float)[None])[0])
 
 
-def _iq_gradients(vols, areas, vgrad, agrad, diag) -> np.ndarray:
-    if np.any(areas <= _DEGENERACY * diag**2):
-        raise DegenerateElement("boundary area vanished; isoperimetric quotient undefined")
-    a32 = areas**1.5
-    a52 = areas**2.5
-    return _SIX_SQRT_PI * (
-        vgrad / a32[:, None, None] - 1.5 * (vols / a52)[:, None, None] * agrad
-    )
-
-
 def element_iq_gradients(kind: ElementKind, x) -> np.ndarray:
     x = _as_batch(x, kind.vertex_count)
-    tris = _KIND_TRIANGLES[kind]
-    diag = _bbox_diag(x)
-    return _iq_gradients(
-        element_mean_volumes(kind, x),
-        element_mean_boundary_areas(kind, x),
-        element_fields(kind, x) / 6.0,
-        _area_gradients(tris, x, _DEGENERACY * diag**2),
-        diag,
-    )
+    vols = element_mean_volumes(kind, x)
+    return _iq_gradients(_KIND_TRIANGLES[kind], x, vols, element_fields(kind, x) / 6.0)
 
 
 def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
@@ -323,45 +314,32 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
     return element_iq_gradients(kind, np.asarray(x, dtype=float)[None])[0]
 
 
-# -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------
-#
-# A polyhedron here is a closed oriented surface given by faces over an
-# (n, 3) coordinate array. For the four element kinds these functions agree
-# with the element_* forms; they also cover shapes like the icosahedron that
-# are not volume cells.
+# -- generic closed polyhedra: oriented triangle/quad faces over (n, 3) coordinates ----
+# For the four element kinds these agree with the element_* forms; they also
+# cover closed shapes like the icosahedron that are not volume cells.
 
 
 def polyhedron_mean_volume(faces, x) -> float:
     """Enclosed signed volume with quad faces averaged over both diagonals."""
-    x = np.asarray(x, dtype=float)
-    return float(_div_volumes(_face_triangles(faces), x[None])[0])
+    return float(_div_volumes(_face_triangles(faces), np.asarray(x, dtype=float)[None])[0][0])
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return _div_volume_gradients(_face_triangles(faces), x[None])[0]
+    return _div_volumes(_face_triangles(faces), np.asarray(x, dtype=float)[None])[1][0]
 
 
 def polyhedron_mean_area(faces, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(_mean_areas(_face_triangles(faces), x[None])[0])
+    return float(_boundary(_face_triangles(faces), np.asarray(x, dtype=float)[:, None])[-1][0])
 
 
 def polyhedron_iq(faces, x) -> float:
     """Isoperimetric quotient of a closed polyhedron."""
     x = np.asarray(x, dtype=float)[None]
     tris = _face_triangles(faces)
-    return float(_iq_values(_div_volumes(tris, x), _mean_areas(tris, x), _bbox_diag(x))[0])
+    return float(_iq_values(tris, x, _div_volumes(tris, x)[0])[0])
 
 
 def polyhedron_iq_gradient(faces, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)[None]
     tris = _face_triangles(faces)
-    diag = _bbox_diag(x)
-    return _iq_gradients(
-        _div_volumes(tris, x),
-        _mean_areas(tris, x),
-        _div_volume_gradients(tris, x),
-        _area_gradients(tris, x, _DEGENERACY * diag**2),
-        diag,
-    )[0]
+    return _iq_gradients(tris, x, *_div_volumes(tris, x))[0]

@@ -122,8 +122,8 @@ class QualityMeasureSpec:
         if self.volume_shift is not None:
             if not _MEASURES[self.measure].shifted:
                 raise InvalidSpec("volume_shift applies to the q1/q2 measures only")
-            if self.volume_shift < 0:
-                raise InvalidSpec("volume_shift must be >= 0")
+            if not 0 <= self.volume_shift < math.inf:
+                raise InvalidSpec("volume_shift must be finite and >= 0")
 
 
 @dataclass

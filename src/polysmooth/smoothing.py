@@ -97,14 +97,14 @@ class SmoothingConfig:
     max_halvings: int = 40
 
     def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise InvalidSpec("sigma0 must be positive")
+        if not 0 < self.sigma0 < np.inf:
+            raise InvalidSpec("sigma0 must be positive and finite")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidSpec("shrink factor must lie in (0, 1)")
         if self.max_iterations < 0 or self.max_halvings < 0:
             raise InvalidSpec("iteration and halving caps must be >= 0")
-        if self.field_tol < 0 or self.quality_tol < 0:
-            raise InvalidSpec("tolerances must be >= 0")
+        if not (self.field_tol >= 0 and self.quality_tol >= 0):
+            raise InvalidSpec("tolerances must be >= 0 (not NaN)")
 
 
 @dataclass

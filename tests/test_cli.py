@@ -158,6 +158,45 @@ def test_console_entry_point():
     assert "smooth" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", "inner-tet", "--inner", "a,b,c", "--out", "{tmp}/x.vtk"],
+    ["check-gradients", "--samples", "0"],
+    ["check-gradients", "--samples", "-2"],
+    ["generate", "--spec", "tet-cube", "--perturb", "inf", "--out", "{tmp}/x.vtk"],
+    ["demo-icosahedron", "--perturb", "inf"],
+    ["demo-icosahedron", "--perturb", "nan"],
+])
+def test_bad_argument_values_exit_without_traceback(argv, tmp_path):
+    import subprocess
+    import sys
+
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysmooth.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode in (2, 3)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", "tet-cube", "--perturb", "nan"],
+    ["quality", "--measure", "q1", "--shift", "nan"],
+    ["quality", "--measure", "q1", "--shift", "inf"],
+    ["smooth", "--measure", "q1", "--sigma0", "inf"],
+    ["smooth", "--measure", "q1", "--field-tol", "nan"],
+    ["smooth", "--measure", "q1", "--quality-tol", "nan"],
+])
+def test_non_finite_numbers_are_input_errors(argv, tmp_path, capsys):
+    src, dst = str(tmp_path / "in.vtk"), str(tmp_path / "out.vtk")
+    assert main(["generate", "--spec", "unit-tetra", "--out", src]) == 0
+    files = {"generate": ["--out", dst], "quality": ["--in", src], "smooth": ["--in", src, "--out", dst]}
+    code, out, err = _run(capsys, *argv, *files[argv[0]])
+    assert code == 3
+    assert err.startswith("error: ") and out == ""
+    assert not Path(dst).exists()
+
+
 def test_tet_cube_20_cli_contract(tmp_path, capsys):
     # at full size: generate, then a 3-step q1 smooth, twice over
     runs = []

@@ -90,6 +90,14 @@ def test_perturb_zero_is_identity():
     assert np.array_equal(mesh.vertices, same.vertices)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+def test_perturb_amplitude_must_be_finite_and_nonnegative(eps):
+    with pytest.raises(InvalidSpec):
+        perturb_mesh(tet_grid(2), eps)
+    with pytest.raises(InvalidSpec):
+        generate(GeneratorSpec("tet-cube", perturb=eps))
+
+
 def test_perturb_bounded_and_seeded():
     mesh = tet_grid(2)
     eps = 0.07

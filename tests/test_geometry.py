@@ -266,6 +266,47 @@ def test_iq_degenerate_raises():
         element_iq(ElementKind.HEXA, flat)
 
 
+def test_zero_area_boundary_triangle_raises_in_iq_gradients():
+    x = regular_element_coords(ElementKind.HEXA).copy()
+    x[1] = 0.5 * (x[0] + x[2])  # on the bottom diagonal: split triangle (0, 2, 1) is flat
+    message = "^zero-area triangle in boundary face$"
+    with pytest.raises(DegenerateElement, match=message):
+        element_iq_gradient(ElementKind.HEXA, x)
+    with pytest.raises(DegenerateElement, match=message):
+        polyhedron_iq_gradient(FACES[ElementKind.HEXA], x)
+    # the quotient itself stays defined: only its gradient needs every triangle's normal
+    assert element_iq(ElementKind.HEXA, x) > 0 and polyhedron_iq(FACES[ElementKind.HEXA], x) > 0
+
+
+def test_zero_area_triangle_reported_before_vanished_area():
+    line = np.zeros((8, 3))
+    line[:, 0] = np.arange(8.0)  # collinear: every triangle and the whole boundary are flat
+    faces = FACES[ElementKind.HEXA]
+    with pytest.raises(DegenerateElement, match="^zero-area triangle in boundary face$"):
+        element_iq_gradient(ElementKind.HEXA, line)
+    with pytest.raises(DegenerateElement, match="^zero-area triangle in boundary face$"):
+        polyhedron_iq_gradient(faces, line)
+    # the quotient itself has only the area check
+    with pytest.raises(DegenerateElement, match="^boundary area vanished"):
+        element_iq(ElementKind.HEXA, line)
+    with pytest.raises(DegenerateElement, match="^boundary area vanished"):
+        polyhedron_iq(faces, line)
+
+
+@pytest.mark.parametrize("fn", [
+    polyhedron_mean_volume, polyhedron_volume_gradient, polyhedron_mean_area,
+    polyhedron_iq, polyhedron_iq_gradient,
+])
+def test_pentagon_face_is_invalid_polygon(fn):
+    # pentagonal prism: two pentagon caps, five quadrilateral sides
+    angles = 2 * np.pi * np.arange(5) / 5
+    ring = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(5)])
+    x = np.vstack([ring, ring + [0.0, 0.0, 1.0]])
+    faces = [(4, 3, 2, 1, 0), (5, 6, 7, 8, 9)] + [(i, (i + 1) % 5, (i + 1) % 5 + 5, i + 5) for i in range(5)]
+    with pytest.raises(InvalidPolygon, match="triangles or quadrilaterals, got 5 vertices"):
+        fn(faces, x)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_iq_gradient_matches_fd(kind, rng):
     for _ in range(5):

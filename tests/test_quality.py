@@ -174,6 +174,12 @@ def test_volume_shift_only_for_q1_q2():
         QualityMeasureSpec(Measure.MEAN_RATIO, volume_shift=0.5)
 
 
+@pytest.mark.parametrize("shift", [float("nan"), float("inf"), -1.0])
+def test_volume_shift_must_be_finite_and_nonnegative(shift):
+    with pytest.raises(InvalidSpec):
+        QualityMeasureSpec(Measure.PRODUCT_SQUARED, volume_shift=shift)
+
+
 def test_invalid_count_reports_nonpositive_means():
     pts = np.array(unit_element(ElementKind.TETRA).vertices)
     mesh = make_mesh(pts[[0, 1, 3, 2]], [Element(ElementKind.TETRA, range(4))])

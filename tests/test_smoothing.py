@@ -408,6 +408,10 @@ def test_config_validation():
         SmoothingConfig(shrink=1.0)
     with pytest.raises(InvalidSpec):
         SmoothingConfig(max_iterations=-1)
+    for non_finite in ({"sigma0": math.inf}, {"sigma0": math.nan}, {"field_tol": math.nan},
+                       {"quality_tol": math.nan}):
+        with pytest.raises(InvalidSpec):
+            SmoothingConfig(**non_finite)
 
 
 def test_closest_point_on_triangles_regions():
