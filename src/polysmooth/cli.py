@@ -106,7 +106,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_demo_icosahedron(args) -> int:
-    if not 0 <= args.perturb < np.inf:
+    if not 0 <= args.perturb < np.inf:  # a negative amplitude fails in rng.uniform
         raise InvalidSpec(f"--perturb must be finite and >= 0, got {args.perturb}")
     coords, faces = generators.icosahedron_polyhedron()
     regular_iq = geometry.polyhedron_iq(faces, coords)

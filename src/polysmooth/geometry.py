@@ -13,8 +13,10 @@ field through the Euler identity for degree-3 homogeneous functions,
 Kernels are integer index tables built at import: triangle fans over the
 vertex-link polygons for the fields, a boundary triangulation for areas and
 divergence volumes. Each is one gather, one cross product and one sum of the
-table's rows in the order of the per-polygon loops they replaced, so no result
-bit moved. The tetra field stays on slices, as a gather was slower at size.
+table's rows, row after row, so every result adds the same terms in the same
+order as a polygon-by-polygon sum. Batches are gathered in blocks of elements,
+which keeps the temporaries near the size of the coordinates. The tetra field
+stays on slices, as a gather was slower at size.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from .errors import DegenerateElement, InvalidPolygon
 from .mesh import FACES, ElementKind
 
-# Vertex-link polygons defining each row of the transformation field: per
-# element vertex, a neighbor triangle and the equator polygon, averaged.
+# Vertex-link polygons defining each row of the transformation field of the
+# non-tetra kinds, one pair per element vertex: a neighbor triangle and the
+# equator polygon around the vertex, averaged.
 _NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
     ElementKind.PYRAMID: (
         ((4, 3, 1), (4, 3, 2, 1)),
@@ -58,6 +61,7 @@ _NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
 
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
+_GATHER = 8192  # points per gathered block: ~200 KB temporaries, reused rather than faulted in
 
 # Unit-edge regular tetrahedron, positively oriented: the reference shape of
 # the mean ratio and the stationary tetrahedron of the volume-ascent flow.
@@ -117,9 +121,16 @@ def _field_table(rows) -> tuple[np.ndarray, np.ndarray]:
 _FIELD_TABLES = {kind: _field_table(rows) for kind, rows in _NU_ROWS.items()}
 
 
-def _vertex_major(x: np.ndarray) -> np.ndarray:
-    """A batch (m, n, 3) as (n, m, 3): gathers and reductions over vertices take whole blocks."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
+def _gathered(x: np.ndarray, table: np.ndarray):
+    """Blocks of a batch (m, n, 3) gathered through ``table``: (slice, table.shape + (block, 3)).
+
+    A block gathers about ``_GATHER`` points from a vertex-major copy, so the
+    arithmetic takes whole (block, 3) slabs. Each element is computed alone,
+    so no result bit depends on the blocks.
+    """
+    step = max(1, _GATHER // table.size)
+    for i in range(0, len(x), step):
+        yield slice(i, i + step), np.ascontiguousarray(x[i : i + step].transpose(1, 0, 2))[table]
 
 
 def _normals(g: np.ndarray) -> np.ndarray:
@@ -145,7 +156,7 @@ def polygon_normal(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise InvalidPolygon(f"need at least 3 points of dimension 3, got shape {pts.shape}")
-    return _sum_rows(_normals(_vertex_major(pts[None])[_fan(range(pts.shape[0]))]))[0]
+    return _sum_rows(_normals(pts[:, None][_fan(range(pts.shape[0]))]))[0]
 
 
 def tet_signed_volumes(x) -> np.ndarray:
@@ -170,12 +181,16 @@ def element_fields(kind: ElementKind, x) -> np.ndarray:
     """
     x = _as_batch(x, kind.vertex_count)
     if kind is ElementKind.TETRA:
-        out = np.empty_like(x)  # row i: normal of the face opposite vertex i
+        # row i: normal of the face opposite vertex i, added into zeros so a zero is +0.0
+        out = np.zeros_like(x)
         for i, (a, b, c) in enumerate(((3, 2, 1), (3, 0, 2), (3, 1, 0), (0, 1, 2))):
-            out[:, i] = _cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
+            out[:, i] += _cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
         return out
     fans, weights = _FIELD_TABLES[kind]
-    return (weights * _sum_rows(_normals(_vertex_major(x)[fans]))).transpose(1, 0, 2).copy()
+    out = np.empty(x.shape)  # C order: the Euler identity's einsum needs it
+    for s, g in _gathered(x, fans):
+        out[s] = (weights * _sum_rows(_normals(g))).transpose(1, 0, 2)
+    return out
 
 
 def element_field(kind: ElementKind, x) -> np.ndarray:
@@ -194,8 +209,13 @@ def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
     if kind is ElementKind.TETRA:
         return tet_signed_volumes(x)
     if kind is ElementKind.PYRAMID:
-        v = tet_signed_volumes(x[:, (0, 1, 2, 4)]) + tet_signed_volumes(x[:, (0, 2, 3, 4)])
-        return 0.5 * (v + tet_signed_volumes(x[:, (0, 1, 3, 4)]) + tet_signed_volumes(x[:, (1, 2, 3, 4)]))
+        v = (
+            tet_signed_volumes(x[:, (0, 1, 2, 4)])
+            + tet_signed_volumes(x[:, (0, 2, 3, 4)])
+            + tet_signed_volumes(x[:, (0, 1, 3, 4)])
+            + tet_signed_volumes(x[:, (1, 2, 3, 4)])
+        )
+        return 0.5 * v
     xc = x - x.mean(axis=1, keepdims=True)
     return np.einsum("mij,mij->m", xc, element_fields(kind, xc)) / 18.0
 
@@ -228,63 +248,78 @@ def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
 _KIND_TRIANGLES = {kind: _face_triangles(FACES[kind]) for kind in ElementKind}
 
 
-def _boundary(tris, xt: np.ndarray):
-    """Triangle corners gathered from vertex-major ``xt``, their normals and norms, the mean area."""
+def _mean_areas(tris, x: np.ndarray) -> np.ndarray:
+    """Mean boundary areas of a batch (m, n, 3) over a triangulation table."""
     idx, w = tris
-    g = xt[idx]
-    nu = _normals(g)
-    nn = np.linalg.norm(nu, axis=-1)
-    return g, nu, nn, _sum_rows(w[:, None] * nn)
+    areas = np.empty(len(x))
+    for s, g in _gathered(x, idx):
+        areas[s] = _sum_rows(w[:, None] * np.linalg.norm(_normals(g), axis=-1))
+    return areas
 
 
-def _scatter(idx: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
+def _scatter(idx: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     """Add (T, 3, m, 3) corner terms into an (m, n, 3) gradient in (triangle, corner) order."""
-    grad = np.zeros((shape[1], shape[0], 3))
+    grad = np.zeros((n,) + terms.shape[2:])
     np.add.at(grad, idx, terms)
-    return grad.transpose(1, 0, 2).copy()
+    return grad.transpose(1, 0, 2)
 
 
 def _div_volumes(tris, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-theorem volumes over mean-triangulated closed boundary faces, and gradients."""
+    """Divergence-theorem volume of one closed polyhedron (n, 3) and its gradient, batches of 1."""
     idx, w = tris
-    g = _vertex_major(x - x.mean(axis=1, keepdims=True))[idx]
+    g = (x - x.mean(axis=0))[:, None][idx]
     s = 2.0 * w / 6.0
     corners = _cross(g[:, _NEXT], g[:, _PREV])
     vols = _sum_rows(s[:, None] * np.einsum("tmj,tmj->tm", g[:, 0], corners[:, 0]))
-    return vols, _scatter(idx, s[:, None, None, None] * corners, x.shape)
+    return vols, _scatter(idx, s[:, None, None, None] * corners, len(x))
 
 
 def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
     """Mean boundary areas for a batch of elements, (m, n_e, 3) -> (m,)."""
-    return _boundary(_KIND_TRIANGLES[kind], _vertex_major(_as_batch(x, kind.vertex_count)))[-1]
+    return _mean_areas(_KIND_TRIANGLES[kind], _as_batch(x, kind.vertex_count))
 
 
 def element_mean_boundary_area(kind: ElementKind, x) -> float:
-    """Mean surface area of one element's boundary; a quad face counts the mean of its two splits."""
+    """Mean surface area of one element's boundary.
+
+    Triangle faces contribute their exact area; quadrilateral faces the mean
+    area over their two diagonal triangulations.
+    """
     return float(element_mean_boundary_areas(kind, np.asarray(x, dtype=float)[None])[0])
 
 
-def _iq_boundary(tris, x: np.ndarray, triangles: bool):
-    """:func:`_boundary`, after the degeneracy checks in order (``triangles``: each one too)."""
-    xt = _vertex_major(x)
-    g, nu, nn, areas = _boundary(tris, xt)
-    tiny = _DEGENERACY * np.linalg.norm(xt.max(axis=0) - xt.min(axis=0), axis=-1) ** 2
-    if triangles and np.any(nn <= tiny):
-        raise DegenerateElement("zero-area triangle in boundary face")
+def _tiny(x: np.ndarray) -> np.ndarray:
+    """Degenerate-area bound per element: ``_DEGENERACY`` times its squared bounding-box diagonal."""
+    return _DEGENERACY * np.linalg.norm(x.max(axis=1) - x.min(axis=1), axis=-1) ** 2
+
+
+def _check_areas(areas: np.ndarray, tiny: np.ndarray) -> None:
     if np.any(areas <= tiny):
         raise DegenerateElement("boundary area vanished; isoperimetric quotient undefined")
-    return g, nu, nn, areas
 
 
 def _iq_values(tris, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
-    return _SIX_SQRT_PI * vols / _iq_boundary(tris, x, triangles=False)[-1] ** 1.5
+    areas = _mean_areas(tris, x)
+    _check_areas(areas, _tiny(x))
+    return _SIX_SQRT_PI * vols / areas**1.5
 
 
 def _iq_gradients(tris, x: np.ndarray, vols: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
-    g, nu, nn, areas = _iq_boundary(tris, x, triangles=True)
     idx, w = tris
-    u = (nu / nn[..., None])[:, None]
-    agrad = _scatter(idx, w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u), x.shape)
+    tiny = _tiny(x)
+    areas, agrad = np.empty(len(x)), np.empty(x.shape)
+    # A vanished area needs a zero-area triangle when the faces weigh 4 or
+    # more, as each element kind's do: checking block by block keeps the message.
+    for s, g in _gathered(x, idx):
+        nu = _normals(g)
+        nn = np.linalg.norm(nu, axis=-1)
+        if np.any(nn <= tiny[s]):
+            raise DegenerateElement("zero-area triangle in boundary face")
+        areas[s] = _sum_rows(w[:, None] * nn)
+        u = (nu / nn[..., None])[:, None]
+        terms = w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u)
+        agrad[s] = _scatter(idx, terms, x.shape[1])
+    _check_areas(areas, tiny)
     a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
     return _SIX_SQRT_PI * (vgrad / a32 - 1.5 * (vols[:, None, None] / a52) * agrad)
 
@@ -314,32 +349,38 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
     return element_iq_gradients(kind, np.asarray(x, dtype=float)[None])[0]
 
 
-# -- generic closed polyhedra: oriented triangle/quad faces over (n, 3) coordinates ----
-# For the four element kinds these agree with the element_* forms; they also
-# cover closed shapes like the icosahedron that are not volume cells.
+# -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------
+#
+# A polyhedron here is a closed oriented surface given by faces over an
+# (n, 3) coordinate array. For the four element kinds these functions agree
+# with the element_* forms; they also cover shapes like the icosahedron that
+# are not volume cells.
 
 
 def polyhedron_mean_volume(faces, x) -> float:
     """Enclosed signed volume with quad faces averaged over both diagonals."""
-    return float(_div_volumes(_face_triangles(faces), np.asarray(x, dtype=float)[None])[0][0])
+    x = np.asarray(x, dtype=float)
+    return float(_div_volumes(_face_triangles(faces), x)[0][0])
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
-    return _div_volumes(_face_triangles(faces), np.asarray(x, dtype=float)[None])[1][0]
+    x = np.asarray(x, dtype=float)
+    return _div_volumes(_face_triangles(faces), x)[1][0]
 
 
 def polyhedron_mean_area(faces, x) -> float:
-    return float(_boundary(_face_triangles(faces), np.asarray(x, dtype=float)[:, None])[-1][0])
+    x = np.asarray(x, dtype=float)
+    return float(_mean_areas(_face_triangles(faces), x[None])[0])
 
 
 def polyhedron_iq(faces, x) -> float:
     """Isoperimetric quotient of a closed polyhedron."""
-    x = np.asarray(x, dtype=float)[None]
+    x = np.asarray(x, dtype=float)
     tris = _face_triangles(faces)
-    return float(_iq_values(tris, x, _div_volumes(tris, x)[0])[0])
+    return float(_iq_values(tris, x[None], _div_volumes(tris, x)[0])[0])
 
 
 def polyhedron_iq_gradient(faces, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)[None]
+    x = np.asarray(x, dtype=float)
     tris = _face_triangles(faces)
-    return _iq_gradients(tris, x, *_div_volumes(tris, x))[0]
+    return _iq_gradients(tris, x[None], *_div_volumes(tris, x))[0]

@@ -165,6 +165,7 @@ def test_console_entry_point():
     ["generate", "--spec", "tet-cube", "--perturb", "inf", "--out", "{tmp}/x.vtk"],
     ["demo-icosahedron", "--perturb", "inf"],
     ["demo-icosahedron", "--perturb", "nan"],
+    ["demo-icosahedron", "--perturb", "-0.05"],
 ])
 def test_bad_argument_values_exit_without_traceback(argv, tmp_path):
     import subprocess

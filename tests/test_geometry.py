@@ -20,6 +20,8 @@ from polysmooth.geometry import (
     element_field,
     element_iq,
     element_iq_gradient,
+    element_iq_gradients,
+    element_iqs,
     element_mean_boundary_area,
     element_mean_volume,
     polygon_normal,
@@ -291,6 +293,18 @@ def test_zero_area_triangle_reported_before_vanished_area():
         element_iq(ElementKind.HEXA, line)
     with pytest.raises(DegenerateElement, match="^boundary area vanished"):
         polyhedron_iq(faces, line)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_degenerate_element_in_a_later_block_keeps_its_message(kind):
+    # a batch over many gather blocks, regular but for its last element, which is collinear
+    x = np.repeat(regular_element_coords(kind)[None], 3000, axis=0)
+    x[-1] = 0.0
+    x[-1, :, 0] = np.arange(kind.vertex_count)
+    with pytest.raises(DegenerateElement, match="^zero-area triangle in boundary face$"):
+        element_iq_gradients(kind, x)
+    with pytest.raises(DegenerateElement, match="^boundary area vanished"):
+        element_iqs(kind, x)
 
 
 @pytest.mark.parametrize("fn", [

@@ -3,8 +3,8 @@
 The reference below is the loop form of each kernel, kept verbatim: the
 fan sum ``_nu``, the row loop of the field, and the per-triangle loops over
 boundary areas, area gradients and divergence volumes. Every comparison is
-``np.array_equal``: the tables add the same terms in the same order, so no
-bit may move.
+on the bytes, so the sign of a zero counts too: the tables add the same terms
+in the same order, so no bit may move.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 
 from polysmooth import ElementKind, geometry
 from polysmooth.errors import DegenerateElement, InvalidPolygon
-from polysmooth.generators import icosahedron_polyhedron, random_element_coords
+from polysmooth.generators import hex_grid, icosahedron_polyhedron, random_element_coords, tet_grid, unit_element
 from polysmooth.geometry import _cross
 from polysmooth.mesh import FACES
 
@@ -146,24 +146,42 @@ def _batch(kind, m, rng):
     return np.array([random_element_coords(kind, rng) for _ in range(m)]) * scale
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # -- tables against loops ----------------------------------------------------
 
+# the last size spans at least three gather blocks of every table, the last one short
+_SMALLEST_TABLE = min(idx.size for idx, _ in geometry._KIND_TRIANGLES.values())
+SIZES = [1, 2, 7, 384, 2 * (geometry._GATHER // _SMALLEST_TABLE) + 3]
 
-@pytest.mark.parametrize("m", [1, 2, 7, 384])
+
+@pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_element_kernels_match_loops(kind, m, rng):
     x = _batch(kind, m, rng)
     for name, expected in _reference(kind, x).items():
-        assert np.array_equal(getattr(geometry, name)(kind, x), expected), name
+        assert _same_bits(getattr(geometry, name)(kind, x), expected), name
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_axis_aligned_elements_match_loops(kind):
+    # exact zeros in the coordinates: the sign of a zero component must agree too
+    mesh = {ElementKind.TETRA: tet_grid(2), ElementKind.HEXA: hex_grid(2)}.get(kind, unit_element(kind))
+    x = mesh.vertices[np.array([e.vertices for e in mesh.elements])]
+    for name, expected in _reference(kind, x).items():
+        assert _same_bits(getattr(geometry, name)(kind, x), expected), name
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_kernels_equal_single_calls(kind, rng):
-    x = _batch(kind, 7, rng)
+    x = _batch(kind, SIZES[-1], rng)
     for name in _reference(kind, x[:1]):
         batched = getattr(geometry, name)(kind, x)
         single = np.array([getattr(geometry, name)(kind, xi[None])[0] for xi in x])
-        assert np.array_equal(batched, single), name
+        assert _same_bits(batched, single), name
 
 
 def _polyhedron_cases(rng):
@@ -180,11 +198,11 @@ def test_polyhedron_functions_match_loops(rng):
         tris, xb = _face_triangles(faces), x[None]
         vols, areas = _div_volumes(tris, xb), _mean_areas(tris, xb)
         vgrad = _div_volume_gradients(tris, xb)
-        assert np.array_equal(geometry.polyhedron_mean_volume(faces, x), vols[0])
-        assert np.array_equal(geometry.polyhedron_volume_gradient(faces, x), vgrad[0])
-        assert np.array_equal(geometry.polyhedron_mean_area(faces, x), areas[0])
-        assert np.array_equal(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
-        assert np.array_equal(geometry.polyhedron_iq_gradient(faces, x),
+        assert _same_bits(geometry.polyhedron_mean_volume(faces, x), vols[0])
+        assert _same_bits(geometry.polyhedron_volume_gradient(faces, x), vgrad[0])
+        assert _same_bits(geometry.polyhedron_mean_area(faces, x), areas[0])
+        assert _same_bits(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
+        assert _same_bits(geometry.polyhedron_iq_gradient(faces, x),
                               _ref_iq_gradients(tris, xb, vols, vgrad)[0])
 
 
@@ -192,4 +210,4 @@ def test_polyhedron_functions_match_loops(rng):
 def test_polygon_normal_matches_loop(n, rng):
     for _ in range(10):
         pts = rng.standard_normal((n, 3)) * 10.0
-        assert np.array_equal(geometry.polygon_normal(pts), _nu(pts[None], range(n))[0])
+        assert _same_bits(geometry.polygon_normal(pts), _nu(pts[None], range(n))[0])
