@@ -103,6 +103,8 @@ def gradient_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> list[
 
     if samples < 1:
         raise InvalidSpec(f"samples must be >= 1, got {samples}")
+    if not tol >= 0:
+        raise InvalidSpec(f"tol must be >= 0, got {tol}")
     reports = []
     rng = np.random.default_rng(seed)
 

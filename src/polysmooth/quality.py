@@ -2,8 +2,11 @@
 
 Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
 :func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing
-driver all read. Per-element contributions are summed in element order, so
-repeated runs are bit-reproducible.
+driver all read. Its functions take ``(mesh, coords, v)``, ``v`` the
+shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
+through two helpers only: one maps a kernel over the kinds, one scatters
+per-element vectors onto the vertices. Per-element contributions are summed
+in element order, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -157,10 +160,20 @@ class QualityReport:
         }
 
 
-def _per_kind(kernel, mesh: Mesh, coords, groups) -> np.ndarray:
+def _checked_coords(mesh: Mesh, coords) -> np.ndarray:
+    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats, finite and of the same shape."""
+    if coords is None:
+        return mesh.vertices
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != mesh.vertices.shape or not np.isfinite(coords).all():
+        raise InvalidSpec(f"coords must be finite, of shape {mesh.vertices.shape}; got shape {coords.shape}")
+    return coords
+
+
+def _per_kind(kernel, mesh: Mesh, coords) -> np.ndarray:
     """``kernel(kind, x)`` of every element, in element order."""
     values = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in groups.items():
+    for kind, (ids, conn) in kind_groups(mesh).items():
         values[ids] = kernel(kind, coords[conn])
     return values
 
@@ -168,7 +181,7 @@ def _per_kind(kernel, mesh: Mesh, coords, groups) -> np.ndarray:
 def mesh_mean_volumes(mesh: Mesh, coords=None) -> np.ndarray:
     """Mean volume of every element, in element order."""
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    return _per_kind(geometry.element_mean_volumes, mesh, coords, mesh.elements.groups)
+    return _per_kind(geometry.element_mean_volumes, mesh, coords)
 
 
 def _require_positive(v: np.ndarray) -> np.ndarray:
@@ -179,18 +192,20 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _scatter(n: int, conns, values) -> np.ndarray:
-    """Sum per-element vertex vectors onto ``n`` vertices.
-
-    ``conns`` and ``values`` list, per kind, (m, n_e) vertex indices and the
-    matching (m, n_e, 3) vectors. ``np.bincount`` adds them in the order of
-    the concatenation, which is the order ``np.add.at`` would use, so the
-    sums are bit for bit the same.
-    """
-    if not conns:
+def _scatter(kernel, mesh: Mesh, coords, scale=None) -> np.ndarray:
+    """Sum the (m, n_e, 3) vectors ``kernel(kind, x)`` onto the vertices, each element's times
+    ``scale[id]`` when given. ``np.bincount`` adds them kind by kind in element order, as
+    ``np.add.at`` would, so the sums are bit for bit the same."""
+    n, idx, vectors = len(coords), [], []
+    for kind, (ids, conn) in kind_groups(mesh).items():
+        f = kernel(kind, coords[conn])
+        if scale is not None:
+            f = f * np.asarray(scale)[ids][:, None, None]
+        idx.append(conn.ravel())
+        vectors.append(f.reshape(-1, 3))
+    if not idx:
         return np.zeros((n, 3))
-    idx = np.concatenate([conn.ravel() for conn in conns])
-    vectors = np.concatenate([v.reshape(-1, 3) for v in values])
+    idx, vectors = np.concatenate(idx), np.concatenate(vectors)
     return np.stack([np.bincount(idx, vectors[:, j], minlength=n) for j in range(3)], axis=1)
 
 
@@ -201,47 +216,20 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.nda
     the scatter (indexed in element order).
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    conns, fields = [], []
-    for kind, (ids, conn) in mesh.elements.groups.items():
-        f = geometry.element_fields(kind, coords[conn])
-        if per_element_scale is not None:
-            f = f * np.asarray(per_element_scale)[ids][:, None, None]
-        conns.append(conn)
-        fields.append(f)
-    return _scatter(len(coords), conns, fields)
+    return _scatter(geometry.element_fields, mesh, coords, per_element_scale)
 
 
-def _scatter_iq_gradients(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
-    conns = [conn for _, conn in groups.values()]
-    grads = [geometry.element_iq_gradients(kind, coords[conn]) for kind, (_, conn) in groups.items()]
-    return _scatter(len(coords), conns, grads)
-
-
-def _mesh_iqs(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
-    return _per_kind(geometry.element_iqs, mesh, coords, groups)
-
-
-def _mesh_mean_ratios(mesh: Mesh, coords, groups, v=None) -> np.ndarray:
-    if any(kind is not ElementKind.TETRA for kind in groups):
+def _tet_mean_ratios(kind: ElementKind, x: np.ndarray) -> np.ndarray:
+    if kind is not ElementKind.TETRA:
         raise MixedMeshMeanRatio("mean ratio is defined for all-tetrahedra meshes")
-    return _per_kind(lambda kind, x: _mean_ratios(x), mesh, coords, groups)
-
-
-def _transformation_field(weight=None):
-    """Scatter of the element transformation fields, each scaled by ``weight(v)``."""
-
-    def scatter(mesh: Mesh, coords, groups, v) -> np.ndarray:
-        scale = None if weight is None else weight(_require_positive(v))
-        return scatter_element_fields(mesh, coords, per_element_scale=scale)
-
-    return scatter
+    return _mean_ratios(x)
 
 
 @dataclass(frozen=True)
 class _MeasureDef:
-    """One measure. Its functions take ``(mesh, coords, groups, v)``, with
-    ``v`` the element mean volumes plus any volume shift (None is allowed
-    when ``volumes`` is False: the measure does not read them).
+    """One measure. Its functions take ``(mesh, coords, v)``, with ``v`` the
+    element mean volumes plus any volume shift (None is allowed when
+    ``volumes`` is False: the measure does not read them).
 
     ``values`` are the per-element values, ``objective`` the sum or log
     objective the driver ascends. ``vertex_field`` scatters the weighted
@@ -262,30 +250,30 @@ class _MeasureDef:
 
 _MEASURES: dict[Measure, _MeasureDef] = {
     Measure.MEAN_VOLUME_SUM: _MeasureDef(
-        values=lambda mesh, c, groups, v: v,
-        objective=lambda mesh, c, groups, v: float(v.sum()),
-        vertex_field=_transformation_field(), divisor=6.0, degree=2.0,
+        values=lambda mesh, c, v: v,
+        objective=lambda mesh, c, v: float(v.sum()),
+        vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c), divisor=6.0, degree=2.0,
         volumes=True,
     ),
     Measure.PRODUCT_SQUARED: _MeasureDef(
-        values=lambda mesh, c, groups, v: _require_positive(v) ** 2,
-        objective=lambda mesh, c, groups, v: (
+        values=lambda mesh, c, v: _require_positive(v) ** 2,
+        objective=lambda mesh, c, v: (
             -np.inf if np.any(v <= 0.0) else float(2.0 * np.log(v).sum())),
-        vertex_field=_transformation_field(lambda v: 1.0 / v), divisor=3.0, degree=-1.0,
-        volumes=True, shifted=True, product=True,
+        vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, 1.0 / _require_positive(v)),
+        divisor=3.0, degree=-1.0, volumes=True, shifted=True, product=True,
     ),
     Measure.INVERSE_SQUARED_SUM: _MeasureDef(
-        values=lambda mesh, c, groups, v: -1.0 / _require_positive(v) ** 2,
-        objective=lambda mesh, c, groups, v: (
+        values=lambda mesh, c, v: -1.0 / _require_positive(v) ** 2,
+        objective=lambda mesh, c, v: (
             -np.inf if np.any(v <= 0.0) else float(-np.sum(v**-2))),
-        vertex_field=_transformation_field(lambda v: v**-3), divisor=3.0, degree=-7.0,
-        volumes=True, shifted=True,
+        vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, _require_positive(v) ** -3),
+        divisor=3.0, degree=-7.0, volumes=True, shifted=True,
     ),
-    Measure.MEAN_RATIO: _MeasureDef(values=_mesh_mean_ratios),
+    Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c)),
     Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
-        values=_mesh_iqs,
-        objective=lambda mesh, c, groups, v: float(_mesh_iqs(mesh, c, groups).sum()),
-        vertex_field=_scatter_iq_gradients, degree=-1.0,
+        values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c),
+        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c).sum()),
+        vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c), degree=-1.0,
     ),
 }
 
@@ -307,11 +295,10 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     if mesh.n_elements == 0:
         raise InvalidSpec("a mesh without elements has no quality")
     measure = _MEASURES[spec.measure]
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    groups = kind_groups(mesh)
+    coords = _checked_coords(mesh, coords)
     vols = mesh_mean_volumes(mesh, coords)
     v = _shifted(vols, spec.volume_shift)
-    values = measure.values(mesh, coords, groups, v)
+    values = measure.values(mesh, coords, v)
     combine = np.prod if measure.product else _COMBINE[spec.combiner]
     return QualityReport(
         measure=spec.measure,
@@ -322,7 +309,7 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
         mean=float(values.mean()),
         invalid_count=int(np.sum(vols <= 0.0)),
         per_element=values,
-        log_global=measure.objective(mesh, coords, groups, v) if measure.product else None,
+        log_global=measure.objective(mesh, coords, v) if measure.product else None,
     )
 
 
@@ -339,20 +326,19 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     measure = _MEASURES[spec.measure]
     if measure.vertex_field is None:
         raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    groups = kind_groups(mesh)
+    coords = _checked_coords(mesh, coords)
     vols = mesh_mean_volumes(mesh, coords) if measure.volumes else None
     v = _shifted(vols, spec.volume_shift)
     if measure.product:
         # d(prod)/dx = prod * d(log prod)/dx
-        scale = np.prod(measure.values(mesh, coords, groups, v))
+        scale = np.prod(measure.values(mesh, coords, v))
         if scale == 0.0:  # every factor is positive: the product underflowed
             raise ProductUnderflow(
                 f"the {spec.measure.value} product underflows to 0 (log "
-                f"{measure.objective(mesh, coords, groups, v)!r}); its gradient is not representable")
+                f"{measure.objective(mesh, coords, v)!r}); its gradient is not representable")
     else:
         scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
-    return scale / measure.divisor * measure.vertex_field(mesh, coords, groups, v)
+    return scale / measure.divisor * measure.vertex_field(mesh, coords, v)
 
 
 def compute_volume_shift(mesh: Mesh, coords=None) -> float:

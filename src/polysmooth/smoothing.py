@@ -49,11 +49,12 @@ from .errors import (
     NonHomogeneous,
     ZeroField,
 )
-from .mesh import Mesh, boundary_faces, kind_groups
+from .mesh import Mesh, boundary_faces
 from .quality import (
     _MEASURES,
     Measure,
     QualityMeasureSpec,
+    _checked_coords,
     _require_positive,
     _shifted,
     _volume_shift,
@@ -146,7 +147,6 @@ def assemble_field(mesh: Mesh, coords=None, assembly: Assembly = Assembly.RAW_SU
     Valence averaging divides vertex i's total by the number of elements
     containing it and is undefined on isolated vertices.
     """
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
     return _averaged(mesh, scatter_element_fields(mesh, coords), assembly)
 
 
@@ -214,7 +214,8 @@ class _Flow:
 
     ``objective(coords)`` returns the objective at ``coords`` and a state
     that ``field(coords, state)`` reuses at the same coordinates (the mean
-    volumes, or None when the measure reads none and no guard is active).
+    volumes plus the volume shift, or None when the measure reads none and
+    no guard is active).
     The objective is ``-inf`` when a step has inverted an element that was
     valid at the start. ``field`` is zero on the vertices the policy fixes,
     and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
@@ -405,7 +406,7 @@ def _drive(coords: np.ndarray, flow: _Flow, q: float, state,
 
 def _build_flow(mesh: Mesh, config: SmoothingConfig,
                 coords0: np.ndarray) -> tuple[_Flow, float, np.ndarray]:
-    """The flow of ``config`` on ``mesh``, with its objective and mean volumes at ``coords0``.
+    """The flow of ``config`` on ``mesh``, with its objective and state at ``coords0``.
 
     Its one mean-volume pass serves the volume shift, the validity check,
     the guard decision and the objective at the start. Under the project
@@ -416,7 +417,6 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     measure = _MEASURES[spec.measure]
     if measure.vertex_field is None:
         raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
-    groups = kind_groups(mesh)
     vols0 = mesh_mean_volumes(mesh, coords0)
     shift = spec.volume_shift
     if measure.shifted:
@@ -427,15 +427,16 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
 
     def objective(c):
         vols = mesh_mean_volumes(mesh, c) if measure.volumes or guard else None
+        v = _shifted(vols, shift)
         if guard and not vols.min() > 0.0:
-            return -np.inf, vols
-        return measure.objective(mesh, c, groups, _shifted(vols, shift)), vols
+            return -np.inf, v
+        return measure.objective(mesh, c, v), v
 
     policy = config.boundary_policy
     fixed = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
 
-    def field(c, vols):
-        f = measure.vertex_field(mesh, c, groups, _shifted(vols, shift))
+    def field(c, v):
+        f = measure.vertex_field(mesh, c, v)
         f = _averaged(mesh, f / measure.divisor, config.assembly)
         if fixed is not None:
             f[fixed] = 0.0
@@ -456,8 +457,8 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
 
     # a shifted field is not homogeneous: step along the raw field
     degree = 1.0 if shift else measure.degree
-    q0 = measure.objective(mesh, coords0, groups, _shifted(vols0, shift))
-    return _Flow(objective, field, degree, constrain), q0, vols0
+    v0 = _shifted(vols0, shift)
+    return _Flow(objective, field, degree, constrain), measure.objective(mesh, coords0, v0), v0
 
 
 def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) -> np.ndarray:
@@ -467,9 +468,9 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     :func:`project_shape`) and returns coordinates on it; a zero step size or
     a vanishing field returns the input unchanged.
     """
-    coords = np.array(coords, dtype=float)
-    flow, _, vols = _build_flow(mesh, config, coords)
-    f = flow.field(coords, vols)
+    coords = np.array(_checked_coords(mesh, coords))
+    flow, _, v = _build_flow(mesh, config, coords)
+    f = flow.field(coords, v)
     if sigma == 0.0 or not np.any(f):
         return coords
     return flow.constrain(coords + sigma * scale_normalize(f, flow.degree))
@@ -485,11 +486,11 @@ def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tu
     and is set up on, the shape representative of the start.
     """
     config = config or SmoothingConfig()
-    coords0 = np.array(mesh.vertices if coords is None else coords, dtype=float)
+    coords0 = np.array(_checked_coords(mesh, coords))
     if config.boundary_policy is BoundaryPolicy.FREE:
         coords0 = project_shape(coords0)
-    flow, q0, vols0 = _build_flow(mesh, config, coords0)
-    return _drive(coords0, flow, q0, vols0, config)
+    flow, q0, v0 = _build_flow(mesh, config, coords0)
+    return _drive(coords0, flow, q0, v0, config)
 
 
 def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> tuple[np.ndarray, SmoothingReport]:

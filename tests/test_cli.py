@@ -162,6 +162,8 @@ def test_console_entry_point():
     ["generate", "--spec", "inner-tet", "--inner", "a,b,c", "--out", "{tmp}/x.vtk"],
     ["check-gradients", "--samples", "0"],
     ["check-gradients", "--samples", "-2"],
+    ["check-gradients", "--tol", "nan"],
+    ["check-gradients", "--tol", "-1"],
     ["generate", "--spec", "tet-cube", "--perturb", "inf", "--out", "{tmp}/x.vtk"],
     ["demo-icosahedron", "--perturb", "inf"],
     ["demo-icosahedron", "--perturb", "nan"],

@@ -32,7 +32,7 @@ from polysmooth.quality import (
     quality_gradient_field,
     scatter_element_fields,
 )
-from polysmooth.quality import _scatter_iq_gradients
+from polysmooth.quality import _scatter
 
 
 def _random_valid_tet(rng):
@@ -297,6 +297,19 @@ def test_shift_positive_for_exactly_degenerate():
     assert mesh_mean_volumes(mesh)[0] + s > 0
 
 
+@pytest.mark.parametrize("measure,combiner", [
+    (Measure.PRODUCT_SQUARED, Combiner.ARITHMETIC_MEAN),
+    (Measure.INVERSE_SQUARED_SUM, Combiner.SUM),
+    (Measure.INVERSE_SQUARED_SUM, Combiner.ARITHMETIC_MEAN),
+])
+def test_shifted_gradient_matches_finite_differences(measure, combiner):
+    mesh = tet_with_inner_vertex([0.5, 0.29, 0.9])
+    assert np.sum(mesh_mean_volumes(mesh) <= 0.0) == 3
+    spec = QualityMeasureSpec(measure, combiner, volume_shift=0.2)
+    fd = fd_gradient(lambda c: mesh_quality(mesh, c, spec).global_value, mesh.vertices)
+    assert relative_error(quality_gradient_field(mesh, spec=spec), fd) <= 1e-6
+
+
 def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
     mesh = interleaved_mesh
     kinds = [e.kind for e in mesh.elements]
@@ -318,7 +331,7 @@ def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
         scatter_element_fields(mesh, coords, per_element_scale=scale),
         add_at(lambda k, ids, x: element_fields(k, x) * scale[ids][:, None, None]))
     assert np.array_equal(
-        _scatter_iq_gradients(mesh, coords, groups), add_at(lambda k, ids, x: element_iq_gradients(k, x)))
+        _scatter(element_iq_gradients, mesh, coords), add_at(lambda k, ids, x: element_iq_gradients(k, x)))
 
 
 def test_q1_product_underflow_is_reported_in_logs_and_raised_by_the_gradient():

@@ -414,6 +414,25 @@ def test_config_validation():
             SmoothingConfig(**non_finite)
 
 
+@pytest.mark.parametrize("entry", ["smooth", "smoothing_step", "mesh_quality", "quality_gradient_field"])
+@pytest.mark.parametrize("bad", ["short", "two-column", "nan", "inf"])
+def test_entry_points_reject_bad_coordinates(entry, bad):
+    mesh = tet_grid(2)
+    assert mesh.n_vertices == 27
+    coords = {"short": mesh.vertices[:3], "two-column": mesh.vertices[:, :2]}.get(bad, mesh.vertices.copy())
+    if bad in ("nan", "inf"):
+        coords[5, 1] = float(bad)
+    config = SmoothingConfig()
+    call = {
+        "smooth": lambda: smooth(mesh, config, coords=coords),
+        "smoothing_step": lambda: smoothing_step(mesh, coords, config, 0.1),
+        "mesh_quality": lambda: quality_module.mesh_quality(mesh, coords),
+        "quality_gradient_field": lambda: quality_module.quality_gradient_field(mesh, coords),
+    }[entry]
+    with pytest.raises(InvalidSpec):
+        call()
+
+
 def test_closest_point_on_triangles_regions():
     tris = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]])
     assert np.allclose(_closest_on_triangles(tris, np.array([0.5, 0.5, 1.0])), [0.5, 0.5, 0])
@@ -565,7 +584,7 @@ def test_project_policy_contract_on_a_10_cube():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of ``kind_groups`` and of the mean-volume pass, by name."""
+    """Builds of the per-kind groups and calls of the mean-volume pass, by name."""
     counts = Counter()
 
     def counting(name, fn):
@@ -574,10 +593,8 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    groups = counting("kind_groups", mesh_module.kind_groups)
     volumes = counting("volume_passes", quality_module.mesh_mean_volumes)
-    for module in (mesh_module, quality_module, smoothing_module):
-        monkeypatch.setattr(module, "kind_groups", groups)
+    monkeypatch.setattr(mesh_module, "_group_by_kind", counting("groups_built", mesh_module._group_by_kind))
     for module in (quality_module, smoothing_module):
         monkeypatch.setattr(module, "mesh_mean_volumes", volumes)
     return counts
@@ -601,7 +618,7 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, pol
     if report.termination is Termination.BACKTRACKING_FAILED:
         trials += config.max_halvings + 1
     assert trials > report.iterations > 0  # backtracking happened
-    assert counts["kind_groups"] == 1
+    assert counts["groups_built"] == 1
     # besides the trials, only the flow set-up, which also gives the initial objective
     assert counts["volume_passes"] == trials + 1
 
@@ -630,7 +647,7 @@ def test_project_policy_builds_connectivity_once(monkeypatch):
 def test_smoothing_step_makes_one_volume_pass(counts):
     mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
     smoothing_step(mesh, mesh.vertices, _config(Measure.PRODUCT_SQUARED), 0.1)
-    assert counts["kind_groups"] == 1
+    assert counts["groups_built"] == 1
     assert counts["volume_passes"] == 1
 
 
