@@ -174,7 +174,7 @@ def _per_kind(kernel, mesh: Mesh, coords) -> np.ndarray:
     """``kernel(kind, x)`` of every element, in element order."""
     values = np.empty(mesh.n_elements)
     for kind, (ids, conn) in kind_groups(mesh).items():
-        values[ids] = kernel(kind, coords[conn])
+        values[ids] = kernel(kind, geometry.element_batch(kind, coords, conn))
     return values
 
 
@@ -195,18 +195,18 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
 def _scatter(kernel, mesh: Mesh, coords, scale=None) -> np.ndarray:
     """Sum the (m, n_e, 3) vectors ``kernel(kind, x)`` onto the vertices, each element's times
     ``scale[id]`` when given. ``np.bincount`` adds them kind by kind in element order, as
-    ``np.add.at`` would, so the sums are bit for bit the same."""
-    n, idx, vectors = len(coords), [], []
+    ``np.add.at`` would, so the sums are bit for bit the same. Weights go component-major."""
+    n, idx, weights = len(coords), [], []
     for kind, (ids, conn) in kind_groups(mesh).items():
-        f = kernel(kind, coords[conn])
+        f = kernel(kind, geometry.element_batch(kind, coords, conn)).transpose(2, 0, 1)
         if scale is not None:
-            f = f * np.asarray(scale)[ids][:, None, None]
+            f *= np.asarray(scale)[ids][:, None]
         idx.append(conn.ravel())
-        vectors.append(f.reshape(-1, 3))
+        weights.append(f.reshape(3, -1))
     if not idx:
         return np.zeros((n, 3))
-    idx, vectors = np.concatenate(idx), np.concatenate(vectors)
-    return np.stack([np.bincount(idx, vectors[:, j], minlength=n) for j in range(3)], axis=1)
+    idx, weights = np.concatenate(idx), np.concatenate(weights, axis=1)
+    return np.stack([np.bincount(idx, w, minlength=n) for w in weights], axis=1)
 
 
 def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
@@ -344,7 +344,8 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
 def compute_volume_shift(mesh: Mesh, coords=None) -> float:
     """Shift making every shifted mean volume positive: 0 for valid meshes,
     twice the worst inversion otherwise."""
-    return _volume_shift(mesh_mean_volumes(mesh, coords), mesh.vertices if coords is None else coords)
+    coords = _checked_coords(mesh, coords)
+    return _volume_shift(mesh_mean_volumes(mesh, coords), coords)
 
 
 def _volume_shift(vols: np.ndarray, coords) -> float:
@@ -356,6 +357,5 @@ def _volume_shift(vols: np.ndarray, coords) -> float:
     if worst < 0.0:
         return 2.0 * abs(worst)
     # exactly degenerate: any positive value restores positivity
-    coords = np.asarray(coords, dtype=float)
     diag = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
     return max(1e-12 * diag**3, np.finfo(float).tiny)

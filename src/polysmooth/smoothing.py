@@ -147,7 +147,7 @@ def assemble_field(mesh: Mesh, coords=None, assembly: Assembly = Assembly.RAW_SU
     Valence averaging divides vertex i's total by the number of elements
     containing it and is undefined on isolated vertices.
     """
-    return _averaged(mesh, scatter_element_fields(mesh, coords), assembly)
+    return _averaged(mesh, scatter_element_fields(mesh, _checked_coords(mesh, coords)), assembly)
 
 
 def _averaged(mesh: Mesh, field: np.ndarray, assembly: Assembly) -> np.ndarray:

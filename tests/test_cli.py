@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polysmooth.cli import main
+from polysmooth.cli import _report_json, main
 from polysmooth.quality import mesh_mean_volumes
 from polysmooth.vtkio import read_mesh
 
@@ -24,6 +25,23 @@ def test_quality_regular_tet_mean_ratio(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["global"] == pytest.approx(1.0, abs=1e-12)
     assert doc["measure"] == "mean-ratio"
+
+
+@pytest.mark.parametrize("values", [[0.25], [math.nan], [math.inf, -math.inf, -0.0, 1e-310, 0.1, 1.5e300], []])
+def test_quality_report_text_is_indented_json(values):
+    report = {"measure": "q1", "combiner": "mean", "global": math.nan, "log_global": -math.inf,
+              "min": 0.0, "max": math.inf, "mean": 0.5, "invalid_count": 0, "per_element": values}
+    assert _report_json(report) == json.dumps(report, indent=2)
+
+
+def test_quality_command_prints_indented_json(tmp_path, capsys):
+    mesh_path = str(tmp_path / "cube.vtk")
+    assert main(["generate", "--spec", "tet-cube", "--size", "2", "--perturb", "0.1", "--out", mesh_path]) == 0
+    capsys.readouterr()
+    code, out, _ = _run(capsys, "quality", "--in", mesh_path, "--measure", "mean-ratio")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)["per_element"]) == 48
 
 
 def test_smooth_writes_mesh_and_increasing_report(tmp_path, capsys):

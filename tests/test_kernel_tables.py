@@ -1,10 +1,13 @@
-"""The index-table kernels of ``geometry`` against the per-polygon loops they replaced.
+"""The kernels of ``geometry`` against the code they replaced.
 
-The reference below is the loop form of each kernel, kept verbatim: the
-fan sum ``_nu``, the row loop of the field, and the per-triangle loops over
-boundary areas, area gradients and divergence volumes. Every comparison is
-on the bytes, so the sign of a zero counts too: the tables add the same terms
-in the same order, so no bit may move.
+The reference below is the loop form of each table kernel, kept verbatim:
+the fan sum ``_nu``, the row loop of the field, and the per-triangle loops
+over boundary areas, area gradients and divergence volumes. The tetra
+kernels are checked against their slice form, also verbatim: the field as
+cross products of strided (m, 3) slices, the volume as an ``np.einsum`` dot
+product. The scatter is checked against ``np.add.at``. Every comparison is
+on the bytes, so the sign of a zero counts too: each kernel adds the same
+terms in the same order, so no bit may move.
 """
 
 import math
@@ -14,15 +17,49 @@ import pytest
 
 from polysmooth import ElementKind, geometry
 from polysmooth.errors import DegenerateElement, InvalidPolygon
-from polysmooth.generators import hex_grid, icosahedron_polyhedron, random_element_coords, tet_grid, unit_element
+from polysmooth.generators import (
+    hex_grid,
+    icosahedron_polyhedron,
+    perturb_mesh,
+    random_element_coords,
+    tet_grid,
+    unit_element,
+)
 from polysmooth.geometry import _cross
-from polysmooth.mesh import FACES
+from polysmooth.mesh import FACES, Element, kind_groups, make_mesh
+from polysmooth.quality import scatter_element_fields
 
 ALL_KINDS = list(ElementKind)
 
-# -- reference: the loop kernels ---------------------------------------------
+# -- reference: the slice form of the tetra kernels ---------------------------
 
-_TETRA_ROWS = (((3, 2, 1),), ((3, 0, 2),), ((3, 1, 0),), ((0, 1, 2),))
+
+def _ref_tet_volumes(x):
+    d1 = x[:, 1] - x[:, 0]
+    d2 = x[:, 2] - x[:, 0]
+    d3 = x[:, 3] - x[:, 0]
+    return np.einsum("ij,ij->i", _cross(d1, d2), d3) / 6.0
+
+
+def _ref_tet_fields(x):
+    # row i: normal of the face opposite vertex i, added into zeros so a zero is +0.0
+    out = np.zeros_like(x)
+    for i, (a, b, c) in enumerate(((3, 2, 1), (3, 0, 2), (3, 1, 0), (0, 1, 2))):
+        out[:, i] += _cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
+    return out
+
+
+def _ref_pyramid_volumes(x):
+    v = (
+        _ref_tet_volumes(x[:, (0, 1, 2, 4)])
+        + _ref_tet_volumes(x[:, (0, 2, 3, 4)])
+        + _ref_tet_volumes(x[:, (0, 1, 3, 4)])
+        + _ref_tet_volumes(x[:, (1, 2, 3, 4)])
+    )
+    return 0.5 * v
+
+
+# -- reference: the loop kernels ---------------------------------------------
 
 
 def _nu(x, idx):
@@ -37,21 +74,23 @@ def _nu(x, idx):
 
 
 def _ref_fields(kind, x):
-    rows = _TETRA_ROWS if kind is ElementKind.TETRA else geometry._NU_ROWS[kind]
+    if kind is ElementKind.TETRA:
+        return _ref_tet_fields(x)
     out = np.empty_like(x)
-    for i, polys in enumerate(rows):
+    for i, polys in enumerate(geometry._NU_ROWS[kind]):
         acc = _nu(x, polys[0])
         for p in polys[1:]:
             acc = acc + _nu(x, p)
         out[:, i] = acc
-    if kind is not ElementKind.TETRA:
-        out *= 0.5
+    out *= 0.5
     return out
 
 
 def _ref_mean_volumes(kind, x):
-    if kind in (ElementKind.TETRA, ElementKind.PYRAMID):
-        return geometry.element_mean_volumes(kind, x)  # no field inside
+    if kind is ElementKind.TETRA:
+        return _ref_tet_volumes(x)
+    if kind is ElementKind.PYRAMID:
+        return _ref_pyramid_volumes(x)
     xc = x - x.mean(axis=1, keepdims=True)
     return np.einsum("mij,mij->m", xc, _ref_fields(kind, xc)) / 18.0
 
@@ -211,3 +250,87 @@ def test_polygon_normal_matches_loop(n, rng):
     for _ in range(10):
         pts = rng.standard_normal((n, 3)) * 10.0
         assert _same_bits(geometry.polygon_normal(pts), _nu(pts[None], range(n))[0])
+
+
+# -- component-major tetra kernels against the slice form ---------------------
+
+TET_SIZES = [1, 2, 384, 48000]
+_LATTICE = tet_grid(20)  # 48,000 axis-aligned tets: exact zeros in every edge
+
+
+def _coords(case, m, rng, n=4):
+    """A batch (m, n, 3): tets, or pyramids for n=5."""
+    if case == "random":
+        return rng.standard_normal((m, n, 3)) * np.exp(rng.uniform(-3.0, 3.0, size=(m, 1, 1)))
+    if case == "rounded":  # small integers: zero components and zero products of either sign
+        return np.round(rng.uniform(-2.0, 2.0, size=(m, n, 3)))
+    lattice = _LATTICE.vertices[kind_groups(_LATTICE)[ElementKind.TETRA][1][:m]]
+    return lattice if n == 4 else np.concatenate([lattice, lattice[:, :1] + 0.05], axis=1)
+
+
+def _layouts(x):
+    """``x`` in C order and as the transposed view of a component-major gather."""
+    return x, np.ascontiguousarray(x.T).T
+
+
+@pytest.mark.parametrize("m", TET_SIZES)
+@pytest.mark.parametrize("case", ["random", "rounded", "lattice"])
+def test_tet_kernels_match_slice_form(case, m, rng):
+    x = _coords(case, m, rng)
+    vols, fields = _ref_tet_volumes(x), _ref_tet_fields(x)
+    for xl in _layouts(x):
+        assert _same_bits(geometry.tet_signed_volumes(xl), vols)
+        assert _same_bits(geometry.element_mean_volumes(ElementKind.TETRA, xl), vols)
+        assert _same_bits(geometry.element_fields(ElementKind.TETRA, xl), fields)
+
+
+@pytest.mark.parametrize("m", TET_SIZES)
+@pytest.mark.parametrize("case", ["random", "rounded", "lattice"])
+def test_pyramid_mean_volumes_match_slice_form(case, m, rng):
+    x = _coords(case, m, rng, n=5)
+    for xl in _layouts(x):
+        assert _same_bits(geometry.element_mean_volumes(ElementKind.PYRAMID, xl), _ref_pyramid_volumes(x))
+
+
+def _ref_scatter(mesh, coords, scale):
+    grad = np.zeros((len(coords), 3))
+    for kind, (ids, conn) in kind_groups(mesh).items():
+        np.add.at(grad, conn, _ref_fields(kind, coords[conn]) * scale[ids][:, None, None])
+    return grad
+
+
+def _scatter_meshes(m):
+    """Axis-aligned tet meshes of ``m`` elements, and a perturbed copy."""
+    if m <= 2:
+        pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        mesh = make_mesh(pts, [Element(ElementKind.TETRA, (0, 1, 2, 3)), Element(ElementKind.TETRA, (1, 2, 3, 4))][:m])
+    else:
+        mesh = tet_grid(round((m / 6) ** (1 / 3)))
+    return [mesh, perturb_mesh(mesh, 0.015, seed=0, fix_boundary=False)]
+
+
+@pytest.mark.parametrize("m", TET_SIZES)
+def test_scatter_with_scale_matches_add_at(m, rng):
+    for mesh in _scatter_meshes(m):
+        assert mesh.n_elements == m
+        coords = np.array(mesh.vertices)
+        scale = rng.standard_normal(m) * np.exp(rng.uniform(-3.0, 3.0, size=m))
+        scale[::7] = 0.0  # a zero scale turns a field into zeros of either sign
+        expected = _ref_scatter(mesh, coords, scale)
+        assert _same_bits(scatter_element_fields(mesh, coords, scale), expected)
+
+
+def test_mixed_scatter_with_scale_matches_add_at(rng):
+    cube = unit_element(ElementKind.HEXA).vertices
+    pts = np.vstack([cube, [[0.5, 0.5, 1.7], [0.5, 0.5, -0.8], [1.6, 0.5, 0.5], [1.6, 0.5, 1.5]]])
+    elements = [
+        Element(ElementKind.TETRA, (0, 2, 1, 9)),
+        Element(ElementKind.HEXA, range(8)),
+        Element(ElementKind.PYRAMID, (4, 5, 6, 7, 8)),
+        Element(ElementKind.PRISM, (1, 2, 10, 5, 6, 11)),
+        Element(ElementKind.TETRA, (0, 1, 3, 9)),
+    ]
+    mesh = perturb_mesh(make_mesh(pts, elements), 0.05, seed=3, fix_boundary=False)
+    coords = np.array(mesh.vertices)
+    scale = rng.standard_normal(mesh.n_elements)
+    assert _same_bits(scatter_element_fields(mesh, coords, scale), _ref_scatter(mesh, coords, scale))

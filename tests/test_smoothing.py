@@ -414,7 +414,8 @@ def test_config_validation():
             SmoothingConfig(**non_finite)
 
 
-@pytest.mark.parametrize("entry", ["smooth", "smoothing_step", "mesh_quality", "quality_gradient_field"])
+@pytest.mark.parametrize("entry", ["smooth", "smoothing_step", "mesh_quality", "quality_gradient_field",
+                                   "compute_volume_shift", "assemble_field"])
 @pytest.mark.parametrize("bad", ["short", "two-column", "nan", "inf"])
 def test_entry_points_reject_bad_coordinates(entry, bad):
     mesh = tet_grid(2)
@@ -428,6 +429,8 @@ def test_entry_points_reject_bad_coordinates(entry, bad):
         "smoothing_step": lambda: smoothing_step(mesh, coords, config, 0.1),
         "mesh_quality": lambda: quality_module.mesh_quality(mesh, coords),
         "quality_gradient_field": lambda: quality_module.quality_gradient_field(mesh, coords),
+        "compute_volume_shift": lambda: compute_volume_shift(mesh, coords),
+        "assemble_field": lambda: assemble_field(mesh, coords),
     }[entry]
     with pytest.raises(InvalidSpec):
         call()
