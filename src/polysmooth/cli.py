@@ -25,6 +25,13 @@ from .errors import (
 _INPUT_ERRORS = (MalformedFile, UnsupportedCellType, InvalidSpec, InvalidElement, OSError)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, the seeds numpy's generators take."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _measure_spec(args) -> quality.QualityMeasureSpec:
     return quality.QualityMeasureSpec(
         measure=quality.Measure(args.measure),
@@ -175,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-gradients", help="run the finite-difference oracle suite")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check_gradients)
 
     p = sub.add_parser("generate", help="write a built-in test mesh")
     p.add_argument("--spec", required=True, choices=generators.GENERATOR_NAMES)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--size", type=int, default=2, help="cells per side for grid specs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--perturb", type=float, default=0.0)
     p.add_argument("--perturb-boundary", action="store_true",
                    help="also displace boundary vertices")
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-icosahedron",
                        help="roundness ascent on a perturbed regular icosahedron")
     p.add_argument("--perturb", type=float, default=0.05, help="amplitude as fraction of edge length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--sigma0", type=float, default=0.1)
     p.add_argument("--report", default=None)

@@ -339,9 +339,10 @@ def _iq_gradients(tris, x: np.ndarray, vols: np.ndarray, vgrad: np.ndarray) -> n
     return _SIX_SQRT_PI * (vgrad / a32 - 1.5 * (vols[:, None, None] / a52) * agrad)
 
 
-def element_iqs(kind: ElementKind, x) -> np.ndarray:
+def element_iqs(kind: ElementKind, x, vols=None) -> np.ndarray:
+    """Isoperimetric quotients of a batch; ``vols``: its :func:`element_mean_volumes`, computed if None."""
     x = _as_batch(x, kind.vertex_count)
-    return _iq_values(_KIND_TRIANGLES[kind], x, element_mean_volumes(kind, x))
+    return _iq_values(_KIND_TRIANGLES[kind], x, element_mean_volumes(kind, x) if vols is None else vols)
 
 
 def element_iq(kind: ElementKind, x) -> float:
@@ -353,9 +354,10 @@ def element_iq(kind: ElementKind, x) -> float:
     return float(element_iqs(kind, np.asarray(x, dtype=float)[None])[0])
 
 
-def element_iq_gradients(kind: ElementKind, x) -> np.ndarray:
+def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
+    """Gradients of :func:`element_iqs`, ``vols`` as there; given them, one field evaluation, not two."""
     x = _as_batch(x, kind.vertex_count)
-    vols = element_mean_volumes(kind, x)
+    vols = element_mean_volumes(kind, x) if vols is None else vols
     return _iq_gradients(_KIND_TRIANGLES[kind], x, vols, element_fields(kind, x) / 6.0)
 
 

@@ -227,6 +227,16 @@ def vertex_array(points) -> np.ndarray:
     return _freeze(pts)
 
 
+def _checked_coords(mesh: Mesh, coords) -> np.ndarray:
+    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats, finite and of the same shape."""
+    if coords is None:
+        return mesh.vertices
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != mesh.vertices.shape or not np.isfinite(coords).all():
+        raise InvalidSpec(f"coords must be finite, of shape {mesh.vertices.shape}; got shape {coords.shape}")
+    return coords
+
+
 def make_mesh(points, elements) -> Mesh:
     """Build a mesh from raw coordinates and elements, computing adjacency.
 

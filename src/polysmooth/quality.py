@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
 from .geometry import REGULAR_TETRA
-from .mesh import ElementKind, Mesh, kind_groups
+from .mesh import ElementKind, Mesh, _checked_coords, kind_groups
 
 
 def _difference_matrix(x: np.ndarray) -> np.ndarray:
@@ -160,21 +160,11 @@ class QualityReport:
         }
 
 
-def _checked_coords(mesh: Mesh, coords) -> np.ndarray:
-    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats, finite and of the same shape."""
-    if coords is None:
-        return mesh.vertices
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != mesh.vertices.shape or not np.isfinite(coords).all():
-        raise InvalidSpec(f"coords must be finite, of shape {mesh.vertices.shape}; got shape {coords.shape}")
-    return coords
-
-
-def _per_kind(kernel, mesh: Mesh, coords) -> np.ndarray:
-    """``kernel(kind, x)`` of every element, in element order."""
+def _per_kind(kernel, mesh: Mesh, coords, *arrays) -> np.ndarray:
+    """``kernel(kind, x, *(a[ids] for a in arrays))`` of every element, in element order."""
     values = np.empty(mesh.n_elements)
     for kind, (ids, conn) in kind_groups(mesh).items():
-        values[ids] = kernel(kind, geometry.element_batch(kind, coords, conn))
+        values[ids] = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[ids] for a in arrays))
     return values
 
 
@@ -192,13 +182,13 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _scatter(kernel, mesh: Mesh, coords, scale=None) -> np.ndarray:
-    """Sum the (m, n_e, 3) vectors ``kernel(kind, x)`` onto the vertices, each element's times
-    ``scale[id]`` when given. ``np.bincount`` adds them kind by kind in element order, as
-    ``np.add.at`` would, so the sums are bit for bit the same. Weights go component-major."""
+def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None) -> np.ndarray:
+    """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, (m, n_e, 3), onto the vertices, times
+    ``scale[id]`` when given. ``np.bincount`` adds them kind by kind in element order, as ``np.add.at``
+    would, so the sums are bit for bit the same. Weights go component-major."""
     n, idx, weights = len(coords), [], []
     for kind, (ids, conn) in kind_groups(mesh).items():
-        f = kernel(kind, geometry.element_batch(kind, coords, conn)).transpose(2, 0, 1)
+        f = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[ids] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
             f *= np.asarray(scale)[ids][:, None]
         idx.append(conn.ravel())
@@ -216,7 +206,7 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.nda
     the scatter (indexed in element order).
     """
     coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
-    return _scatter(geometry.element_fields, mesh, coords, per_element_scale)
+    return _scatter(geometry.element_fields, mesh, coords, scale=per_element_scale)
 
 
 def _tet_mean_ratios(kind: ElementKind, x: np.ndarray) -> np.ndarray:
@@ -228,8 +218,7 @@ def _tet_mean_ratios(kind: ElementKind, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _MeasureDef:
     """One measure. Its functions take ``(mesh, coords, v)``, with ``v`` the
-    element mean volumes plus any volume shift (None is allowed when
-    ``volumes`` is False: the measure does not read them).
+    element mean volumes plus any volume shift.
 
     ``values`` are the per-element values, ``objective`` the sum or log
     objective the driver ascends. ``vertex_field`` scatters the weighted
@@ -243,7 +232,6 @@ class _MeasureDef:
     vertex_field: Callable | None = None
     divisor: float = 1.0
     degree: float | None = None
-    volumes: bool = False
     shifted: bool = False
     product: bool = False
 
@@ -253,27 +241,26 @@ _MEASURES: dict[Measure, _MeasureDef] = {
         values=lambda mesh, c, v: v,
         objective=lambda mesh, c, v: float(v.sum()),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c), divisor=6.0, degree=2.0,
-        volumes=True,
     ),
     Measure.PRODUCT_SQUARED: _MeasureDef(
         values=lambda mesh, c, v: _require_positive(v) ** 2,
         objective=lambda mesh, c, v: (
             -np.inf if np.any(v <= 0.0) else float(2.0 * np.log(v).sum())),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, 1.0 / _require_positive(v)),
-        divisor=3.0, degree=-1.0, volumes=True, shifted=True, product=True,
+        divisor=3.0, degree=-1.0, shifted=True, product=True,
     ),
     Measure.INVERSE_SQUARED_SUM: _MeasureDef(
         values=lambda mesh, c, v: -1.0 / _require_positive(v) ** 2,
         objective=lambda mesh, c, v: (
             -np.inf if np.any(v <= 0.0) else float(-np.sum(v**-2))),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, _require_positive(v) ** -3),
-        divisor=3.0, degree=-7.0, volumes=True, shifted=True,
+        divisor=3.0, degree=-7.0, shifted=True,
     ),
     Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c)),
     Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
-        values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c),
-        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c).sum()),
-        vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c), degree=-1.0,
+        values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v),
+        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c, v).sum()),
+        vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c, v), degree=-1.0,
     ),
 }
 
@@ -281,8 +268,8 @@ _MEASURES: dict[Measure, _MeasureDef] = {
 _COMBINE = {Combiner.ARITHMETIC_MEAN: np.mean, Combiner.SUM: np.sum, Combiner.MIN: np.min}
 
 
-def _shifted(vols: np.ndarray | None, shift: float | None) -> np.ndarray | None:
-    return vols + shift if shift and vols is not None else vols
+def _shifted(vols: np.ndarray, shift: float | None) -> np.ndarray:
+    return vols + shift if shift else vols
 
 
 def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> QualityReport:
@@ -327,8 +314,7 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     if measure.vertex_field is None:
         raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
     coords = _checked_coords(mesh, coords)
-    vols = mesh_mean_volumes(mesh, coords) if measure.volumes else None
-    v = _shifted(vols, spec.volume_shift)
+    v = _shifted(mesh_mean_volumes(mesh, coords), spec.volume_shift)
     if measure.product:
         # d(prod)/dx = prod * d(log prod)/dx
         scale = np.prod(measure.values(mesh, coords, v))

@@ -49,12 +49,11 @@ from .errors import (
     NonHomogeneous,
     ZeroField,
 )
-from .mesh import Mesh, boundary_faces
+from .mesh import Mesh, _checked_coords, boundary_faces
 from .quality import (
     _MEASURES,
     Measure,
     QualityMeasureSpec,
-    _checked_coords,
     _require_positive,
     _shifted,
     _volume_shift,
@@ -213,9 +212,9 @@ class _Flow:
     """One ascent problem, with the boundary policy already applied.
 
     ``objective(coords)`` returns the objective at ``coords`` and a state
-    that ``field(coords, state)`` reuses at the same coordinates (the mean
-    volumes plus the volume shift, or None when the measure reads none and
-    no guard is active).
+    that ``field(coords, state)`` reuses at the same coordinates: the one
+    volume pass there (a mesh's shifted mean volumes; a polyhedron's volume
+    and its gradient).
     The objective is ``-inf`` when a step has inverted an element that was
     valid at the start. ``field`` is zero on the vertices the policy fixes,
     and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
@@ -426,7 +425,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     guard = bool(np.all(vols0 > 0.0))
 
     def objective(c):
-        vols = mesh_mean_volumes(mesh, c) if measure.volumes or guard else None
+        vols = mesh_mean_volumes(mesh, c)
         v = _shifted(vols, shift)
         if guard and not vols.min() > 0.0:
             return -np.inf, v
@@ -502,12 +501,16 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     """
     config = config or SmoothingConfig()
     coords = project_shape(np.array(coords, dtype=float))
+    tris = geometry._face_triangles(faces)
+
+    def iq(c, state):
+        return float(geometry._iq_values(tris, c[None], state[0])[0])
 
     def objective(c):
-        if not geometry.polyhedron_mean_volume(faces, c) > 0.0:
-            return -np.inf, None
-        return geometry.polyhedron_iq(faces, c), None
+        state = geometry._div_volumes(tris, c)  # the volume and its gradient
+        return (iq(c, state) if state[0][0] > 0.0 else -np.inf), state
 
-    flow = _Flow(objective, lambda c, _state: geometry.polyhedron_iq_gradient(faces, c),
+    flow = _Flow(objective, lambda c, state: geometry._iq_gradients(tris, c[None], *state)[0],
                  _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
-    return _drive(coords, flow, geometry.polyhedron_iq(faces, coords), None, config)
+    state0 = geometry._div_volumes(tris, coords)
+    return _drive(coords, flow, iq(coords, state0), state0, config)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedFile, UnsupportedCellType
-from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, make_mesh
+from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, _checked_coords, make_mesh
 
 CELL_TYPE_BY_KIND = {
     ElementKind.TETRA: 10,
@@ -252,12 +252,12 @@ _TYPE_LINE = {code: f"{CELL_TYPE_BY_KIND[kind]}\n" for kind, code in KIND_CODES.
 
 
 def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -> None:
-    """Write the mesh (optionally with replacement coordinates) byte-stably.
+    """Write the mesh (optionally with replacement coordinates, checked first) byte-stably.
 
     ``point_data`` / ``cell_data`` are name -> 1d-array mappings emitted as
     scalar arrays in sorted name order.
     """
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
+    coords = _checked_coords(mesh, coords)
     cells = mesh.elements
     n, counts, codes = len(cells), cells.counts, cells.codes.tolist()
     listing = np.insert(cells.flat, np.cumsum(counts) - counts, counts)  # each count, then the vertices

@@ -121,6 +121,17 @@ def test_unknown_spec_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", "tet-cube", "--perturb", "0.1"], ["demo-icosahedron"], ["check-gradients"]])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.vtk"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out)] if argv[0] == "generate" else []) + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("argument --seed: must be >= 0, got -1")
+    assert not out.exists()
+
+
 def test_bad_size_is_input_error(tmp_path, capsys):
     code, _, err = _run(
         capsys, "generate", "--spec", "hex-cube", "--size", "0",

@@ -17,7 +17,7 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.geometry import element_field, element_fields, element_iq_gradients
+from polysmooth.geometry import element_field, element_fields, element_iq_gradients, element_iqs
 from polysmooth.mesh import kind_groups
 from polysmooth.quality import (
     Combiner,
@@ -32,7 +32,7 @@ from polysmooth.quality import (
     quality_gradient_field,
     scatter_element_fields,
 )
-from polysmooth.quality import _scatter
+from polysmooth.quality import _per_kind, _scatter
 
 
 def _random_valid_tet(rng):
@@ -332,6 +332,21 @@ def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
         add_at(lambda k, ids, x: element_fields(k, x) * scale[ids][:, None, None]))
     assert np.array_equal(
         _scatter(element_iq_gradients, mesh, coords), add_at(lambda k, ids, x: element_iq_gradients(k, x)))
+
+
+@pytest.mark.parametrize("combiner", [Combiner.SUM, Combiner.ARITHMETIC_MEAN])
+def test_iq_reads_the_volume_pass_bit_for_bit(interleaved_mesh, rng, combiner):
+    # the reference path: every iq kernel computes its batch's volumes itself
+    mesh = interleaved_mesh
+    coords = mesh.vertices + rng.uniform(-0.1, 0.1, size=mesh.vertices.shape)
+    spec = QualityMeasureSpec(Measure.ISOPERIMETRIC_QUOTIENT, combiner)
+    values = _per_kind(element_iqs, mesh, coords)
+    report = mesh_quality(mesh, coords, spec)
+    assert report.per_element.tobytes() == values.tobytes()
+    assert report.global_value == float((np.sum if combiner is Combiner.SUM else np.mean)(values))
+    scale = 1.0 if combiner is Combiner.SUM else 1.0 / mesh.n_elements
+    expected = scale / 1.0 * _scatter(element_iq_gradients, mesh, coords)
+    assert quality_gradient_field(mesh, coords, spec).tobytes() == expected.tobytes()
 
 
 def test_q1_product_underflow_is_reported_in_logs_and_raised_by_the_gradient():

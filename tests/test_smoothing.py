@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysmooth import Element, ElementKind, make_mesh
+from polysmooth import geometry as geometry_module
 from polysmooth import mesh as mesh_module
 from polysmooth import quality as quality_module
 from polysmooth import smoothing as smoothing_module
@@ -28,7 +29,8 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.geometry import element_field
+from polysmooth.geometry import element_field, polyhedron_iq, polyhedron_iq_gradient, polyhedron_mean_volume
+from polysmooth.mesh import kind_groups
 from polysmooth.quality import (
     Combiner,
     Measure,
@@ -46,6 +48,8 @@ from polysmooth.smoothing import (
     _build_flow,
     _closest_on_triangles,
     _closest_points,
+    _drive,
+    _Flow,
     _Surface,
     assemble_field,
     homogeneity_degree,
@@ -55,6 +59,7 @@ from polysmooth.smoothing import (
     smooth_polyhedron,
     smoothing_step,
 )
+from polysmooth.vtkio import write_mesh
 
 
 def _config(measure, **kw):
@@ -64,6 +69,14 @@ def _config(measure, **kw):
     )
     defaults.update(kw)
     return SmoothingConfig(**defaults)
+
+
+def _trials(report, config):
+    """Backtracking trials of a run with the default step policy, read off its step sizes."""
+    trials = sum(1 + round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma)
+    if report.termination is Termination.BACKTRACKING_FAILED:
+        trials += config.max_halvings + 1
+    return trials
 
 
 def _strictly_increasing(report):
@@ -415,9 +428,9 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("entry", ["smooth", "smoothing_step", "mesh_quality", "quality_gradient_field",
-                                   "compute_volume_shift", "assemble_field"])
+                                   "compute_volume_shift", "assemble_field", "write_mesh"])
 @pytest.mark.parametrize("bad", ["short", "two-column", "nan", "inf"])
-def test_entry_points_reject_bad_coordinates(entry, bad):
+def test_entry_points_reject_bad_coordinates(entry, bad, tmp_path):
     mesh = tet_grid(2)
     assert mesh.n_vertices == 27
     coords = {"short": mesh.vertices[:3], "two-column": mesh.vertices[:, :2]}.get(bad, mesh.vertices.copy())
@@ -431,9 +444,11 @@ def test_entry_points_reject_bad_coordinates(entry, bad):
         "quality_gradient_field": lambda: quality_module.quality_gradient_field(mesh, coords),
         "compute_volume_shift": lambda: compute_volume_shift(mesh, coords),
         "assemble_field": lambda: assemble_field(mesh, coords),
+        "write_mesh": lambda: write_mesh(mesh, tmp_path / "out.vtk", coords=coords),
     }[entry]
     with pytest.raises(InvalidSpec):
         call()
+    assert not any(tmp_path.iterdir())  # checked before any file is opened
 
 
 def test_closest_point_on_triangles_regions():
@@ -587,7 +602,7 @@ def test_project_policy_contract_on_a_10_cube():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Builds of the per-kind groups and calls of the mean-volume pass, by name."""
+    """Builds of the per-kind groups, calls of the mean-volume pass and of the geometry kernels, by name."""
     counts = Counter()
 
     def counting(name, fn):
@@ -600,6 +615,8 @@ def counts(monkeypatch):
     monkeypatch.setattr(mesh_module, "_group_by_kind", counting("groups_built", mesh_module._group_by_kind))
     for module in (quality_module, smoothing_module):
         monkeypatch.setattr(module, "mesh_mean_volumes", volumes)
+    for name in ("element_mean_volumes", "element_fields", "_div_volumes", "_face_triangles"):
+        monkeypatch.setattr(geometry_module, name, counting(name, getattr(geometry_module, name)))
     return counts
 
 
@@ -617,13 +634,65 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, pol
     mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
     config = _config(measure, max_iterations=20, sigma0=2.0, boundary_policy=policy)
     _, report = smooth(mesh, config)
-    trials = sum(1 + round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma)
-    if report.termination is Termination.BACKTRACKING_FAILED:
-        trials += config.max_halvings + 1
+    trials = _trials(report, config)
     assert trials > report.iterations > 0  # backtracking happened
     assert counts["groups_built"] == 1
     # besides the trials, only the flow set-up, which also gives the initial objective
     assert counts["volume_passes"] == trials + 1
+
+
+def test_iq_smooth_of_a_mixed_mesh_reads_one_volume_pass_per_trial(interleaved_mesh, counts):
+    mesh = perturb_mesh(interleaved_mesh, 0.1, seed=1)
+    kinds = len(kind_groups(mesh))
+    assert kinds == 4
+    config = _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=8, sigma0=2.0)
+    _, report = smooth(mesh, config)
+    trials = _trials(report, config)
+    assert trials > report.iterations > 0
+    # the iq values and gradients read the pass's volumes instead of computing their own
+    assert counts["element_mean_volumes"] == (trials + 1) * kinds
+
+
+def test_iq_field_evaluates_the_field_once_per_kind(interleaved_mesh, counts):
+    mesh = perturb_mesh(interleaved_mesh, 0.1, seed=1)
+    flow, _, v = _build_flow(mesh, _config(Measure.ISOPERIMETRIC_QUOTIENT), mesh.vertices)
+    counts.clear()
+    flow.field(mesh.vertices, v)
+    assert counts["element_fields"] == len(kind_groups(mesh))
+    assert counts["element_mean_volumes"] == 0
+
+
+def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
+    coords, faces = icosahedron_polyhedron()
+    start = coords + 0.1 * np.random.default_rng(0).standard_normal(coords.shape)
+    config = SmoothingConfig(max_iterations=40, field_tol=1e-10)
+    _, report = smooth_polyhedron(start, faces, config)
+    trials = _trials(report, config)
+    assert trials > report.iterations > 0
+    assert counts["_div_volumes"] == trials + 1
+    assert counts["_face_triangles"] == 1
+
+
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+def test_smooth_polyhedron_is_the_drive_over_the_polyhedron_functions(mirror):
+    # the reference flow recomputes the volume for every use and triangulates on every call;
+    # a mirrored start is invalid, and its initial objective is still its iq
+    coords, faces = icosahedron_polyhedron()
+    start = (coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)) * [mirror, 1.0, 1.0]
+    config = SmoothingConfig(max_iterations=30, field_tol=1e-10)
+
+    def objective(c):
+        if not polyhedron_mean_volume(faces, c) > 0.0:
+            return -np.inf, None
+        return polyhedron_iq(faces, c), None
+
+    flow = _Flow(objective, lambda c, _state: polyhedron_iq_gradient(faces, c), -1.0, project_shape)
+    shape = project_shape(start)
+    expected_coords, expected = _drive(shape, flow, polyhedron_iq(faces, shape), None, config)
+    got_coords, got = smooth_polyhedron(start, faces, config)
+    assert got_coords.tobytes() == expected_coords.tobytes()
+    assert got.to_json_dict() == expected.to_json_dict()
+    assert np.sign(got.initial_quality) == mirror
 
 
 def test_project_policy_builds_connectivity_once(monkeypatch):
