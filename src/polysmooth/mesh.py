@@ -227,14 +227,22 @@ def vertex_array(points) -> np.ndarray:
     return _freeze(pts)
 
 
-def _checked_coords(mesh: Mesh, coords) -> np.ndarray:
-    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats, finite and of the same shape."""
+def _shaped_coords(mesh: Mesh, coords) -> np.ndarray:
+    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats of the same shape (an O(1) check)."""
     if coords is None:
         return mesh.vertices
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != mesh.vertices.shape or not np.isfinite(coords).all():
-        raise InvalidSpec(f"coords must be finite, of shape {mesh.vertices.shape}; got shape {coords.shape}")
+    if coords.shape != mesh.vertices.shape:
+        raise InvalidSpec(f"coords must be of shape {mesh.vertices.shape}; got shape {coords.shape}")
     return coords
+
+
+def _checked_coords(mesh: Mesh, coords) -> np.ndarray:
+    """:func:`_shaped_coords`, and finite."""
+    checked = _shaped_coords(mesh, coords)
+    if coords is not None and not np.isfinite(checked).all():
+        raise InvalidSpec("coords must be finite")
+    return checked
 
 
 def make_mesh(points, elements) -> Mesh:

@@ -4,9 +4,15 @@ Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
 :func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing
 driver all read. Its functions take ``(mesh, coords, v)``, ``v`` the
 shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
-through two helpers only: one maps a kernel over the kinds, one scatters
-per-element vectors onto the vertices. Per-element contributions are summed
-in element order, so repeated runs are bit-reproducible.
+through two helpers only: one maps a kernel over the elements, one scatters
+per-element vectors onto the vertices. Both walk each kind in blocks of
+``_BLOCK`` elements, gathering and evaluating one block at a time, so every
+temporary stays near the size of the L2 cache and the allocator reuses it
+instead of mapping and faulting in fresh pages on every call. The scatter
+writes each block's weights into one array in place and sums them with one
+``np.bincount`` per component, in element order within each kind, so
+results do not depend on the block size and repeated runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from . import geometry
 from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
 from .geometry import REGULAR_TETRA
-from .mesh import ElementKind, Mesh, _checked_coords, kind_groups
+from .mesh import ElementKind, Mesh, _checked_coords, _shaped_coords, kind_groups
 
 
 def _difference_matrix(x: np.ndarray) -> np.ndarray:
@@ -160,17 +166,33 @@ class QualityReport:
         }
 
 
+_BLOCK = 8192  # elements per block: a tet block's coordinates and fields take 0.8 MB each
+
+
+def _blocks(mesh: Mesh, coords):
+    """``(kind, ids, conn, x)`` for blocks of at most ``_BLOCK`` elements, kind by kind in element order;
+    ``x`` is the block's :func:`geometry.element_batch`."""
+    for kind, (ids, conn) in kind_groups(mesh).items():
+        for i in range(0, len(ids), _BLOCK):
+            c = conn[i : i + _BLOCK]
+            yield kind, ids[i : i + _BLOCK], c, geometry.element_batch(kind, coords, c)
+
+
 def _per_kind(kernel, mesh: Mesh, coords, *arrays) -> np.ndarray:
     """``kernel(kind, x, *(a[ids] for a in arrays))`` of every element, in element order."""
     values = np.empty(mesh.n_elements)
-    for kind, (ids, conn) in kind_groups(mesh).items():
-        values[ids] = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[ids] for a in arrays))
+    for kind, ids, _, x in _blocks(mesh, coords):
+        values[ids] = kernel(kind, x, *(a[ids] for a in arrays))
     return values
 
 
 def mesh_mean_volumes(mesh: Mesh, coords=None) -> np.ndarray:
-    """Mean volume of every element, in element order."""
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
+    """Mean volume of every element, in element order.
+
+    ``coords`` must have the shape of ``mesh.vertices`` (``InvalidSpec``
+    otherwise); its values are not scanned.
+    """
+    coords = _shaped_coords(mesh, coords)
     return _per_kind(geometry.element_mean_volumes, mesh, coords)
 
 
@@ -184,28 +206,31 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
 
 def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None) -> np.ndarray:
     """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, (m, n_e, 3), onto the vertices, times
-    ``scale[id]`` when given. ``np.bincount`` adds them kind by kind in element order, as ``np.add.at``
-    would, so the sums are bit for bit the same. Weights go component-major."""
-    n, idx, weights = len(coords), [], []
-    for kind, (ids, conn) in kind_groups(mesh).items():
-        f = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[ids] for a in arrays)).transpose(2, 0, 1)
+    ``scale[id]`` when given. Block by block the fields fill one component-major weight array in place;
+    ``np.bincount`` adds them kind by kind in element order, as ``np.add.at`` would, so the sums are bit
+    for bit the same."""
+    conns = [conn.ravel() for _, conn in kind_groups(mesh).values()]
+    if not conns:
+        return np.zeros((len(coords), 3))
+    idx = conns[0] if len(conns) == 1 else np.concatenate(conns)
+    weights, at = np.empty((3, idx.size)), 0
+    for kind, ids, conn, x in _blocks(mesh, coords):
+        w = weights[:, at : at + conn.size].reshape(3, *conn.shape)
+        w[...] = kernel(kind, x, *(a[ids] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
-            f *= np.asarray(scale)[ids][:, None]
-        idx.append(conn.ravel())
-        weights.append(f.reshape(3, -1))
-    if not idx:
-        return np.zeros((n, 3))
-    idx, weights = np.concatenate(idx), np.concatenate(weights, axis=1)
-    return np.stack([np.bincount(idx, w, minlength=n) for w in weights], axis=1)
+            w *= np.asarray(scale)[ids][:, None]
+        at += conn.size
+    return np.stack([np.bincount(idx, w, minlength=len(coords)) for w in weights], axis=1)
 
 
 def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
     """Sum per-element transformation fields onto mesh vertices.
 
     ``per_element_scale`` optionally multiplies each element's field before
-    the scatter (indexed in element order).
+    the scatter (indexed in element order). ``coords`` must have the shape
+    of ``mesh.vertices`` (``InvalidSpec`` otherwise); its values are not scanned.
     """
-    coords = mesh.vertices if coords is None else np.asarray(coords, dtype=float)
+    coords = _shaped_coords(mesh, coords)
     return _scatter(geometry.element_fields, mesh, coords, scale=per_element_scale)
 
 

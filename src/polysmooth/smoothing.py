@@ -497,7 +497,8 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
 
     Maximizes the isoperimetric quotient of the surface given by ``faces``
     under the free policy; the measure and boundary settings of ``config``
-    are ignored, only its numeric knobs apply.
+    are ignored, only its numeric knobs apply. As in :func:`smooth`, steps
+    to a nonpositive volume are rejected only when the start's is positive.
     """
     config = config or SmoothingConfig()
     coords = project_shape(np.array(coords, dtype=float))
@@ -506,11 +507,13 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     def iq(c, state):
         return float(geometry._iq_values(tris, c[None], state[0])[0])
 
+    state0 = geometry._div_volumes(tris, coords)  # the volume and its gradient
+    guard = state0[0][0] > 0.0  # as for a mesh: an inverted start may pass through volume 0
+
     def objective(c):
-        state = geometry._div_volumes(tris, c)  # the volume and its gradient
-        return (iq(c, state) if state[0][0] > 0.0 else -np.inf), state
+        state = geometry._div_volumes(tris, c)
+        return (-np.inf if guard and not state[0][0] > 0.0 else iq(c, state)), state
 
     flow = _Flow(objective, lambda c, state: geometry._iq_gradients(tris, c[None], *state)[0],
                  _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
-    state0 = geometry._div_volumes(tris, coords)
     return _drive(coords, flow, iq(coords, state0), state0, config)

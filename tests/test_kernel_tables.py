@@ -7,7 +7,9 @@ kernels are checked against their slice form, also verbatim: the field as
 cross products of strided (m, 3) slices, the volume as an ``np.einsum`` dot
 product. The scatter is checked against ``np.add.at``. Every comparison is
 on the bytes, so the sign of a zero counts too: each kernel adds the same
-terms in the same order, so no bit may move.
+terms in the same order, so no bit may move. Last, the block walk of
+``quality`` is checked against each kernel on whole kind groups, at and
+around the block size.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from polysmooth import ElementKind, geometry
+from polysmooth import ElementKind, geometry, quality
 from polysmooth.errors import DegenerateElement, InvalidPolygon
 from polysmooth.generators import (
     hex_grid,
@@ -26,8 +28,8 @@ from polysmooth.generators import (
     unit_element,
 )
 from polysmooth.geometry import _cross
-from polysmooth.mesh import FACES, Element, kind_groups, make_mesh
-from polysmooth.quality import scatter_element_fields
+from polysmooth.mesh import FACES, KIND_CODES, Connectivity, Element, kind_groups, make_mesh
+from polysmooth.quality import Measure, scatter_element_fields
 
 ALL_KINDS = list(ElementKind)
 
@@ -334,3 +336,84 @@ def test_mixed_scatter_with_scale_matches_add_at(rng):
     coords = np.array(mesh.vertices)
     scale = rng.standard_normal(mesh.n_elements)
     assert _same_bits(scatter_element_fields(mesh, coords, scale), _ref_scatter(mesh, coords, scale))
+
+
+# -- the block walk of quality against whole-group evaluation -----------------
+
+_B = quality._BLOCK
+BLOCK_SIZES = [_B - 1, _B, _B + 1, 2 * _B + 3]
+
+
+def _whole(kernel, mesh, coords, *arrays):
+    values = np.empty(mesh.n_elements)
+    for kind, (ids, conn) in kind_groups(mesh).items():
+        values[ids] = kernel(kind, coords[conn], *(a[ids] for a in arrays))
+    return values
+
+
+def _whole_scatter(kernel, mesh, coords, *arrays, scale=None):
+    grad = np.zeros((len(coords), 3))
+    for kind, (ids, conn) in kind_groups(mesh).items():
+        f = kernel(kind, coords[conn], *(a[ids] for a in arrays))
+        np.add.at(grad, conn, f if scale is None else f * scale[ids][:, None, None])
+    return grad
+
+
+def _unit_volume(mesh, k, seed):
+    """``mesh`` from a k^3 grid, perturbed, scaled to a geometric mean volume of 1: the q1 product stays finite."""
+    mesh = perturb_mesh(mesh, 0.1 / k, seed=seed, fix_boundary=False)
+    log_mean = np.log(_whole(geometry.element_mean_volumes, mesh, mesh.vertices)).mean()
+    return make_mesh(mesh.vertices * np.exp(-log_mean / 3.0), mesh.elements)
+
+
+def _tet_cube(m):
+    """The first ``m`` tets of a tet grid."""
+    k = math.ceil((m / 6) ** (1 / 3))
+    grid = tet_grid(k)
+    cells = Connectivity(grid.elements.codes[:m], grid.elements.flat[: 4 * m])
+    return _unit_volume(make_mesh(grid.vertices, cells), k, m)
+
+
+def _tet_hex_cube(k):
+    """A k^3 grid whose cells split into six tets, but every seventh stays a hexahedron."""
+    grid = tet_grid(k)
+    tets, hexa = grid.elements.flat.reshape(k**3, 24), hex_grid(k).elements.flat.reshape(k**3, 8)
+    is_hex = np.arange(k**3) % 7 == 3
+    codes = np.concatenate([[KIND_CODES[ElementKind.HEXA]] if h else [KIND_CODES[ElementKind.TETRA]] * 6
+                            for h in is_hex])
+    flat = np.concatenate([hexa[i] if h else tets[i] for i, h in enumerate(is_hex)])
+    return _unit_volume(make_mesh(grid.vertices, Connectivity(codes, flat)), k, 0)
+
+
+@pytest.mark.parametrize("m", [*BLOCK_SIZES, "tets-and-hexa"])
+def test_block_walk_matches_whole_groups(m, rng):
+    if m == "tets-and-hexa":
+        mesh = _tet_hex_cube(13)
+        assert len(kind_groups(mesh)[ElementKind.TETRA][0]) > _B  # the tets span two blocks
+    else:
+        mesh = _tet_cube(m)
+        assert mesh.n_elements == m
+    coords = np.array(mesh.vertices)
+    n = mesh.n_elements
+    v = _whole(geometry.element_mean_volumes, mesh, coords)
+    assert v.min() > 0.0
+    assert _same_bits(quality.mesh_mean_volumes(mesh, coords), v)
+    scale = rng.standard_normal(n)
+    assert _same_bits(scatter_element_fields(mesh, coords), _whole_scatter(geometry.element_fields, mesh, coords))
+    assert _same_bits(scatter_element_fields(mesh, coords, scale),
+                      _whole_scatter(geometry.element_fields, mesh, coords, scale=scale))
+    expected = {
+        Measure.PRODUCT_SQUARED: np.prod(v**2) / 3.0 * _whole_scatter(
+            geometry.element_fields, mesh, coords, scale=1.0 / v),
+        Measure.INVERSE_SQUARED_SUM: 1.0 / n / 3.0 * _whole_scatter(
+            geometry.element_fields, mesh, coords, scale=v**-3),
+        Measure.ISOPERIMETRIC_QUOTIENT: 1.0 / n / 1.0 * _whole_scatter(
+            geometry.element_iq_gradients, mesh, coords, v),
+    }
+    assert 0.0 < np.prod(v**2) < np.inf
+    for measure, grad in expected.items():
+        got = quality.quality_gradient_field(mesh, coords, quality.QualityMeasureSpec(measure))
+        assert _same_bits(got, grad), measure
+    if list(kind_groups(mesh)) == [ElementKind.TETRA]:
+        ratios = quality.mesh_quality(mesh, coords, quality.QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
+        assert _same_bits(ratios, _whole(lambda kind, x: quality._mean_ratios(x), mesh, coords))

@@ -259,6 +259,15 @@ def test_gradient_translation_invariant():
     assert np.allclose(g0, g1, atol=1e-10 * np.abs(g0).max())
 
 
+@pytest.mark.parametrize("entry", [mesh_mean_volumes, scatter_element_fields])
+@pytest.mark.parametrize("shape", [(3, 3), (27, 2), (28, 3)])
+def test_unscanned_entry_points_reject_wrong_shapes(entry, shape):
+    mesh = tet_grid(2)
+    assert mesh.n_vertices == 27
+    with pytest.raises(InvalidSpec):
+        entry(mesh, np.zeros(shape))
+
+
 def test_min_combiner_has_no_gradient():
     mesh = unit_element(ElementKind.TETRA)
     with pytest.raises(InvalidSpec):

@@ -676,23 +676,35 @@ def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
 @pytest.mark.parametrize("mirror", [1.0, -1.0])
 def test_smooth_polyhedron_is_the_drive_over_the_polyhedron_functions(mirror):
     # the reference flow recomputes the volume for every use and triangulates on every call;
-    # a mirrored start is invalid, and its initial objective is still its iq
+    # a mirrored start is invalid, so as for a mesh no step is guarded, and its initial objective is its iq
     coords, faces = icosahedron_polyhedron()
     start = (coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)) * [mirror, 1.0, 1.0]
     config = SmoothingConfig(max_iterations=30, field_tol=1e-10)
+    shape = project_shape(start)
+    guard = polyhedron_mean_volume(faces, shape) > 0.0
 
     def objective(c):
-        if not polyhedron_mean_volume(faces, c) > 0.0:
+        if guard and not polyhedron_mean_volume(faces, c) > 0.0:
             return -np.inf, None
         return polyhedron_iq(faces, c), None
 
     flow = _Flow(objective, lambda c, _state: polyhedron_iq_gradient(faces, c), -1.0, project_shape)
-    shape = project_shape(start)
     expected_coords, expected = _drive(shape, flow, polyhedron_iq(faces, shape), None, config)
     got_coords, got = smooth_polyhedron(start, faces, config)
     assert got_coords.tobytes() == expected_coords.tobytes()
     assert got.to_json_dict() == expected.to_json_dict()
     assert np.sign(got.initial_quality) == mirror
+
+
+def test_smooth_polyhedron_ascends_from_an_inverted_start():
+    # the start's volume is negative, so no trial is guarded: the flow passes through volume 0
+    coords, faces = icosahedron_polyhedron()
+    start = (coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)) * [-1.0, 1.0, 1.0]
+    _, report = smooth_polyhedron(start, faces)
+    assert report.initial_quality < 0.0
+    assert report.iterations > 0
+    assert np.all(np.diff([report.initial_quality, *report.quality]) > 0.0)
+    assert report.quality[-1] > 0.0
 
 
 def test_project_policy_builds_connectivity_once(monkeypatch):
