@@ -18,7 +18,9 @@ read (:func:`kind_groups`), built on first use. A mesh built from another
 mesh's ``elements`` shares the arrays and the cached groups.
 
 :func:`make_mesh` also stores vertex valence and boundary flags, from one
-``np.bincount`` and one sort over the stacked element faces.
+``np.bincount`` and, for each face size, one two-key sort over the stacked
+element faces: a sorting network orders each face's vertices, which are
+packed into two int64 keys.
 :func:`~polysmooth.generators.perturb_mesh` moves vertices only and keeps
 its input's adjacency.
 """
@@ -186,6 +188,32 @@ def _group_by_kind(cells: Connectivity) -> dict[ElementKind, tuple[np.ndarray, n
     return groups
 
 
+# compare-exchanges that put 3 or 4 columns in ascending order
+_SORTING_NETWORK = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+_MAX_KEYED_VERTICES = 3_037_000_499  # the largest n whose n * n fits in int64
+
+
+def _face_keys(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two int64 keys per face, equal exactly for faces with the same vertex set.
+
+    A sorting network orders each face's vertices; with ``n`` one past the
+    largest index, ``hi = v0 * n + v1`` and ``lo`` is ``v2`` (triangles) or
+    ``v2 * n + v3`` (quads).
+    """
+    n = int(faces.max(initial=-1)) + 1
+    if n > _MAX_KEYED_VERTICES:
+        raise InvalidSpec(f"face matching needs vertex indices below {_MAX_KEYED_VERTICES}; got {n - 1}")
+    # int32 columns below 2**31: half the memory of the network's temporaries
+    cols = list(np.ascontiguousarray(faces.T, dtype=np.int32 if n <= 2**31 else np.int64))
+    for i, j in _SORTING_NETWORK[len(cols)]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    hi = cols[0].astype(np.int64) * n + cols[1]
+    lo = cols[2].astype(np.int64)
+    if len(cols) == 4:
+        lo = lo * n + cols[3]
+    return hi, lo
+
+
 def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every oriented element face, stacked by face size.
 
@@ -194,25 +222,33 @@ def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray
     elements in order and their faces in :data:`FACES` order, and ``once``
     flags faces whose vertex set occurs exactly once among faces of that size.
     """
-    stacks: dict[int, tuple[list, list]] = {}
+    stacks: dict[int, list] = {}
     for kind, (ids, conn) in groups.items():
         for j, face in enumerate(FACES[kind]):
-            faces, order = stacks.setdefault(len(face), ([], []))
-            faces.append(conn[:, face])
-            order.append(ids * _MAX_FACES + j)
+            stacks.setdefault(len(face), []).append((ids, conn, j, face))
     out = {}
-    for size in list(stacks):
-        # parts dropped once stacked, int32 keys: half the peak memory at size
-        faces, order = (np.concatenate(parts) for parts in stacks.pop(size))
-        keys = faces.astype(np.int32 if faces.max(initial=0) < 2**31 else np.int64)
-        keys.sort(axis=1)
-        perm = np.lexsort(keys.T[::-1])
-        keys = keys[perm]
-        starts = np.ones(len(keys), dtype=bool)
-        starts[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        run = np.cumsum(starts) - 1
-        once = np.empty(len(keys), dtype=bool)
-        once[perm] = np.bincount(run)[run] == 1
+    for size, parts in stacks.items():
+        # each part gathered into place: no per-part copies to concatenate
+        total = sum(len(ids) for ids, *_ in parts)
+        faces, order = np.empty((total, size), dtype=np.int64), np.empty(total, dtype=np.int64)
+        stop = 0
+        for ids, conn, j, face in parts:
+            start, stop = stop, stop + len(ids)
+            np.take(conn, face, axis=1, out=faces[start:stop], mode="clip")  # "raise" would buffer
+            order[start:stop] = ids * _MAX_FACES + j
+        hi, lo = _face_keys(faces)
+        perm = np.lexsort((lo, hi))
+        # a face occurs once when both it and its successor in sorted order start a run
+        starts = np.ones(len(perm) + 1, dtype=bool)
+        # one key permuted at a time and freed once compared: a lower peak
+        hi = hi[perm]
+        starts[1:-1] = hi[1:] != hi[:-1]
+        del hi
+        lo = lo[perm]
+        starts[1:-1] |= lo[1:] != lo[:-1]
+        del lo
+        once = np.empty(len(perm), dtype=bool)
+        once[perm] = starts[:-1] & starts[1:]
         out[size] = (faces, order, once)
     return out
 

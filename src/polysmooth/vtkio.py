@@ -7,7 +7,10 @@ vertically i <-> i+3), so only the 0-based indexing carries over.
 
 Output is byte-stable: fixed section order, 17-significant-digit floats, LF
 line endings. Writing and re-reading a mesh reproduces coordinates bit for
-bit. Each section is formatted by one ``%`` operation over all its numbers.
+bit. Each float section is formatted by one ``%`` operation over all its
+numbers. The integer sections, CELLS and CELL_TYPES, are gathered from a
+digit table that spells each number up to the largest once, so they cost
+array operations, not one Python object per integer.
 
 The reader accepts any whitespace layout. It parses the POINTS, CELLS,
 CELL_TYPES and scalar sections with numpy, which reads each number as
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedFile, UnsupportedCellType
+from .errors import InvalidSpec, MalformedFile, UnsupportedCellType
 from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, _checked_coords, make_mesh
 
 CELL_TYPE_BY_KIND = {
@@ -169,7 +172,7 @@ def read_document(path) -> MeshDocument:
     total = body.next_count("cell list size")
     first_token = body.pos
     flat = body.array(total, int, "cell list entry")
-    values, starts, consumed = flat.tolist(), [], 0
+    values, starts, consumed = memoryview(flat), [], 0  # one Python int at a time, not a list of all
     for i in range(n_cells):
         if consumed >= total:
             fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
@@ -247,28 +250,55 @@ def read_mesh(path) -> Mesh:
     return mesh_from_document(read_document(path))
 
 
-_CELL_LINE = {code: "%d" + " %d" * kind.vertex_count + "\n" for kind, code in KIND_CODES.items()}
-_TYPE_LINE = {code: f"{CELL_TYPE_BY_KIND[kind]}\n" for kind, code in KIND_CODES.items()}
+_CELL_TYPES = np.array([CELL_TYPE_BY_KIND[kind] for kind in KIND_CODES])
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
+def _int_text(values: np.ndarray, line_ends: np.ndarray) -> str:
+    """The non-negative ``values`` as ``%d`` text, each followed by a newline
+    where ``line_ends`` is set and by a space elsewhere.
+
+    Every number from 0 to the largest is spelled once, right-aligned in a
+    row of a digit table padded with zero bytes; the rows are gathered by
+    ``values`` and the padding dropped.
+    """
+    top = int(values.max(initial=0))
+    width = len(str(top))
+    table = np.zeros((top + 1, width + 1), dtype=np.uint8)
+    for p in range(width):  # the 10**p digit cycles through 0-9, each repeated 10**p times
+        column = table[:, width - 1 - p]
+        column[:] = np.resize(np.repeat(_DIGITS, 10**p), top + 1)
+        if p:
+            column[:10**p] = 0  # padding: numbers below 10**p have no such digit
+    text = np.take(table, values, axis=0)  # a quarter of the time of table[values]
+    text[:, width] = np.where(line_ends, ord("\n"), ord(" "))
+    text = text.ravel()
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -> None:
-    """Write the mesh (optionally with replacement coordinates, checked first) byte-stably.
+    """Write the mesh (optionally with replacement coordinates) byte-stably.
 
     ``point_data`` / ``cell_data`` are name -> 1d-array mappings emitted as
-    scalar arrays in sorted name order.
+    scalar arrays in sorted name order. Coordinates, names and shapes are
+    checked before the file is opened: a bad one raises
+    :class:`~polysmooth.errors.InvalidSpec` and leaves ``path`` untouched.
     """
     coords = _checked_coords(mesh, coords)
     cells = mesh.elements
-    n, counts, codes = len(cells), cells.counts, cells.codes.tolist()
-    listing = np.insert(cells.flat, np.cumsum(counts) - counts, counts)  # each count, then the vertices
+    n, counts = len(cells), cells.counts
+    ends = np.cumsum(counts)
+    listing = np.insert(cells.flat, ends - counts, counts)  # each count, then the vertices
+    line_ends = np.zeros(len(listing), dtype=bool)
+    line_ends[ends + np.arange(n)] = True  # each cell's last vertex
     out = [
         "# vtk DataFile Version 3.0\npolysmooth mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
         f"POINTS {len(coords)} double\n",
         "%.17g %.17g %.17g\n" * len(coords) % tuple(coords.ravel().tolist()),
         f"CELLS {n} {len(listing)}\n",
-        "".join([_CELL_LINE[c] for c in codes]) % tuple(listing.tolist()),
+        _int_text(listing, line_ends),
         f"CELL_TYPES {n}\n",
-        "".join([_TYPE_LINE[c] for c in codes]),
+        _int_text(_CELL_TYPES[cells.codes], np.ones(n, dtype=bool)),
     ]
     for keyword, count, data in (
         ("POINT_DATA", mesh.n_vertices, point_data),
@@ -277,10 +307,12 @@ def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -
         if not data:
             continue
         out.append(f"{keyword} {count}\n")
-        for name in sorted(data):
+        for name in sorted(data, key=str):  # key=str: a name that is no string reaches the check
+            if not isinstance(name, str) or not name or not name.isascii() or any(c.isspace() for c in name):
+                raise InvalidSpec(f"{keyword} array name {name!r} must be non-empty ASCII without whitespace")
             values = np.asarray(data[name], dtype=float)
             if values.shape != (count,):
-                raise ValueError(f"{keyword} array {name!r} must have shape ({count},)")
+                raise InvalidSpec(f"{keyword} array {name!r} must have shape ({count},); got shape {values.shape}")
             out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             out.append("%.17g\n" * count % tuple(values.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -1,18 +1,20 @@
 import contextlib
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysmooth import ElementKind, GeneratorSpec, generate
+from polysmooth import Element, ElementKind, GeneratorSpec, generate, make_mesh
 from polysmooth.cli import main
-from polysmooth.errors import InvalidElement, MalformedFile, UnsupportedCellType
-from polysmooth.generators import GENERATOR_NAMES
+from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, UnsupportedCellType
+from polysmooth.generators import GENERATOR_NAMES, tet_grid, unit_element
+from polysmooth.mesh import KIND_CODES, _checked_coords
 from polysmooth.quality import mesh_mean_volumes
-from polysmooth.vtkio import read_document, read_mesh, write_mesh
+from polysmooth.vtkio import CELL_TYPE_BY_KIND, read_document, read_mesh, write_mesh
 
 
 def _roundtrip(mesh, tmp_path, name="m.vtk", **kw):
@@ -361,3 +363,121 @@ def test_mutated_files_exit_0_or_3(valid_files, base, edits):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["quality", "--in", str(path), "--measure", "mean-volume"])
     assert code in (0, 3)
+
+
+_REFERENCE_CELL_LINE = {code: "%d" + " %d" * kind.vertex_count + "\n" for kind, code in KIND_CODES.items()}
+_REFERENCE_TYPE_LINE = {code: f"{CELL_TYPE_BY_KIND[kind]}\n" for kind, code in KIND_CODES.items()}
+
+
+def _reference_write(mesh, path, coords=None, point_data=None, cell_data=None):
+    """The writer with one ``%`` operation per section, CELLS and CELL_TYPES
+    included, kept verbatim as the reference for :func:`write_mesh`."""
+    coords = _checked_coords(mesh, coords)
+    cells = mesh.elements
+    n, counts, codes = len(cells), cells.counts, cells.codes.tolist()
+    listing = np.insert(cells.flat, np.cumsum(counts) - counts, counts)  # each count, then the vertices
+    out = [
+        "# vtk DataFile Version 3.0\npolysmooth mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {len(coords)} double\n",
+        "%.17g %.17g %.17g\n" * len(coords) % tuple(coords.ravel().tolist()),
+        f"CELLS {n} {len(listing)}\n",
+        "".join([_REFERENCE_CELL_LINE[c] for c in codes]) % tuple(listing.tolist()),
+        f"CELL_TYPES {n}\n",
+        "".join([_REFERENCE_TYPE_LINE[c] for c in codes]),
+    ]
+    for keyword, count, data in (
+        ("POINT_DATA", mesh.n_vertices, point_data),
+        ("CELL_DATA", n, cell_data),
+    ):
+        if not data:
+            continue
+        out.append(f"{keyword} {count}\n")
+        for name in sorted(data):
+            values = np.asarray(data[name], dtype=float)
+            if values.shape != (count,):
+                raise ValueError(f"{keyword} array {name!r} must have shape ({count},)")
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            out.append("%.17g\n" * count % tuple(values.tolist()))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("".join(out))
+
+
+def _assert_writes_like_the_reference(mesh, tmp_path, **kw):
+    write_mesh(mesh, tmp_path / "got.vtk", **kw)
+    _reference_write(mesh, tmp_path / "expected.vtk", **kw)
+    assert (tmp_path / "got.vtk").read_bytes() == (tmp_path / "expected.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+def test_write_equals_the_reference_on_the_generator_zoo(name, tmp_path):
+    _assert_writes_like_the_reference(generate(GeneratorSpec(name, size=3, perturb=0.03, seed=7)), tmp_path)
+
+
+def test_write_equals_the_reference_on_a_mixed_mesh_with_data(interleaved_mesh, tmp_path):
+    mesh = interleaved_mesh
+    _assert_writes_like_the_reference(
+        mesh, tmp_path,
+        point_data={"is_boundary": mesh.boundary.astype(float), "valence": mesh.valence},
+        cell_data={"volume": mesh_mean_volumes(mesh), "id": np.arange(mesh.n_elements)},
+    )
+
+
+@pytest.mark.parametrize("top", [10, 100, 1000])
+def test_write_equals_the_reference_where_indices_gain_a_digit(top, tmp_path, rng):
+    # windows of consecutive indices, so every index up to top is listed
+    kinds = list(ElementKind)
+    elements = [Element(kinds[i % 4], range(i, i + kinds[i % 4].vertex_count)) for i in range(top - 7)]
+    elements.append(Element(ElementKind.HEXA, range(top - 7, top + 1)))
+    mesh = make_mesh(rng.standard_normal((top + 1, 3)), elements)
+    _assert_writes_like_the_reference(mesh, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ElementKind)
+def test_write_equals_the_reference_on_one_cell(kind, tmp_path):
+    mesh = unit_element(kind)
+    _assert_writes_like_the_reference(mesh, tmp_path, cell_data={"volume": mesh_mean_volumes(mesh)})
+
+
+@pytest.mark.parametrize("name", ["", "two words", "tab\there", "line\n", "\x1c", "volumé", 7])
+@pytest.mark.parametrize("section", ["point_data", "cell_data"])
+def test_bad_data_names_raise_before_the_file_is_touched(name, section, tmp_path):
+    mesh = tet_grid(2)
+    path = tmp_path / "kept.vtk"
+    path.write_bytes(b"already here")
+    count = mesh.n_vertices if section == "point_data" else mesh.n_elements
+    with pytest.raises(InvalidSpec, match="name"):
+        write_mesh(mesh, path, **{section: {"fine": np.zeros(count), name: np.zeros(count)}})
+    assert path.read_bytes() == b"already here"
+
+
+@pytest.mark.parametrize("section", ["point_data", "cell_data"])
+@pytest.mark.parametrize("shape", [(3,), (0,), (27, 1), ()])
+def test_wrong_data_shapes_raise_before_the_file_is_touched(section, shape, tmp_path):
+    mesh = tet_grid(2)
+    path = tmp_path / "kept.vtk"
+    path.write_bytes(b"already here")
+    with pytest.raises(InvalidSpec, match="shape"):
+        write_mesh(mesh, path, **{section: {"values": np.zeros(shape)}})
+    with pytest.raises(InvalidSpec, match="coords"):
+        write_mesh(mesh, path, coords=np.zeros((3, 3)))
+    assert path.read_bytes() == b"already here"
+
+
+def test_data_names_with_punctuation_read_back(tmp_path):
+    mesh = tet_grid(2)
+    names = ["a.b", "x-1", "q(1)", "LOOKUP_TABLE"]
+    path = tmp_path / "names.vtk"
+    write_mesh(mesh, path, point_data={name: mesh.valence for name in names})
+    assert sorted(read_document(path).point_data) == sorted(names)
+
+
+def test_write_memory_of_a_20_cube(tmp_path):
+    mesh = tet_grid(20)
+    tracemalloc.start()
+    try:
+        write_mesh(mesh, tmp_path / "cube.vtk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one % operation over the CELLS integers peaked at 13.8 MB here
+    assert peak < 13.8e6

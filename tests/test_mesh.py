@@ -16,7 +16,7 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.mesh import boundary_faces, kind_groups
+from polysmooth.mesh import _MAX_FACES, FACES, _faces_by_size, boundary_faces, kind_groups
 
 
 def test_single_tet_adjacency():
@@ -234,3 +234,107 @@ def test_tet_grid_20_holds_arrays_not_element_objects():
     assert mesh.n_elements == 48_000 and mesh.boundary.sum() == 6 * 20**2 + 2
     # 48,000 Element objects in a tuple took 6.1 MB by themselves
     assert held < 4e6
+
+
+def _reference_faces_by_size(groups):
+    """Face matching by sorting each face row and one lexsort over all columns,
+    kept verbatim as the reference for :func:`polysmooth.mesh._faces_by_size`."""
+    stacks: dict[int, tuple[list, list]] = {}
+    for kind, (ids, conn) in groups.items():
+        for j, face in enumerate(FACES[kind]):
+            faces, order = stacks.setdefault(len(face), ([], []))
+            faces.append(conn[:, face])
+            order.append(ids * _MAX_FACES + j)
+    out = {}
+    for size in list(stacks):
+        # parts dropped once stacked, int32 keys: half the peak memory at size
+        faces, order = (np.concatenate(parts) for parts in stacks.pop(size))
+        keys = faces.astype(np.int32 if faces.max(initial=0) < 2**31 else np.int64)
+        keys.sort(axis=1)
+        perm = np.lexsort(keys.T[::-1])
+        keys = keys[perm]
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        run = np.cumsum(starts) - 1
+        once = np.empty(len(keys), dtype=bool)
+        once[perm] = np.bincount(run)[run] == 1
+        out[size] = (faces, order, once)
+    return out
+
+
+def _assert_faces_match_reference(groups):
+    expected, got = _reference_faces_by_size(groups), _faces_by_size(groups)
+    assert list(got) == list(expected)
+    for size in expected:
+        for a, b in zip(got[size], expected[size]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _face_multiplicities(groups):
+    seen = Counter()
+    for kind, (_, conn) in groups.items():
+        for face in FACES[kind]:
+            seen.update(map(frozenset, conn[:, face].tolist()))
+    return set(seen.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_face_matching_equals_the_reference_on_random_mixed_meshes(seed):
+    rng = np.random.default_rng(seed)
+    # few vertices, so faces repeat; three elements on each side of one
+    # triangle and one quad make faces shared by 3 for sure
+    elements = _random_mixed_elements(rng, n_points=10, count=80) + [
+        Element(ElementKind.TETRA, (0, 1, 2, 3)),
+        Element(ElementKind.TETRA, (2, 1, 0, 4)),
+        Element(ElementKind.PYRAMID, (5, 6, 7, 0, 2)),
+        Element(ElementKind.PRISM, (0, 1, 2, 6, 7, 8)),
+        Element(ElementKind.HEXA, (0, 1, 2, 3, 4, 5, 6, 7)),
+        Element(ElementKind.HEXA, (3, 2, 1, 0, 9, 8, 7, 6)),
+        Element(ElementKind.PYRAMID, (0, 1, 2, 3, 8)),
+    ]
+    rng.shuffle(elements)
+    groups = kind_groups(make_mesh(rng.standard_normal((10, 3)), elements))
+    assert len(groups) == 4 and {1, 2, 3} <= _face_multiplicities(groups)
+    _assert_faces_match_reference(groups)
+
+
+def test_face_matching_equals_the_reference_on_grids(interleaved_mesh):
+    for mesh in (interleaved_mesh, tet_grid(20), hex_grid(16)):
+        _assert_faces_match_reference(kind_groups(mesh))
+
+
+@pytest.mark.parametrize("base", [2**31 - 40, 2**31 - 20, 2**31, 3_037_000_499 - 40])
+def test_face_matching_equals_the_reference_near_large_indices(base):
+    # groups without coordinates, indices spread around base: below and
+    # above 2**31, and up to the largest index the two keys can hold
+    rng = np.random.default_rng(base % 97)
+    groups = {}
+    for kind in ElementKind:
+        m = 60
+        ids = np.sort(rng.choice(4 * m, size=m, replace=False))
+        conn = np.array([base + rng.choice(40, size=kind.vertex_count, replace=False) for _ in range(m)])
+        groups[kind] = (ids, conn.astype(np.int64))
+    _assert_faces_match_reference(groups)
+
+
+def test_face_matching_rejects_indices_the_keys_cannot_hold():
+    largest = 3_037_000_498  # n = largest + 1 is the last n with n * n in int64
+    conn = np.array([[0, 1, 2, largest]], dtype=np.int64)
+    ids = np.array([0])
+    _assert_faces_match_reference({ElementKind.TETRA: (ids, conn)})
+    with pytest.raises(InvalidSpec, match="vertex indices below"):
+        _faces_by_size({ElementKind.TETRA: (ids, conn + 1)})
+    with pytest.raises(InvalidSpec):
+        _faces_by_size({ElementKind.HEXA: (ids, np.array([[0, 1, 2, 3, 4, 5, 6, largest + 1]]))})
+
+
+def test_make_mesh_memory_of_a_20_cube():
+    mesh = tet_grid(20)
+    tracemalloc.start()
+    try:
+        make_mesh(mesh.vertices, mesh.elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row-sort face matching peaked at 14.3 MB here
+    assert peak < 14.3e6
