@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 input error, 4 numerical failure.
-All randomness is seeded (default 0), so identical invocations produce
-byte-identical outputs.
+Exit codes: 0 success, 2 usage error, 3 input error (a size too large to
+allocate included), 4 numerical failure. All randomness is seeded (default
+0), so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCellType,
 )
 
-_INPUT_ERRORS = (MalformedFile, UnsupportedCellType, InvalidSpec, InvalidElement, OSError)
+_INPUT_ERRORS = (MalformedFile, UnsupportedCellType, InvalidSpec, InvalidElement, OSError, MemoryError)
 
 
 def _seed(text: str) -> int:

@@ -19,9 +19,9 @@ which keeps the temporaries near the size of the coordinates. The tetra
 kernels read a batch component-major, as three (4, m) arrays x, y, z, which
 :func:`element_batch` gathers in one ``np.take``. The measure layer hands
 them blocks of at most 8,192 tets, whose (m,) and (3, m) temporaries the
-allocator reuses: over 48,000 tets a mean-volume pass takes 3.7 ms and a
-scaled field pass 12.3 ms, where whole-batch passes took 9-10 ms and 21-22 ms
-(wall clock, one thread of a 2-core Xeon VM).
+allocator reuses: over 48,000 tets a mean-volume pass takes 2-3 ms and a
+scaled field pass 7-10 ms, where whole-batch passes took 9-10 ms and 21-22 ms
+(medians of wall clock, one thread of a 2-core Xeon VM).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ per-element vectors onto the vertices. Both walk each kind in blocks of
 ``_BLOCK`` elements, gathering and evaluating one block at a time, so every
 temporary stays near the size of the L2 cache and the allocator reuses it
 instead of mapping and faulting in fresh pages on every call. The scatter
-writes each block's weights into one array in place and sums them with one
-``np.bincount`` per component, in element order within each kind, so
+adds each block's field straight into the vertex sums with one
+``np.add.at`` per component, in element order within each kind, so
 results do not depend on the block size and repeated runs are
 bit-reproducible.
 """
@@ -205,22 +205,18 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
 
 
 def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None) -> np.ndarray:
-    """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, (m, n_e, 3), onto the vertices, times
-    ``scale[id]`` when given. Block by block the fields fill one component-major weight array in place;
-    ``np.bincount`` adds them kind by kind in element order, as ``np.add.at`` would, so the sums are bit
-    for bit the same."""
-    conns = [conn.ravel() for _, conn in kind_groups(mesh).values()]
-    if not conns:
-        return np.zeros((len(coords), 3))
-    idx = conns[0] if len(conns) == 1 else np.concatenate(conns)
-    weights, at = np.empty((3, idx.size)), 0
+    """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, a fresh (m, n_e, 3) array, onto the
+    vertices, times ``scale[id]`` when given. Each block's field, taken component-major and scaled in
+    place, is added by one ``np.add.at`` per component, kind by kind in element order, so no bit
+    depends on the block size."""
+    out = np.zeros((len(coords), 3))
     for kind, ids, conn, x in _blocks(mesh, coords):
-        w = weights[:, at : at + conn.size].reshape(3, *conn.shape)
-        w[...] = kernel(kind, x, *(a[ids] for a in arrays)).transpose(2, 0, 1)
+        w = kernel(kind, x, *(a[ids] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
-            w *= np.asarray(scale)[ids][:, None]
-        at += conn.size
-    return np.stack([np.bincount(idx, w, minlength=len(coords)) for w in weights], axis=1)
+            w *= scale[ids][:, None]
+        for k in range(3):
+            np.add.at(out[:, k], conn.ravel(), w[k].ravel())
+    return out
 
 
 def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
@@ -228,10 +224,14 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.nda
 
     ``per_element_scale`` optionally multiplies each element's field before
     the scatter (indexed in element order). ``coords`` must have the shape
-    of ``mesh.vertices`` (``InvalidSpec`` otherwise); its values are not scanned.
+    of ``mesh.vertices`` and the scale the shape ``(mesh.n_elements,)``
+    (``InvalidSpec`` otherwise); their values are not scanned.
     """
     coords = _shaped_coords(mesh, coords)
-    return _scatter(geometry.element_fields, mesh, coords, scale=per_element_scale)
+    scale = None if per_element_scale is None else np.asarray(per_element_scale, dtype=float)
+    if scale is not None and scale.shape != (mesh.n_elements,):
+        raise InvalidSpec(f"per_element_scale must be of shape ({mesh.n_elements},); got shape {scale.shape}")
+    return _scatter(geometry.element_fields, mesh, coords, scale=scale)
 
 
 def _tet_mean_ratios(kind: ElementKind, x: np.ndarray) -> np.ndarray:

@@ -197,6 +197,8 @@ def test_console_entry_point():
     ["demo-icosahedron", "--perturb", "inf"],
     ["demo-icosahedron", "--perturb", "nan"],
     ["demo-icosahedron", "--perturb", "-0.05"],
+    # 7 PiB: numpy refuses the allocation without touching memory
+    ["generate", "--spec", "tet-cube", "--size", "100000", "--out", "{tmp}/x.vtk"],
 ])
 def test_bad_argument_values_exit_without_traceback(argv, tmp_path):
     import subprocess

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,42 @@ def test_unscanned_entry_points_reject_wrong_shapes(entry, shape):
     assert mesh.n_vertices == 27
     with pytest.raises(InvalidSpec):
         entry(mesh, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(3,), (48, 2), (53,)])
+def test_scatter_rejects_a_scale_of_the_wrong_shape(shape):
+    mesh = tet_grid(2)
+    assert mesh.n_elements == 48
+    with pytest.raises(InvalidSpec, match="per_element_scale"):
+        scatter_element_fields(mesh, None, np.ones(shape))
+
+
+def test_scaled_field_pass_holds_no_whole_mesh_weight_array():
+    mesh = tet_grid(20)
+    scale = 1.0 / mesh_mean_volumes(mesh)
+    scatter_element_fields(mesh, mesh.vertices, scale)  # builds the cached groups
+    tracemalloc.start()
+    try:
+        scatter_element_fields(mesh, mesh.vertices, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (3, 192,000) weight array of all 48,000 fields took 4.6 MB by itself
+    assert peak < 5e6
+
+
+def test_vertex_fields_are_c_contiguous(interleaved_mesh):
+    from polysmooth.smoothing import Assembly, assemble_field
+
+    mesh = interleaved_mesh
+    coords = 3.0 * mesh.vertices  # unit cells: the q1 product does not underflow
+    scale = np.linspace(0.5, 2.0, mesh.n_elements)
+    fields = [scatter_element_fields(mesh, coords), scatter_element_fields(mesh, coords, scale)]
+    fields += [assemble_field(mesh, coords, assembly) for assembly in Assembly]
+    fields += [quality_gradient_field(mesh, coords, QualityMeasureSpec(measure))
+               for measure in Measure if measure is not Measure.MEAN_RATIO]
+    for f in fields:
+        assert f.shape == mesh.vertices.shape and f.flags.c_contiguous
 
 
 def test_min_combiner_has_no_gradient():
