@@ -14,14 +14,14 @@ Kernels are integer index tables built at import: triangle fans over the
 vertex-link polygons for the fields, a boundary triangulation for areas and
 divergence volumes. Each is one gather, one cross product and one sum of the
 table's rows, row after row, so every result adds the same terms in the same
-order as a polygon-by-polygon sum. Batches are gathered in blocks of elements,
-which keeps the temporaries near the size of the coordinates. The tetra
-kernels read a batch component-major, as three (4, m) arrays x, y, z, which
-:func:`element_batch` gathers in one ``np.take``. The measure layer hands
-them blocks of at most 8,192 tets, whose (m,) and (3, m) temporaries the
-allocator reuses: over 48,000 tets a mean-volume pass takes 2-3 ms and a
-scaled field pass 7-10 ms, where whole-batch passes took 9-10 ms and 21-22 ms
-(medians of wall clock, one thread of a 2-core Xeon VM).
+order as a polygon-by-polygon sum. A kernel takes its batch whole; the
+measure layer sizes it, in blocks of at most 32,768 gathered coordinate rows
+(:data:`GATHERED_ROWS` per element), whose 0.8 MB the allocator reuses. The
+tetra kernels read a batch component-major, as three (4, m) arrays x, y, z,
+which :func:`element_batch` gathers in one ``np.take``. Over 48,000 tets in
+blocks of 8,192, a mean-volume pass takes 2-3 ms and a scaled field pass
+7-10 ms, where whole-batch passes took 9-10 ms and 21-22 ms (medians of wall
+clock, one thread of a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ _NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
 
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
-_GATHER = 8192  # points per gathered block: ~200 KB temporaries, reused rather than faulted in
 
 # Unit-edge regular tetrahedron, positively oriented: the reference shape of
 # the mean ratio and the stationary tetrahedron of the volume-ascent flow.
@@ -126,16 +125,9 @@ def _field_table(rows) -> tuple[np.ndarray, np.ndarray]:
 _FIELD_TABLES = {kind: _field_table(rows) for kind, rows in _NU_ROWS.items()}
 
 
-def _gathered(x: np.ndarray, table: np.ndarray):
-    """Blocks of a batch (m, n, 3) gathered through ``table``: (slice, table.shape + (block, 3)).
-
-    A block gathers about ``_GATHER`` points from a vertex-major copy, so the
-    arithmetic takes whole (block, 3) slabs. Each element is computed alone,
-    so no result bit depends on the blocks.
-    """
-    step = max(1, _GATHER // table.size)
-    for i in range(0, len(x), step):
-        yield slice(i, i + step), np.ascontiguousarray(x[i : i + step].transpose(1, 0, 2))[table]
+def _gathered(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """A batch (m, n, 3) gathered from a vertex-major copy through ``table``: table.shape + (m, 3)."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))[table]
 
 
 def _normals(g: np.ndarray) -> np.ndarray:
@@ -209,10 +201,8 @@ def element_fields(kind: ElementKind, x) -> np.ndarray:
     if kind is ElementKind.TETRA:
         return _tet_fields(x.T).transpose(1, 2, 0)
     fans, weights = _FIELD_TABLES[kind]
-    out = np.empty(x.shape)  # C order: the Euler identity's einsum needs it
-    for s, g in _gathered(x, fans):
-        out[s] = (weights * _sum_rows(_normals(g))).transpose(1, 0, 2)
-    return out
+    # C order: the Euler identity's einsum needs it
+    return np.ascontiguousarray((weights * _sum_rows(_normals(_gathered(x, fans)))).transpose(1, 0, 2))
 
 
 def element_field(kind: ElementKind, x) -> np.ndarray:
@@ -265,14 +255,19 @@ def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
 
 _KIND_TRIANGLES = {kind: _face_triangles(FACES[kind]) for kind in ElementKind}
 
+# Coordinate rows gathered per element: 4 for the tetra batch, else the kind's largest index table.
+GATHERED_ROWS = {ElementKind.TETRA: 4} | {
+    kind: max(fans.size, _KIND_TRIANGLES[kind][0].size) for kind, (fans, _) in _FIELD_TABLES.items()}
 
-def _mean_areas(tris, x: np.ndarray) -> np.ndarray:
-    """Mean boundary areas of a batch (m, n, 3) over a triangulation table."""
+
+def _mean_areas(tris, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean boundary areas (m,) of a batch (m, n, 3) over a triangulation table, and the
+    gathered triangles (T, 3, m, 3), their normals (T, m, 3) and norms (T, m) they come from."""
     idx, w = tris
-    areas = np.empty(len(x))
-    for s, g in _gathered(x, idx):
-        areas[s] = _sum_rows(w[:, None] * np.linalg.norm(_normals(g), axis=-1))
-    return areas
+    g = _gathered(x, idx)
+    nu = _normals(g)
+    nn = np.linalg.norm(nu, axis=-1)
+    return _sum_rows(w[:, None] * nn), g, nu, nn
 
 
 def _scatter(idx: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -294,7 +289,7 @@ def _div_volumes(tris, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
     """Mean boundary areas for a batch of elements, (m, n_e, 3) -> (m,)."""
-    return _mean_areas(_KIND_TRIANGLES[kind], _as_batch(x, kind.vertex_count))
+    return _mean_areas(_KIND_TRIANGLES[kind], _as_batch(x, kind.vertex_count))[0]
 
 
 def element_mean_boundary_area(kind: ElementKind, x) -> float:
@@ -317,7 +312,7 @@ def _check_areas(areas: np.ndarray, tiny: np.ndarray) -> None:
 
 
 def _iq_values(tris, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
-    areas = _mean_areas(tris, x)
+    areas = _mean_areas(tris, x)[0]
     _check_areas(areas, _tiny(x))
     return _SIX_SQRT_PI * vols / areas**1.5
 
@@ -325,19 +320,12 @@ def _iq_values(tris, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
 def _iq_gradients(tris, x: np.ndarray, vols: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
     idx, w = tris
     tiny = _tiny(x)
-    areas, agrad = np.empty(len(x)), np.empty(x.shape)
-    # A vanished area needs a zero-area triangle when the faces weigh 4 or
-    # more, as each element kind's do: checking block by block keeps the message.
-    for s, g in _gathered(x, idx):
-        nu = _normals(g)
-        nn = np.linalg.norm(nu, axis=-1)
-        if np.any(nn <= tiny[s]):
-            raise DegenerateElement("zero-area triangle in boundary face")
-        areas[s] = _sum_rows(w[:, None] * nn)
-        u = (nu / nn[..., None])[:, None]
-        terms = w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u)
-        agrad[s] = _scatter(idx, terms, x.shape[1])
+    areas, g, nu, nn = _mean_areas(tris, x)
+    if np.any(nn <= tiny):
+        raise DegenerateElement("zero-area triangle in boundary face")
     _check_areas(areas, tiny)
+    u = (nu / nn[..., None])[:, None]
+    agrad = _scatter(idx, w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u), x.shape[1])
     a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
     return _SIX_SQRT_PI * (vgrad / a32 - 1.5 * (vols[:, None, None] / a52) * agrad)
 
@@ -390,7 +378,7 @@ def polyhedron_volume_gradient(faces, x) -> np.ndarray:
 
 def polyhedron_mean_area(faces, x) -> float:
     x = np.asarray(x, dtype=float)
-    return float(_mean_areas(_face_triangles(faces), x[None])[0])
+    return float(_mean_areas(_face_triangles(faces), x[None])[0][0])
 
 
 def polyhedron_iq(faces, x) -> float:

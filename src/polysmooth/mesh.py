@@ -110,16 +110,24 @@ class Connectivity(Sequence):
     """Elements in CSR form: element i has the kind numbered ``codes[i]`` in
     :data:`KIND_CODES` and the vertices ``flat[offsets[i]:offsets[i + 1]]``.
 
-    The arrays are read-only. As a sequence it yields :class:`Element`
-    objects, built on every access.
+    The arrays are read-only; a code outside :data:`KIND_CODES`, or a ``flat``
+    of another length than the codes' vertex counts, raises ``InvalidSpec``.
+    As a sequence it yields :class:`Element` objects, built on every access.
     """
 
     codes: np.ndarray
     flat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", _freeze(np.asarray(self.codes, dtype=np.int8)))
+        codes = np.asarray(self.codes)
+        unknown = np.flatnonzero((codes < 0) | (codes >= len(_KINDS)))
+        if unknown.size:
+            i = unknown[0]
+            raise InvalidSpec(f"element {i} has kind code {codes[i]}; the codes are 0 to {len(_KINDS) - 1}")
+        object.__setattr__(self, "codes", _freeze(np.asarray(codes, dtype=np.int8)))
         object.__setattr__(self, "flat", _freeze(np.asarray(self.flat, dtype=np.int64)))
+        if len(self.flat) != self.counts.sum():
+            raise InvalidSpec(f"the kind codes need {self.counts.sum()} vertex indices; got {len(self.flat)}")
 
     @property
     def counts(self) -> np.ndarray:

@@ -5,14 +5,14 @@ Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
 driver all read. Its functions take ``(mesh, coords, v)``, ``v`` the
 shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
 through two helpers only: one maps a kernel over the elements, one scatters
-per-element vectors onto the vertices. Both walk each kind in blocks of
-``_BLOCK`` elements, gathering and evaluating one block at a time, so every
-temporary stays near the size of the L2 cache and the allocator reuses it
-instead of mapping and faulting in fresh pages on every call. The scatter
-adds each block's field straight into the vertex sums with one
-``np.add.at`` per component, in element order within each kind, so
-results do not depend on the block size and repeated runs are
-bit-reproducible.
+per-element vectors onto the vertices. Both read one walk, which cuts each
+kind into blocks of at most ``_ROWS`` gathered coordinate rows (8,192 tets,
+728 pyramids, 455 prisms or 273 hexa) and evaluates one block at a time, so
+every temporary stays near the size of the L2 cache and the allocator reuses
+it instead of faulting in fresh pages on every call. The scatter adds each
+block's field straight into the vertex sums with one ``np.add.at`` per
+component, in element order within each kind, so results do not depend on
+the block size and repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -166,16 +166,17 @@ class QualityReport:
         }
 
 
-_BLOCK = 8192  # elements per block: a tet block's coordinates and fields take 0.8 MB each
+_ROWS = 32768  # gathered coordinate rows per block: 8,192 tets, whose coordinates and fields take 0.8 MB each
 
 
 def _blocks(mesh: Mesh, coords):
-    """``(kind, ids, conn, x)`` for blocks of at most ``_BLOCK`` elements, kind by kind in element order;
-    ``x`` is the block's :func:`geometry.element_batch`."""
+    """``(kind, ids, conn, x)`` for blocks of at most ``_ROWS`` rows of :data:`geometry.GATHERED_ROWS`,
+    kind by kind in element order; ``x`` is the block's :func:`geometry.element_batch`."""
     for kind, (ids, conn) in kind_groups(mesh).items():
-        for i in range(0, len(ids), _BLOCK):
-            c = conn[i : i + _BLOCK]
-            yield kind, ids[i : i + _BLOCK], c, geometry.element_batch(kind, coords, c)
+        step = _ROWS // geometry.GATHERED_ROWS[kind]
+        for i in range(0, len(ids), step):
+            c = conn[i : i + step]
+            yield kind, ids[i : i + step], c, geometry.element_batch(kind, coords, c)
 
 
 def _per_kind(kernel, mesh: Mesh, coords, *arrays) -> np.ndarray:

@@ -68,8 +68,8 @@ class _Tokens:
     token by token so that the error names the offending token and its line.
     """
 
-    def __init__(self, data: bytes, first_line: int):
-        self.text = data.decode("ascii")
+    def __init__(self, data: memoryview, first_line: int):
+        self.text = str(data, "ascii")
         raw = np.frombuffer(data, dtype=np.uint8)
         edges = np.diff(np.concatenate(([True], _SPACE[raw], [True])).view(np.int8))
         self.starts = np.flatnonzero(edges == -1)
@@ -143,12 +143,13 @@ def read_document(path) -> MeshDocument:
         at = int(non_ascii[0])
         line = 1 + int(np.count_nonzero(raw[:at] == ord("\n")))
         raise MalformedFile(f"non-ASCII byte 0x{raw[at]:02x}", line)
-    head = data.split(b"\n", 2)
-    if not head[0].startswith(b"# vtk DataFile Version"):
+    if not data.startswith(b"# vtk DataFile Version"):
         raise MalformedFile("missing '# vtk DataFile Version' header", 1)
-    if len(head) == 1 or (len(head) == 2 and not head[1]):
+    title = data.find(b"\n") + 1
+    if title in (0, len(data)):
         raise MalformedFile("missing title line", 2)
-    body = _Tokens(head[2] if len(head) == 3 else b"", first_line=3)
+    end = data.find(b"\n", title)
+    body = _Tokens(memoryview(data)[len(data) if end < 0 else end + 1 :], first_line=3)  # a view, not a copy
 
     def fail(msg: str):
         raise MalformedFile(msg, body.last_line)

@@ -231,7 +231,8 @@ def test_non_finite_numbers_are_input_errors(argv, tmp_path, capsys):
     assert not Path(dst).exists()
 
 
-def test_tet_cube_20_cli_contract(tmp_path, capsys):
+@pytest.mark.parametrize("boundary", ["fix", "project"])
+def test_tet_cube_20_cli_contract(boundary, tmp_path, capsys):
     # at full size: generate, then a 3-step q1 smooth, twice over
     runs = []
     for name in ("first", "second"):
@@ -240,7 +241,7 @@ def test_tet_cube_20_cli_contract(tmp_path, capsys):
                           "--out", cube)
         assert code == 0
         code, stdout, stderr = _run(capsys, "smooth", "--in", cube, "--out", out, "--measure", "q1",
-                                    "--boundary", "fix", "--max-iter", "3", "--report", report)
+                                    "--boundary", boundary, "--max-iter", "3", "--report", report)
         assert code == 0 and stderr == ""
         runs.append([Path(p).read_bytes() for p in (cube, out, report)] + [stdout])
     assert runs[0] == runs[1]  # byte-identical files and standard output
@@ -249,6 +250,11 @@ def test_tet_cube_20_cli_contract(tmp_path, capsys):
     assert doc["iterations"] == 3
     assert all(b > a for a, b in zip(history, history[1:]))
     before = mesh_mean_volumes(read_mesh(cube))
-    after = mesh_mean_volumes(read_mesh(out))
+    smoothed = read_mesh(out)
+    after = mesh_mean_volumes(smoothed)
     assert len(before) == 48_000 and before.min() > 0
     assert after.min() > 0  # no element inverted
+    if boundary == "project":  # every boundary vertex stays on the surface of the unit cube
+        x = smoothed.vertices[smoothed.boundary]
+        assert np.all(np.minimum(x, 1.0 - x).min(axis=1) <= 1e-12)
+        assert np.all((x >= -1e-12) & (x <= 1.0 + 1e-12))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polysmooth import Element, ElementKind, GeneratorSpec, generate, make_mesh
 from polysmooth.cli import main
 from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, UnsupportedCellType
-from polysmooth.generators import GENERATOR_NAMES, tet_grid, unit_element
+from polysmooth.generators import GENERATOR_NAMES, perturb_mesh, tet_grid, unit_element
 from polysmooth.mesh import KIND_CODES, _checked_coords
 from polysmooth.quality import mesh_mean_volumes
 from polysmooth.vtkio import CELL_TYPE_BY_KIND, read_document, read_mesh, write_mesh
@@ -481,3 +481,16 @@ def test_write_memory_of_a_20_cube(tmp_path):
         tracemalloc.stop()
     # one % operation over the CELLS integers peaked at 13.8 MB here
     assert peak < 13.8e6
+
+
+def test_read_memory_of_a_20_cube(tmp_path):
+    path = tmp_path / "cube.vtk"
+    write_mesh(perturb_mesh(tet_grid(20), 0.015, seed=0), path)  # 1.68 MB
+    tracemalloc.start()
+    try:
+        read_document(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the file body after the title peaked at 16.9 MB here
+    assert peak < 16.0e6

@@ -9,7 +9,8 @@ product. The scatter is checked against ``np.add.at``. Every comparison is
 on the bytes, so the sign of a zero counts too: each kernel adds the same
 terms in the same order, so no bit may move. Last, the block walk of
 ``quality`` is checked against each kernel on whole kind groups, at and
-around the block size.
+around the tet block size and on a mixed mesh whose every table kind spans
+blocks.
 """
 
 import math
@@ -194,9 +195,11 @@ def _same_bits(a, b):
 
 # -- tables against loops ----------------------------------------------------
 
-# the last size spans at least three gather blocks of every table, the last one short
+# tets per block of the measure layer's walk
+_B = quality._ROWS // geometry.GATHERED_ROWS[ElementKind.TETRA]
+# the last size is larger than the walk's block of every table kind, so a kernel takes it as one batch
 _SMALLEST_TABLE = min(idx.size for idx, _ in geometry._KIND_TRIANGLES.values())
-SIZES = [1, 2, 7, 384, 2 * (geometry._GATHER // _SMALLEST_TABLE) + 3]
+SIZES = [1, 2, 7, 384, 2 * (_B // _SMALLEST_TABLE) + 3]
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -340,7 +343,6 @@ def test_mixed_scatter_with_scale_matches_add_at(rng):
 
 # -- the block walk of quality against whole-group evaluation -----------------
 
-_B = quality._BLOCK
 BLOCK_SIZES = [_B - 1, _B, _B + 1, 2 * _B + 3]
 
 
@@ -385,11 +387,35 @@ def _tet_hex_cube(k):
     return _unit_volume(make_mesh(grid.vertices, Connectivity(codes, flat)), k, 0)
 
 
-@pytest.mark.parametrize("m", [*BLOCK_SIZES, "tets-and-hexa"])
+def _mixed_cube(k):
+    """A k^3 hex grid whose cells, by column, stay hexa, split into two prisms, or into six pyramids
+    around an added centre vertex."""
+    grid = hex_grid(k)
+    points, elements = [grid.vertices], []
+    for i, v in enumerate(grid.elements.flat.reshape(-1, 8).tolist()):
+        column = (i % k + (i // k) % k) % 3
+        if column == 0:
+            elements.append(Element(ElementKind.HEXA, v))
+        elif column == 1:
+            elements.append(Element(ElementKind.PRISM, [v[j] for j in (0, 1, 2, 4, 5, 6)]))
+            elements.append(Element(ElementKind.PRISM, [v[j] for j in (0, 2, 3, 4, 6, 7)]))
+        else:
+            centre = grid.n_vertices + len(points) - 1
+            points.append(grid.vertices[v].mean(axis=0)[None])
+            for face in FACES[ElementKind.HEXA]:
+                elements.append(Element(ElementKind.PYRAMID, [v[j] for j in reversed(face)] + [centre]))
+    return _unit_volume(make_mesh(np.vstack(points), elements), k, 0)
+
+
+@pytest.mark.parametrize("m", [*BLOCK_SIZES, "tets-and-hexa", "mixed"])
 def test_block_walk_matches_whole_groups(m, rng):
     if m == "tets-and-hexa":
         mesh = _tet_hex_cube(13)
         assert len(kind_groups(mesh)[ElementKind.TETRA][0]) > _B  # the tets span two blocks
+    elif m == "mixed":
+        mesh = _mixed_cube(10)
+        for kind, (ids, _) in kind_groups(mesh).items():  # 340 hexa, 660 prisms, 1,980 pyramids
+            assert len(ids) > quality._ROWS // geometry.GATHERED_ROWS[kind]  # each kind spans two blocks
     else:
         mesh = _tet_cube(m)
         assert mesh.n_elements == m
@@ -414,6 +440,8 @@ def test_block_walk_matches_whole_groups(m, rng):
     for measure, grad in expected.items():
         got = quality.quality_gradient_field(mesh, coords, quality.QualityMeasureSpec(measure))
         assert _same_bits(got, grad), measure
+    iqs = quality.mesh_quality(mesh, coords, quality.QualityMeasureSpec(Measure.ISOPERIMETRIC_QUOTIENT)).per_element
+    assert _same_bits(iqs, _whole(geometry.element_iqs, mesh, coords, v))
     if list(kind_groups(mesh)) == [ElementKind.TETRA]:
         ratios = quality.mesh_quality(mesh, coords, quality.QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
         assert _same_bits(ratios, _whole(lambda kind, x: quality._mean_ratios(x), mesh, coords))

@@ -16,7 +16,7 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.mesh import _MAX_FACES, FACES, _faces_by_size, boundary_faces, kind_groups
+from polysmooth.mesh import _MAX_FACES, FACES, Connectivity, _faces_by_size, boundary_faces, kind_groups
 
 
 def test_single_tet_adjacency():
@@ -137,6 +137,17 @@ def test_out_of_range_error_names_the_first_bad_element():
     ]
     with pytest.raises(InvalidElement, match=r"\(0, 1, 2, 7\)"):
         make_mesh(pts, elements)
+
+
+@pytest.mark.parametrize("codes, flat, message", [
+    ([9], range(4), r"^element 0 has kind code 9; the codes are 0 to 3$"),
+    ([0, -1], range(12), r"^element 1 has kind code -1; the codes are 0 to 3$"),
+    ([0, 0], range(12), r"^the kind codes need 8 vertex indices; got 12$"),
+    ([3], range(6), r"^the kind codes need 8 vertex indices; got 6$"),
+])
+def test_connectivity_rejects_arrays_it_cannot_describe(codes, flat, message):
+    with pytest.raises(InvalidSpec, match=message):
+        make_mesh(np.zeros((12, 3)), Connectivity(codes, np.array(flat)))
 
 
 def test_element_value_semantics_survive_slots():
