@@ -105,13 +105,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array, which must be empty or of an integer type: a cast would truncate."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidSpec(f"{what} must be integers; got {values.dtype}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class Connectivity(Sequence):
     """Elements in CSR form: element i has the kind numbered ``codes[i]`` in
     :data:`KIND_CODES` and the vertices ``flat[offsets[i]:offsets[i + 1]]``.
 
-    The arrays are read-only; a code outside :data:`KIND_CODES`, or a ``flat``
-    of another length than the codes' vertex counts, raises ``InvalidSpec``.
+    The arrays are read-only; codes or vertex indices that are not of an
+    integer type, a code outside :data:`KIND_CODES`, or a ``flat`` of another
+    length than the codes' vertex counts, raise ``InvalidSpec``.
     As a sequence it yields :class:`Element` objects, built on every access.
     """
 
@@ -119,13 +128,13 @@ class Connectivity(Sequence):
     flat: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
+        codes, flat = _integers(self.codes, "kind codes"), _integers(self.flat, "vertex indices")
         unknown = np.flatnonzero((codes < 0) | (codes >= len(_KINDS)))
         if unknown.size:
             i = unknown[0]
             raise InvalidSpec(f"element {i} has kind code {codes[i]}; the codes are 0 to {len(_KINDS) - 1}")
         object.__setattr__(self, "codes", _freeze(np.asarray(codes, dtype=np.int8)))
-        object.__setattr__(self, "flat", _freeze(np.asarray(self.flat, dtype=np.int64)))
+        object.__setattr__(self, "flat", _freeze(np.asarray(flat, dtype=np.int64)))
         if len(self.flat) != self.counts.sum():
             raise InvalidSpec(f"the kind codes need {self.counts.sum()} vertex indices; got {len(self.flat)}")
 

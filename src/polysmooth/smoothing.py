@@ -21,12 +21,14 @@ set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input. The set-up's volume
 pass also gives the objective at the start.
 
-Under the project policy the set-up triangulates the start's boundary once
-and stores each triangle's bounding sphere. Each step then maps all boundary
-vertices in one batched pass: a triangle is tested exactly only when its
-sphere's lower distance bound does not exceed the best upper bound by more
-than a slack far above rounding, so the result is bit for bit that of
-testing every triangle.
+Under the project policy the set-up triangulates the start's boundary once,
+stores each triangle's bounding sphere and bins the sphere centres in a
+uniform grid. Each step then maps all boundary vertices in one batched pass:
+a vertex near the surface takes the triangles around its grid cell as
+candidates, any other vertex every triangle, and a triangle is tested
+exactly only when its sphere's lower distance bound does not exceed an
+upper bound on the smallest distance by more than a slack far above
+rounding. So the result is bit for bit that of testing every triangle.
 
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
@@ -34,6 +36,7 @@ are bit-reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable
@@ -253,9 +256,20 @@ class _Surface:
     """A triangle soup set up for :func:`_closest_points`.
 
     The corners ``a``, ``b``, ``c`` are stored component-major, each (T, 3)
-    in triangle order. Triangle t lies in the ball of centre ``g[t]`` (its
-    centroid) and radius ``r[t]`` (the largest corner distance from it);
-    ``scale`` is the largest coordinate magnitude.
+    in triangle order. Triangle t lies in the ball of centre ``g[:, t]`` (its
+    centroid; ``g`` is (3, T), for one-dimensional gathers) and radius
+    ``r[t]`` (the largest corner distance from it); ``scale`` is the largest
+    coordinate magnitude.
+
+    The centroids are binned in a uniform grid (Ericson, *Real-Time
+    Collision Detection*, section 7.1) of ``shape`` cubic cells of edge ``h``
+    from the corner ``lo``: ``h`` is 1.5 times the largest radius (coarser
+    only when that would make more than about 27 cells per triangle), and
+    the grid covers every corner with a margin of one cell. The triangles
+    whose centroid lies in the 27 cells around cell i (i in C order) are
+    ``near[start[i]:start[i + 1]]``, in index order. For a point in cell i,
+    each other triangle has a lower distance bound of at least
+    ``h - max(r)``; ``reach`` is that, less a slack far above rounding.
     """
 
     a: np.ndarray
@@ -264,16 +278,44 @@ class _Surface:
     g: np.ndarray
     r: np.ndarray
     scale: float
+    lo: np.ndarray
+    h: float
+    shape: np.ndarray
+    start: np.ndarray
+    near: np.ndarray
+    reach: float
 
     @classmethod
     def of(cls, tris: np.ndarray) -> _Surface:
         a, b, c = (np.ascontiguousarray(tris[:, k]) for k in range(3))
         g = (a + b + c) / 3.0
         r = np.sqrt(np.max([np.einsum("ij,ij->i", x - g, x - g) for x in (a, b, c)], axis=0, initial=0.0))
-        return cls(a, b, c, g, r, float(np.abs(tris).max(initial=0.0)))
+        scale = float(np.abs(tris).max(initial=0.0))
+        corners = tris.reshape(-1, 3)
+        # scale bounds every coordinate, so it changes nothing but an empty soup's box
+        low, high = corners.min(axis=0, initial=scale), corners.max(axis=0, initial=-scale)
+        r_max = float(r.max(initial=0.0))
+        # the extent term caps the cells near 27 per triangle (small triangles far apart)
+        h = max(1.5 * r_max, float((high - low).max()) / np.cbrt(27 * max(len(r), 1))) or 1.0
+        lo = low - h
+        shape = (np.floor((high - lo) / h) + 2).astype(np.intp)
+        # a centroid rounded past the corners stays off the margin, so its 27 cells exist
+        cell = np.clip(np.floor((g - lo) / h), 1, shape - 2).astype(np.intp)
+        stride = np.array([shape[1] * shape[2], shape[2], 1])
+        around = ((cell @ stride)[:, None] + _AROUND @ stride).ravel()
+        near = np.argsort(around, kind="stable") // len(_AROUND)
+        start = np.concatenate([[0], np.cumsum(np.bincount(around, minlength=int(np.prod(shape))))])
+        reach = h - r_max - 1e-9 * (h + scale)
+        return cls(a, b, c, np.ascontiguousarray(g.T), r, scale, lo, h, shape, start, near, reach)
+
+    def slacked(self, upper: np.ndarray) -> np.ndarray:
+        """An upper bound on a distance, plus a slack far above the rounding of any distance here."""
+        return upper + 1e-9 * (upper + self.scale)
 
 
-# (vertex, triangle) pairs per pass of the sphere filter: 128 kB per float
+_AROUND = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+
+# (vertex, triangle) pairs per pass over every triangle: 128 kB per float
 # temporary, about 1 MB for all of them together
 _BLOCK_PAIRS = 1 << 14
 
@@ -285,25 +327,63 @@ def _closest_points(surface: _Surface, pts: np.ndarray) -> np.ndarray:
     distance, the lowest triangle index on ties, and the first NaN distance
     when there is one (as ``np.argmin``). The exact point-triangle test runs
     only on the pairs the bounding spheres cannot rule out: triangle t is
-    skipped for point p when ``|p-g| - r`` exceeds ``min_t(|p-g| + r)`` by
-    more than a slack far above rounding. A non-finite point keeps every
-    triangle.
+    skipped for point p when ``|p-g| - r`` exceeds an upper bound on the
+    smallest distance by more than a slack far above rounding.
+
+    A point in the grid takes the triangles around its cell (see
+    :class:`_Surface`) as candidates, and the exact distance to the
+    candidate with the smallest ``|p-g| + r`` is its upper bound. When that
+    bound stays below ``surface.reach``, no other triangle can be closer or
+    tie. Every other point (off the grid, non-finite, or farther from the
+    surface than the grid can settle) takes every triangle, in blocks of
+    ``_BLOCK_PAIRS`` pairs, with ``min(|p-g| + r)`` over them as its upper
+    bound; a non-finite point keeps every triangle.
     """
     out = np.empty_like(pts)
+    q = np.floor((pts - surface.lo) / surface.h)
+    on_grid = np.flatnonzero(np.all((q >= 0) & (q < surface.shape), axis=1))
+    cell = np.ravel_multi_index(tuple(q[on_grid].astype(np.intp).T), surface.shape)
+    first, n = surface.start[cell], surface.start[cell + 1] - surface.start[cell]
+    rows = np.repeat(on_grid, n)
+    tri = surface.near[np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)]
+    centre = np.sqrt(sum((pts.T[k][rows] - surface.g[k][tri]) ** 2 for k in range(3)))
+    r = surface.r[tri]
+    best = _first_min(centre + r, rows)
+    ids, best = rows[best], tri[best]
+    bound = np.full(len(pts), np.nan)  # NaN: no candidates, never settled
+    bound[ids] = surface.slacked(_closest_on_pairs(surface.a[best], surface.b[best], surface.c[best], pts[ids])[1])
+    settled = bound < surface.reach
+    keep = np.flatnonzero(settled[rows] & ~(centre - r > bound[rows]))
+    out[settled] = _nearest(surface, pts, rows[keep], tri[keep])
+
+    rest = np.flatnonzero(~settled)
     block = max(1, _BLOCK_PAIRS // max(len(surface.r), 1))
-    for lo in range(0, len(pts), block):
-        p = pts[lo:lo + block]
-        centre = np.sqrt(sum((p[:, k, None] - surface.g[:, k]) ** 2 for k in range(3)))
+    for lo in range(0, len(rest), block):
+        p = pts[rest[lo:lo + block]]
+        centre = np.sqrt(sum((p[:, k, None] - surface.g[k]) ** 2 for k in range(3)))
         upper = np.min(centre + surface.r, axis=1)
-        slack = 1e-9 * (upper + surface.scale)
-        rows, tri = np.nonzero(~(centre - surface.r > (upper + slack)[:, None]))
-        cand, dist = _closest_on_pairs(surface.a[tri], surface.b[tri], surface.c[tri], p[rows])
-        # pairs are sorted by row, then triangle: the first hit of the row's minimum is argmin's pick
-        low = np.minimum.reduceat(dist, np.unique(rows, return_index=True)[1])[rows]
-        hits = np.flatnonzero((dist == low) | (np.isnan(dist) & np.isnan(low)))
-        first = hits[np.unique(rows[hits], return_index=True)[1]]
-        out[lo:lo + block] = cand[first]
+        rows, tri = np.nonzero(~(centre - surface.r > surface.slacked(upper)[:, None]))
+        out[rest[lo:lo + block]] = _nearest(surface, p, rows, tri)
     return out
+
+
+def _nearest(surface: _Surface, p: np.ndarray, rows: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Closest point to ``p[rows]`` on triangles ``tri``, for each row in order.
+
+    The pairs are sorted by row, then triangle, so the first hit of a row's
+    minimum is ``np.argmin``'s pick.
+    """
+    corners = (np.take(x, tri, axis=0) for x in (surface.a, surface.b, surface.c))
+    cand, dist = _closest_on_pairs(*corners, np.take(p, rows, axis=0))
+    return cand[_first_min(dist, rows)]
+
+
+def _first_min(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each run of equal ``rows`` (sorted), the index of its first minimum, or first NaN."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    low = np.repeat(np.minimum.reduceat(values, starts), np.diff(starts, append=len(rows)))
+    hits = np.flatnonzero((values == low) | (np.isnan(values) & np.isnan(low)))
+    return hits[np.flatnonzero(np.diff(rows[hits], prepend=-1))]
 
 
 def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
@@ -351,11 +431,6 @@ def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
     cand = np.where(on_b[:, None], b, cand)
     cand = np.where(on_a[:, None], a, cand)
     return cand, np.linalg.norm(cand - p, axis=1)
-
-
-def _closest_on_triangles(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Closest point to p over a triangle soup (T, 3, 3); :func:`_closest_points` for one point."""
-    return _closest_points(_Surface.of(tris), np.asarray(p, dtype=float)[None])[0]
 
 
 def _drive(coords: np.ndarray, flow: _Flow, q: float, state,

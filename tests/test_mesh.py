@@ -144,10 +144,20 @@ def test_out_of_range_error_names_the_first_bad_element():
     ([0, -1], range(12), r"^element 1 has kind code -1; the codes are 0 to 3$"),
     ([0, 0], range(12), r"^the kind codes need 8 vertex indices; got 12$"),
     ([3], range(6), r"^the kind codes need 8 vertex indices; got 6$"),
+    ([3.9], range(8), r"^kind codes must be integers; got float64$"),
+    ([3], [0, 1.5, 2, 3, 4, 5, 6, 7], r"^vertex indices must be integers; got float64$"),
+    ([True], range(5), r"^kind codes must be integers; got bool$"),
 ])
 def test_connectivity_rejects_arrays_it_cannot_describe(codes, flat, message):
     with pytest.raises(InvalidSpec, match=message):
         make_mesh(np.zeros((12, 3)), Connectivity(codes, np.array(flat)))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64])
+def test_connectivity_accepts_every_integer_type(dtype):
+    mesh = make_mesh(np.eye(4, 3), Connectivity(np.zeros(1, dtype=dtype), np.arange(4, dtype=dtype)))
+    assert mesh.elements[0] == Element(ElementKind.TETRA, (0, 1, 2, 3))
+    assert mesh.elements.codes.dtype == np.int8 and mesh.elements.flat.dtype == np.int64
 
 
 def test_element_value_semantics_survive_slots():

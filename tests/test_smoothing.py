@@ -46,7 +46,7 @@ from polysmooth.smoothing import (
     _BLOCK_PAIRS,
     _boundary_triangles,
     _build_flow,
-    _closest_on_triangles,
+    _closest_on_pairs,
     _closest_points,
     _drive,
     _Flow,
@@ -369,10 +369,9 @@ def test_project_policy_keeps_boundary_on_original_surface():
     )
     coords, report = smooth(mesh, cfg)
     assert _strictly_increasing(report)
-    tris = _boundary_triangles(mesh, np.array(mesh.vertices))
-    for i in np.nonzero(mesh.boundary)[0]:
-        foot = _closest_on_triangles(tris, coords[i])
-        assert np.linalg.norm(foot - coords[i]) < 1e-12
+    surface = _Surface.of(_boundary_triangles(mesh, np.array(mesh.vertices)))
+    on_boundary = coords[mesh.boundary]
+    assert np.linalg.norm(_closest_points(surface, on_boundary) - on_boundary, axis=1).max() < 1e-12
 
 
 def test_valence_averaged_assembly_still_ascends():
@@ -453,10 +452,8 @@ def test_entry_points_reject_bad_coordinates(entry, bad, tmp_path):
 
 def test_closest_point_on_triangles_regions():
     tris = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]])
-    assert np.allclose(_closest_on_triangles(tris, np.array([0.5, 0.5, 1.0])), [0.5, 0.5, 0])
-    assert np.allclose(_closest_on_triangles(tris, np.array([-1.0, -1.0, 0.5])), [0, 0, 0])
-    assert np.allclose(_closest_on_triangles(tris, np.array([1.0, -3.0, 0.0])), [1, 0, 0])
-    assert np.allclose(_closest_on_triangles(tris, np.array([3.0, 3.0, 0.0])), [1, 1, 0])
+    points = np.array([[0.5, 0.5, 1.0], [-1.0, -1.0, 0.5], [1.0, -3.0, 0.0], [3.0, 3.0, 0.0]])
+    assert np.allclose(_closest_points(_Surface.of(tris), points), [[0.5, 0.5, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0]])
 
 
 def _closest_on_triangles_per_point(tris: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -530,7 +527,24 @@ def _bumpy_surface():
     return coords[mesh.boundary], _boundary_triangles(mesh, coords)
 
 
+def _cube_surface():
+    """A 10^3 tet cube's boundary with its vertices moved: 1,200 triangles."""
+    mesh = perturb_mesh(tet_grid(10), 0.03, seed=0, fix_boundary=False)
+    coords = np.array(mesh.vertices)
+    return coords[mesh.boundary], _boundary_triangles(mesh, coords)
+
+
+def _moved(points, length, rng):
+    """Each point moved by ``length`` (its row, or one for all) in a random direction."""
+    step = rng.standard_normal(points.shape)
+    return points + np.reshape(length, (-1, 1)) * step / np.linalg.norm(step, axis=1, keepdims=True)
+
+
 def _surface_points(case, rng):
+    if case == "cube moved by 1e-4, 1e-2, 0.3 and 3 cells":
+        # the last moves reach past the grid neighbourhoods: both passes run in one call
+        corners, tris = _cube_surface()
+        return tris, _moved(corners, 0.1 * rng.choice([1e-4, 1e-2, 0.3, 3.0], len(corners)), rng)
     corners, tris = _bumpy_surface()
     near = corners + rng.normal(scale=0.05, size=corners.shape)
     if case == "corners and shared edges":
@@ -551,6 +565,30 @@ def _surface_points(case, rng):
         small = np.array([5.0, 0, 2.2]) + 0.1 * rng.standard_normal((20, 3, 3))
         band = np.column_stack([rng.uniform(2, 8, 30), rng.uniform(-0.3, 0.3, 30), rng.uniform(0.8, 1.2, 30)])
         return np.concatenate([small, big]), band
+    if case == "duplicated triangles":
+        # the copy lists each triangle's corners in another order, so that
+        # equal distances need not come with equal closest points
+        return np.concatenate([tris, np.roll(tris, 1, axis=1)]), np.concatenate([corners, near])
+    if case == "all triangles in one cell":
+        shapes = rng.standard_normal((20, 3, 3))
+        tris = np.array([0.3, -0.2, 0.5]) + shapes - shapes.mean(axis=1, keepdims=True)
+        surface = _Surface.of(tris)
+        assert len(np.unique(np.floor((surface.g.T - surface.lo) / surface.h), axis=0)) == 1
+        return tris, np.concatenate([rng.standard_normal((40, 3)), tris[:, 0] + 0.01])
+    if case == "zero-radius triangles among others":
+        return np.concatenate([np.repeat(corners[::3, None], 3, axis=1), tris]), near
+    if case == "only zero-radius triangles":
+        return np.repeat(corners[:, None], 3, axis=1), near
+    if case == "one point as every triangle":
+        return np.full((5, 3, 3), 0.7), near
+    if case == "points on cell faces":
+        surface = _Surface.of(tris)
+        axis = rng.integers(3, size=len(near))
+        rows = np.arange(len(near))
+        cells = np.round((near[rows, axis] - surface.lo[axis]) / surface.h)
+        near[rows, axis] = surface.lo[axis] + cells * surface.h
+        assert np.mean((near[rows, axis] - surface.lo[axis]) / surface.h == cells) > 0.5
+        return tris, near
     if case == "single point":
         return tris, near[:1]
     if case == "no point":
@@ -564,6 +602,9 @@ def _surface_points(case, rng):
 @pytest.mark.parametrize("case", [
     "corners and shared edges", "far outside", "translated by 1e6", "scaled by 1e-6",
     "block remainder", "a large triangle among small ones", "single point", "no point", "non-finite points",
+    "cube moved by 1e-4, 1e-2, 0.3 and 3 cells", "duplicated triangles", "all triangles in one cell",
+    "zero-radius triangles among others", "only zero-radius triangles", "one point as every triangle",
+    "points on cell faces",
 ])
 def test_batched_closest_points_match_the_per_point_search(case, rng):
     tris, points = _surface_points(case, rng)
@@ -571,6 +612,21 @@ def test_batched_closest_points_match_the_per_point_search(case, rng):
         expected = np.array([_closest_on_triangles_per_point(tris, p) for p in points]).reshape(-1, 3)
         found = _closest_points(_Surface.of(tris), points)
     assert np.array_equal(found, expected, equal_nan=True)
+
+
+def test_closest_points_test_few_pairs_exactly(monkeypatch, rng):
+    corners, tris = _cube_surface()
+    surface = _Surface.of(tris)
+    pairs = []
+
+    def counting(a, b, c, p):
+        pairs.append(len(p))
+        return _closest_on_pairs(a, b, c, p)
+
+    monkeypatch.setattr(smoothing_module, "_closest_on_pairs", counting)
+    _closest_points(surface, _moved(corners, 1e-3, rng))
+    # about 7 a point: one for the exact upper bound, and the grid candidates within it
+    assert sum(pairs) <= 10 * len(corners)
 
 
 def test_boundary_triangles_match_the_per_face_split(rng):
