@@ -3,80 +3,42 @@
 Everything is pure and double precision. Batched variants operate on arrays
 of shape (m, n_e, 3); single-element wrappers take (n_e, 3).
 
-The per-element transformation field returned by :func:`element_field` equals
-six times the gradient of the element's mean volume. Mean volume extends the
-signed tetrahedron volume to pyramids, prisms and hexahedra by averaging over
-boundary triangulations; for prisms and hexahedra it is recovered from the
-field through the Euler identity for degree-3 homogeneous functions,
-``18 * vol = <x, field(x)>``.
+The mean volume is the divergence-theorem volume of the boundary, each
+quadrilateral face averaged over its two diagonal splits. Relative to vertex 0
+it is a short sum of triple products of edge vectors (Davies & Salmond, AIAA
+J. 23, 1985; Grandy, LLNL UCRL-ID-128886, 1997): 1 term for a tetrahedron, 3
+for a pyramid, 7 for a prism, 15 for a hexahedron. The transformation field of
+:func:`element_field` is six times its gradient: per vertex, a fixed sum of
+cross products of edge vectors, one per face through the vertex.
 
-Kernels are integer index tables built at import: triangle fans over the
-vertex-link polygons for the fields, a boundary triangulation for areas and
-divergence volumes. Each is one gather, one cross product and one sum of the
-table's rows, row after row, so every result adds the same terms in the same
-order as a polygon-by-polygon sum. A kernel takes its batch whole; the
-measure layer sizes it, in blocks of at most 32,768 gathered coordinate rows
-(:data:`GATHERED_ROWS` per element), whose 0.8 MB the allocator reuses. The
-tetra kernels read a batch component-major, as three (4, m) arrays x, y, z,
-which :func:`element_batch` gathers in one ``np.take``. Over 48,000 tets in
-blocks of 8,192, a mean-volume pass takes 2-3 ms and a scaled field pass
-7-10 ms, where whole-batch passes took 9-10 ms and 21-22 ms (medians of wall
-clock, one thread of a 2-core Xeon VM).
+Kernels are index tables built at import from the face lists. Each reads a
+batch component-major, as the (3, n_e, m) array whose (m, n_e, 3) transposed
+view :func:`element_batch` returns: a gather per table, cross products of
+whole (k, m) arrays and sums over the table's rows in an order fixed at
+import, so an element gets the same bits in any batch. Fields are written
+(3, m, n_e), the layout the vertex scatter reads. The measure layer sizes
+each batch by :data:`GATHERED_ROWS` or :data:`IQ_ROWS`: the (k, m) rows of a
+kernel's largest temporary per element.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateElement, InvalidPolygon
 from .mesh import FACES, ElementKind
 
-# Vertex-link polygons defining each row of the transformation field of the
-# non-tetra kinds, one pair per element vertex: a neighbor triangle and the
-# equator polygon around the vertex, averaged.
-_NU_ROWS: dict[ElementKind, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    ElementKind.PYRAMID: (
-        ((4, 3, 1), (4, 3, 2, 1)),
-        ((4, 0, 2), (4, 0, 3, 2)),
-        ((4, 1, 3), (4, 1, 0, 3)),
-        ((4, 2, 0), (4, 2, 1, 0)),
-        ((0, 1, 2, 3), (0, 1, 2, 3)),
-    ),
-    ElementKind.PRISM: (
-        ((2, 1, 3), (1, 4, 3, 5, 2)),
-        ((0, 2, 4), (2, 5, 4, 3, 0)),
-        ((1, 0, 5), (0, 3, 5, 4, 1)),
-        ((4, 5, 0), (5, 2, 0, 1, 4)),
-        ((5, 3, 1), (3, 0, 1, 2, 5)),
-        ((3, 4, 2), (4, 1, 2, 0, 3)),
-    ),
-    ElementKind.HEXA: (
-        ((1, 4, 3), (5, 4, 7, 3, 2, 1)),
-        ((2, 5, 0), (6, 5, 4, 0, 3, 2)),
-        ((3, 6, 1), (7, 6, 5, 1, 0, 3)),
-        ((0, 7, 2), (4, 7, 6, 2, 1, 0)),
-        ((0, 5, 7), (5, 6, 7, 3, 0, 1)),
-        ((1, 6, 4), (6, 7, 4, 0, 1, 2)),
-        ((2, 7, 5), (7, 4, 5, 1, 2, 3)),
-        ((3, 4, 6), (4, 5, 6, 2, 3, 0)),
-    ),
-}
-
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
 
 # Unit-edge regular tetrahedron, positively oriented: the reference shape of
 # the mean ratio and the stationary tetrahedron of the volume-ascent flow.
-REGULAR_TETRA = np.array(
-    [
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.5, math.sqrt(3.0) / 2.0, 0.0],
-        [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
-    ]
-)
+REGULAR_TETRA = np.array([
+    [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0], [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
+])
 
 
 def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
@@ -89,11 +51,7 @@ def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of two float arrays of one shape (..., 3), bit for bit ``np.cross``.
-
-    The same products and differences, without ``np.cross``'s axis moves and
-    casts, which cost more than the arithmetic on the batches used here.
-    """
+    """Cross product of two float arrays of one shape (..., 3), bit for bit ``np.cross`` without its axis moves."""
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     out = np.empty(u.shape)
@@ -103,45 +61,52 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fan(poly) -> list[tuple[int, int, int]]:
-    """Triangle fan anchored at the first vertex, which keeps translation terms out of the rounding."""
-    return [(poly[0], b, c) for b, c in zip(poly[1:-1], poly[2:])]
+def _cross_cm(u: np.ndarray, v: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_cross` of component-major arrays (3, ...) of one shape, on flat components; added
+    into ``into``, an array of that shape, when given."""
+    (u0, u1, u2), (v0, v1, v2) = u.reshape(3, -1), v.reshape(3, -1)
+    out = np.empty(u.shape) if into is None else into
+    for o, (a, b, c, d) in zip(out, ((u1, v2, u2, v1), (u2, v0, u0, v2), (u0, v1, u1, v0))):
+        if into is None:
+            o.reshape(-1)[...] = a * b - c * d
+        else:
+            o += (a * b - c * d).reshape(o.shape)
+    return out
 
 
-def _field_table(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Fan table (fan position, row, corner) of a kind's field, and row weights.
-
-    A row is half the sum of its two polygon normals. The equator fan goes
-    first, the one-triangle neighbor last: summed in order, that is the
-    polygon-wise sum bit for bit. The pyramid apex's polygons coincide: one
-    normal at weight 1. The null triangle (0, 0, 0) pads short rows with zeros.
-    """
-    fans = [_fan(b) if a == b else _fan(b) + _fan(a) for a, b in rows]
-    width = max(map(len, fans))
-    table = np.array([f + [(0, 0, 0)] * (width - len(f)) for f in fans])
-    return table.transpose(1, 0, 2), np.array([[[1.0 if a == b else 0.5]] for a, b in rows])
-
-
-_FIELD_TABLES = {kind: _field_table(rows) for kind, rows in _NU_ROWS.items()}
-
-
-def _gathered(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """A batch (m, n, 3) gathered from a vertex-major copy through ``table``: table.shape + (m, 3)."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))[table]
+def _edges(xt: np.ndarray, ends: np.ndarray, base: np.ndarray | None = None) -> list[np.ndarray]:
+    """Edge sums ``sum_j (x[e[j]] - x[b])`` of a batch (3, n, m), added in j order, one for each table
+    e (J, ...) of ``ends``; b is ``base``, broadcast against the tables, or else the field rows' base."""
+    b = None if base is None else np.take(xt, base, axis=1)
+    sums = []
+    for e in ends:
+        acc = None
+        for end in e:
+            edge = np.take(xt, end, axis=1)
+            if b is not None:
+                edge -= b
+            else:  # n - 1 for rows 0 to n - 2 and 0 for row n - 1, subtracted from slices without a gather
+                edge[:, :, :-1] -= xt[:, None, -1:]
+                edge[:, :, -1] -= xt[:, None, 0]
+            acc = edge if acc is None else np.add(acc, edge, out=acc)
+        sums.append(acc)
+    return sums
 
 
-def _normals(g: np.ndarray) -> np.ndarray:
-    """Normals ``(b - a) x (c - a)`` of gathered triangles (..., 3, m, 3) -> (..., m, 3)."""
-    a = g[..., 0, :, :]
-    return _cross(g[..., 1, :, :] - a, g[..., 2, :, :] - a)
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
 
 
-def _sum_rows(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, row after row from zero (``ndarray.sum`` may go pairwise)."""
-    acc = np.zeros(terms.shape[1:])
-    for row in terms:
+def _sum_rows(terms: np.ndarray, coef: float | np.ndarray = 1.0) -> np.ndarray:
+    """``sum_k coef[k] * terms[k]`` of a fresh array, row after row into its first row (a reduction may
+    go pairwise when the other axes have length 1). A common coefficient, a power of 2, scales the sum
+    once, which is exactly scaling each term."""
+    if not isinstance(coef, float):
+        terms *= coef
+    acc = terms[0]
+    for row in terms[1:]:
         acc += row
-    return acc
+    return acc * coef if isinstance(coef, float) and coef != 1.0 else acc
 
 
 def polygon_normal(points) -> np.ndarray:
@@ -153,88 +118,14 @@ def polygon_normal(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise InvalidPolygon(f"need at least 3 points of dimension 3, got shape {pts.shape}")
-    return _sum_rows(_normals(pts[:, None][_fan(range(pts.shape[0]))]))[0]
-
-
-def element_batch(kind: ElementKind, coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
-    """``coords[conn]``, shape (m, n_e, 3); for tets the transposed view of a (3, 4, m) gather."""
-    if kind is ElementKind.TETRA:
-        return np.take(coords.T, conn.T, axis=1).T
-    return coords[conn]
-
-
-def _tet_volumes(xt: np.ndarray) -> np.ndarray:
-    """Signed volumes, (3, 4, m) -> (m,); the dot product adds from 0.0 in ``np.einsum``'s order."""
-    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = xt[:, 1:] - xt[:, :1]
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    return (((0.0 + nx * cx) + nz * cz) + ny * cy) / 6.0
-
-
-def _tet_fields(xt: np.ndarray) -> np.ndarray:
-    """Fields, (3, 4, m) -> (3, m, 4): row i, the face normal opposite vertex i, added into zeros."""
-    out = np.zeros((3, xt.shape[2], 4))
-    for i, (a, b, c) in enumerate(((3, 2, 1), (3, 0, 2), (3, 1, 0), (0, 1, 2))):
-        u, v = xt[:, b] - xt[:, a], xt[:, c] - xt[:, a]
-        out[0, :, i] += u[1] * v[2] - u[2] * v[1]
-        out[1, :, i] += u[2] * v[0] - u[0] * v[2]
-        out[2, :, i] += u[0] * v[1] - u[1] * v[0]
-    return out
-
-
-def tet_signed_volumes(x) -> np.ndarray:
-    """Signed volumes of a batch of tetrahedra, shape (m, 4, 3) -> (m,)."""
-    return _tet_volumes(_as_batch(x, 4).T)
-
-
-def tet_signed_volume(x) -> float:
-    """Signed volume of one tetrahedron; the sign encodes orientation."""
-    return float(tet_signed_volumes(np.asarray(x, dtype=float)[None])[0])
-
-
-def element_fields(kind: ElementKind, x) -> np.ndarray:
-    """Transformation fields for a batch of elements, (m, n_e, 3) -> same shape.
-
-    Equals six times the gradient of :func:`element_mean_volumes`; translation
-    invariant and homogeneous of degree 2 in the coordinates.
-    """
-    x = _as_batch(x, kind.vertex_count)
-    if kind is ElementKind.TETRA:
-        return _tet_fields(x.T).transpose(1, 2, 0)
-    fans, weights = _FIELD_TABLES[kind]
-    # C order: the Euler identity's einsum needs it
-    return np.ascontiguousarray((weights * _sum_rows(_normals(_gathered(x, fans)))).transpose(1, 0, 2))
-
-
-def element_field(kind: ElementKind, x) -> np.ndarray:
-    """Transformation field of a single element, shape (n_e, 3)."""
-    return element_fields(kind, np.asarray(x, dtype=float)[None])[0]
-
-
-def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
-    """Mean volumes of a batch of elements, (m, n_e, 3) -> (m,).
-
-    Tetra: the signed-volume formula. Pyramid: mean of its two boundary
-    triangulations. Prism/hexa: Euler identity ``<x, field(x)> / 18`` with
-    coordinates centered first for conditioning.
-    """
-    x = _as_batch(x, kind.vertex_count)
-    if kind is ElementKind.TETRA:
-        return tet_signed_volumes(x)
-    if kind is ElementKind.PYRAMID:
-        # the base's two diagonal splits, each triangle coned to the apex
-        a, b, c, d = (_tet_volumes(x.T[:, (*t, 4)]) for t in _QUAD_SPLITS)
-        return 0.5 * (a + b + c + d)
-    xc = x - x.mean(axis=1, keepdims=True)
-    return np.einsum("mij,mij->m", xc, element_fields(kind, xc)) / 18.0
-
-
-def element_mean_volume(kind: ElementKind, x) -> float:
-    """Mean volume of a single element."""
-    return float(element_mean_volumes(kind, np.asarray(x, dtype=float)[None])[0])
+    d = pts[1:] - pts[0]  # the fan from the first point, which keeps translation out of the rounding
+    acc = np.zeros(3)
+    for nu in _cross(d[:-1], d[1:]):
+        acc += nu
+    return acc
 
 
 _QUAD_SPLITS = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the corners after and before corner k
 
 
 def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
@@ -253,87 +144,197 @@ def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
     return np.array(tris, dtype=np.intp).reshape(-1, 3), np.array(weights)
 
 
-_KIND_TRIANGLES = {kind: _face_triangles(FACES[kind]) for kind in ElementKind}
-
-# Coordinate rows gathered per element: 4 for the tetra batch, else the kind's largest index table.
-GATHERED_ROWS = {ElementKind.TETRA: 4} | {
-    kind: max(fans.size, _KIND_TRIANGLES[kind][0].size) for kind, (fans, _) in _FIELD_TABLES.items()}
-
-
-def _mean_areas(tris, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mean boundary areas (m,) of a batch (m, n, 3) over a triangulation table, and the
-    gathered triangles (T, 3, m, 3), their normals (T, m, 3) and norms (T, m) they come from."""
-    idx, w = tris
-    g = _gathered(x, idx)
-    nu = _normals(g)
-    nn = np.linalg.norm(nu, axis=-1)
-    return _sum_rows(w[:, None] * nn), g, nu, nn
+def _common(coef: np.ndarray) -> float | np.ndarray:
+    """The common value of coefficients that are all one power of 2, else the coefficients."""
+    c = float(coef.flat[0])
+    return c if np.all(coef == c) and math.frexp(c)[0] == 0.5 else coef
 
 
-def _scatter(idx: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
-    """Add (T, 3, m, 3) corner terms into an (m, n, 3) gradient in (triangle, corner) order."""
-    grad = np.zeros((n,) + terms.shape[2:])
-    np.add.at(grad, idx, terms)
-    return grad.transpose(1, 0, 2)
+def _padded(rows: list[list], pad: list) -> list[list]:
+    """Entry k of each row, k = 0, 1, ..., with ``pad[r]`` for a row r that has none."""
+    return [[row[k] if k < len(row) else pad[r] for r, row in enumerate(rows)] for k in range(max(map(len, rows)))]
 
 
-def _div_volumes(tris, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-theorem volume of one closed polyhedron (n, 3) and its gradient, batches of 1."""
-    idx, w = tris
-    g = (x - x.mean(axis=0))[:, None][idx]
-    s = 2.0 * w / 6.0
-    corners = _cross(g[:, _NEXT], g[:, _PREV])
-    vols = _sum_rows(s[:, None] * np.einsum("tmj,tmj->tm", g[:, 0], corners[:, 0]))
-    return vols, _scatter(idx, s[:, None, None, None] * corners, len(x))
+class _Tables(NamedTuple):
+    """Index tables of one closed surface over n vertices (see :func:`_tables`)."""
+
+    terms: np.ndarray  # (3, T): the i, j, k of each volume term
+    weights: float | np.ndarray  # (T, 1): their weights in units of 1/6, or the common weight
+    ends: np.ndarray  # (2, J, K, n): p and q of each row's k-th cross product
+    coef: float | np.ndarray  # (K, 1, n, 1): their coefficients, or the common coefficient
+    tris: np.ndarray  # (3, F): base, p, q of each boundary triangle
+    areas: np.ndarray  # (F, 1): their weights on |nu|
+    faces_are_rows: bool  # a tetrahedron: the field's rows are its faces' normals
+    corners: tuple[np.ndarray, np.ndarray]  # (K, n) area gradient rows over (e_q x u, e_p x u)
+
+
+def _tables(faces, n: int) -> _Tables:
+    """Volume, field and area tables of a closed surface over n vertices, with ``e = x - x_b``.
+
+    Volume: each triangle (i, j, k) of weight w of the mean triangulation, off
+    b = 0, adds ``2w/6 det(e_i, e_j, e_k)``. Field row r, ``6 dV/dx_r`` with b =
+    n - 1 (0 for r = n - 1): each face through r, rotated to start at r, adds
+    ``e_i x e_j`` for a triangle (r, i, j) off b, and its three split triangles
+    through r at weight 1/2, ``(e_i + e_j) x (e_j + e_k) / 2``, for a
+    quadrilateral (r, i, j, k). Area gradient: each triangle (b, p, q) of weight
+    w adds ``w (e_p - e_q) x u``, ``w e_q x u`` and ``-w e_p x u`` at b, p, q.
+    """
+    tris, w = _face_triangles(faces)
+    off0 = ~np.any(tris == 0, axis=1)
+    terms, weights = tris[off0].T, _common(2.0 * w[off0, None])
+    base = [n - 1] * (n - 1) + [0]
+    field = [[] for _ in base]
+    for r, b in enumerate(base):
+        for face in faces:
+            if r in face:
+                g = list(face[face.index(r) + 1:]) + list(face[:face.index(r)])
+                if len(g) == 3:
+                    field[r].append((g[:2], g[1:], 0.5))
+                elif b not in g:
+                    field[r].append((g[:1], g[1:], 1.0))
+    depth = max(len(p) for row in field for p, _, _ in row)
+    # short sums end in x_b - x_b = 0, short rows in zero vectors
+    grid = _padded(field, [([b], [b], 0.0) for b in base])
+    ends = np.array([[[(v + [b] * depth)[:depth] for v in (p, q)] for (p, q, _), b in zip(line, base)]
+                     for line in grid]).transpose(2, 3, 0, 1)
+    coef = np.array([[[[c] for _, _, c in line]] for line in grid])
+    faces_are_rows = ends.shape[1:3] == (1, 1) and bool(np.all(coef == 1.0))
+    if faces_are_rows:
+        tris, w = np.array([base, *ends[:, 0, 0]]).T, np.full(n, 0.5)
+    f = len(tris)
+    corners = [[] for _ in base]
+    for t, (b, p, q) in enumerate(tris.tolist()):
+        corners[b] += [(f + t, w[t]), (t, -w[t])]
+        corners[p].append((t, w[t]))
+        corners[q].append((f + t, -w[t]))
+    corners = np.array(_padded(corners, [(0, 0.0)] * n))  # (K, n, 2)
+    return _Tables(terms, weights, ends, _common(coef), tris.T, w[:, None], faces_are_rows,
+                   (corners[..., 0].astype(np.intp), corners[:, None, :, 1:]))
+
+
+_KIND_TABLES = {kind: _tables(FACES[kind], kind.vertex_count) for kind in ElementKind}
+
+# (k, m) rows of the largest temporary per element of each kind: of the volume and field kernels, and of the iq ones
+GATHERED_ROWS = {kind: max(t.terms.size, t.ends[0, 0].size) for kind, t in _KIND_TABLES.items()}
+IQ_ROWS = {kind: max(GATHERED_ROWS[kind], 2 * t.tris.shape[1], t.corners[0].size) for kind, t in _KIND_TABLES.items()}
+
+
+def element_batch(kind: ElementKind, coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """``coords[conn]``, shape (m, n_e, 3): the transposed view of one component-major (3, n_e, m) gather."""
+    return np.take(coords.T, conn.T, axis=1).T
+
+
+def _div_volumes(tab: _Tables, xt: np.ndarray) -> np.ndarray:
+    """Mean volumes (m,) of a batch (3, n, m): each term's triple product, its dot product added from
+    0.0 in ``np.einsum``'s order (x, z, y), then the weighted terms in table order."""
+    edges = np.take(xt, tab.terms, axis=1)
+    edges -= xt[:, None, :1]
+    ax, bx, cx, ay, by, cy, az, bz, cz = edges.reshape(9, -1)
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return _sum_rows((((0.0 + nx * cx) + nz * cz) + ny * cy).reshape(tab.terms.shape[1], -1), tab.weights) / 6.0
+
+
+def _fields(tab: _Tables, xt: np.ndarray) -> np.ndarray:
+    """Fields of a batch (3, n, m), component-major (3, m, n): each row's cross products, times their
+    coefficients, added in table order into zeros."""
+    out = np.zeros((3, xt.shape[2], xt.shape[1]))
+    rows = out.transpose(0, 2, 1)
+    if tab.faces_are_rows:  # one cross product a row at coefficient 1: straight into the rows
+        _cross_cm(*_edges(xt, tab.ends), into=rows[:, None])
+    else:
+        rows += _sum_rows(_cross_cm(*_edges(xt, tab.ends)).transpose(1, 0, 2, 3), tab.coef)
+    return out
+
+
+def tet_signed_volumes(x) -> np.ndarray:
+    """Signed volumes of a batch of tetrahedra, shape (m, 4, 3) -> (m,)."""
+    return _div_volumes(_KIND_TABLES[ElementKind.TETRA], _as_batch(x, 4).T)
+
+
+def tet_signed_volume(x) -> float:
+    """Signed volume of one tetrahedron; the sign encodes orientation."""
+    return float(tet_signed_volumes(np.asarray(x, dtype=float)[None])[0])
+
+
+def element_fields(kind: ElementKind, x) -> np.ndarray:
+    """Transformation fields for a batch of elements, (m, n_e, 3) -> same shape.
+
+    Equals six times the gradient of :func:`element_mean_volumes`; translation
+    invariant and homogeneous of degree 2 in the coordinates. The array is
+    the transposed view of a component-major (3, m, n_e) one.
+    """
+    return _fields(_KIND_TABLES[kind], _as_batch(x, kind.vertex_count).T).transpose(1, 2, 0)
+
+
+def element_field(kind: ElementKind, x) -> np.ndarray:
+    """Transformation field of a single element, shape (n_e, 3)."""
+    return element_fields(kind, np.asarray(x, dtype=float)[None])[0]
+
+
+def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
+    """Mean volumes of a batch of elements, (m, n_e, 3) -> (m,).
+
+    The signed volume for a tetrahedron; otherwise the mean over the
+    boundary triangulations that split each quadrilateral face either way.
+    """
+    return _div_volumes(_KIND_TABLES[kind], _as_batch(x, kind.vertex_count).T)
+
+
+def element_mean_volume(kind: ElementKind, x) -> float:
+    """Mean volume of a single element."""
+    return float(element_mean_volumes(kind, np.asarray(x, dtype=float)[None])[0])
+
+
+def _tiny(xt: np.ndarray) -> np.ndarray:
+    """Degenerate-area bound per element: ``_DEGENERACY`` times its squared bounding-box diagonal."""
+    d = xt.max(axis=1) - xt.min(axis=1)
+    return _DEGENERACY * ((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+
+
+def _mean_areas(tab: _Tables, xt: np.ndarray) -> np.ndarray:
+    return _sum_rows(tab.areas * _norms(_cross_cm(*_edges(xt, tab.tris[1:, None], tab.tris[0]))))
+
+
+def _checked(areas: np.ndarray, tiny: np.ndarray) -> np.ndarray:
+    if np.any(areas <= tiny):
+        raise DegenerateElement("boundary area vanished; isoperimetric quotient undefined")
+    return areas
+
+
+def _iq_values(tab: _Tables, xt: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    return _SIX_SQRT_PI * vols / _checked(_mean_areas(tab, xt), _tiny(xt)) ** 1.5
+
+
+def _iq_gradients(tab: _Tables, xt: np.ndarray, vols: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Gradients (m, n, 3) of the iq of a batch (3, n, m), given its volumes and fields (m, n, 3)."""
+    ep, eq = _edges(xt, tab.tris[1:, None], tab.tris[0])
+    nu = field.T if tab.faces_are_rows else _cross_cm(ep, eq)
+    nn = _norms(nu)
+    tiny = _tiny(xt)
+    if np.any(nn <= tiny):
+        raise DegenerateElement("zero-area triangle in boundary face")
+    areas = _checked(_sum_rows(tab.areas * nn), tiny)
+    u = nu / nn
+    corner_terms = np.concatenate([_cross_cm(eq, u), _cross_cm(ep, u)], axis=1)
+    agrad = _sum_rows(np.take(corner_terms, tab.corners[0], axis=1).transpose(1, 0, 2, 3), tab.corners[1])
+    a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
+    return _SIX_SQRT_PI * (field / 6.0 / a32 - 1.5 * (vols[:, None, None] / a52) * agrad.T)
 
 
 def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
     """Mean boundary areas for a batch of elements, (m, n_e, 3) -> (m,)."""
-    return _mean_areas(_KIND_TRIANGLES[kind], _as_batch(x, kind.vertex_count))[0]
+    return _mean_areas(_KIND_TABLES[kind], _as_batch(x, kind.vertex_count).T)
 
 
 def element_mean_boundary_area(kind: ElementKind, x) -> float:
-    """Mean surface area of one element's boundary.
-
-    Triangle faces contribute their exact area; quadrilateral faces the mean
-    area over their two diagonal triangulations.
-    """
+    """Mean surface area of one element's boundary: quadrilaterals averaged over their two diagonal splits."""
     return float(element_mean_boundary_areas(kind, np.asarray(x, dtype=float)[None])[0])
-
-
-def _tiny(x: np.ndarray) -> np.ndarray:
-    """Degenerate-area bound per element: ``_DEGENERACY`` times its squared bounding-box diagonal."""
-    return _DEGENERACY * np.linalg.norm(x.max(axis=1) - x.min(axis=1), axis=-1) ** 2
-
-
-def _check_areas(areas: np.ndarray, tiny: np.ndarray) -> None:
-    if np.any(areas <= tiny):
-        raise DegenerateElement("boundary area vanished; isoperimetric quotient undefined")
-
-
-def _iq_values(tris, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
-    areas = _mean_areas(tris, x)[0]
-    _check_areas(areas, _tiny(x))
-    return _SIX_SQRT_PI * vols / areas**1.5
-
-
-def _iq_gradients(tris, x: np.ndarray, vols: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
-    idx, w = tris
-    tiny = _tiny(x)
-    areas, g, nu, nn = _mean_areas(tris, x)
-    if np.any(nn <= tiny):
-        raise DegenerateElement("zero-area triangle in boundary face")
-    _check_areas(areas, tiny)
-    u = (nu / nn[..., None])[:, None]
-    agrad = _scatter(idx, w[:, None, None, None] * _cross(g[:, _NEXT] - g[:, _PREV], u), x.shape[1])
-    a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
-    return _SIX_SQRT_PI * (vgrad / a32 - 1.5 * (vols[:, None, None] / a52) * agrad)
 
 
 def element_iqs(kind: ElementKind, x, vols=None) -> np.ndarray:
     """Isoperimetric quotients of a batch; ``vols``: its :func:`element_mean_volumes`, computed if None."""
     x = _as_batch(x, kind.vertex_count)
-    return _iq_values(_KIND_TRIANGLES[kind], x, element_mean_volumes(kind, x) if vols is None else vols)
+    return _iq_values(_KIND_TABLES[kind], x.T, element_mean_volumes(kind, x) if vols is None else vols)
 
 
 def element_iq(kind: ElementKind, x) -> float:
@@ -346,10 +347,11 @@ def element_iq(kind: ElementKind, x) -> float:
 
 
 def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
-    """Gradients of :func:`element_iqs`, ``vols`` as there; given them, one field evaluation, not two."""
+    """Gradients of :func:`element_iqs`, ``vols`` as there; given them, one field evaluation and no volume
+    pass. A tetrahedron's boundary normals are its field's rows, so they are not computed again."""
     x = _as_batch(x, kind.vertex_count)
     vols = element_mean_volumes(kind, x) if vols is None else vols
-    return _iq_gradients(_KIND_TRIANGLES[kind], x, vols, element_fields(kind, x) / 6.0)
+    return _iq_gradients(_KIND_TABLES[kind], x.T, vols, element_fields(kind, x))
 
 
 def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
@@ -357,38 +359,35 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
     return element_iq_gradients(kind, np.asarray(x, dtype=float)[None])[0]
 
 
-# -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------
-#
-# A polyhedron here is a closed oriented surface given by faces over an
-# (n, 3) coordinate array. For the four element kinds these functions agree
-# with the element_* forms; they also cover shapes like the icosahedron that
-# are not volume cells.
+# -- generic closed polyhedra: oriented triangle/quad faces over (n, 3) coordinates, tables built per
+# call by the element kinds' rule, so for those kinds these agree with the element_* forms
+
+
+def _polyhedron(faces, x) -> tuple[_Tables, np.ndarray]:
+    """The tables of a polyhedron and its coordinates as a component-major batch of one, (3, n, 1)."""
+    xt = np.asarray(x, dtype=float).T[:, :, None]
+    return _tables(faces, xt.shape[1]), xt
 
 
 def polyhedron_mean_volume(faces, x) -> float:
     """Enclosed signed volume with quad faces averaged over both diagonals."""
-    x = np.asarray(x, dtype=float)
-    return float(_div_volumes(_face_triangles(faces), x)[0][0])
+    return float(_div_volumes(*_polyhedron(faces, x))[0])
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return _div_volumes(_face_triangles(faces), x)[1][0]
+    return _fields(*_polyhedron(faces, x))[:, 0].T / 6.0
 
 
 def polyhedron_mean_area(faces, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(_mean_areas(_face_triangles(faces), x[None])[0][0])
+    return float(_mean_areas(*_polyhedron(faces, x))[0])
 
 
 def polyhedron_iq(faces, x) -> float:
     """Isoperimetric quotient of a closed polyhedron."""
-    x = np.asarray(x, dtype=float)
-    tris = _face_triangles(faces)
-    return float(_iq_values(tris, x[None], _div_volumes(tris, x)[0])[0])
+    tab, xt = _polyhedron(faces, x)
+    return float(_iq_values(tab, xt, _div_volumes(tab, xt))[0])
 
 
 def polyhedron_iq_gradient(faces, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    tris = _face_triangles(faces)
-    return _iq_gradients(tris, x[None], *_div_volumes(tris, x))[0]
+    tab, xt = _polyhedron(faces, x)
+    return _iq_gradients(tab, xt, _div_volumes(tab, xt), _fields(tab, xt).transpose(1, 2, 0))[0]

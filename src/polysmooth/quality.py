@@ -6,10 +6,13 @@ driver all read. Its functions take ``(mesh, coords, v)``, ``v`` the
 shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
 through two helpers only: one maps a kernel over the elements, one scatters
 per-element vectors onto the vertices. Both read one walk, which cuts each
-kind into blocks of at most ``_ROWS`` gathered coordinate rows (8,192 tets,
-728 pyramids, 455 prisms or 273 hexa) and evaluates one block at a time, so
-every temporary stays near the size of the L2 cache and the allocator reuses
-it instead of faulting in fresh pages on every call. The scatter adds each
+kind into blocks whose kernel temporaries hold at most ``_ROWS`` (3, m) rows
+each and evaluates one block at a time, so every temporary stays near the
+size of the L2 cache and the allocator reuses it instead of faulting in fresh
+pages on every call. By the rows per element of :data:`geometry.GATHERED_ROWS`
+a volume or field block holds 8,192 tets, 3,276 pyramids, 1,560 prisms or 728
+hexa; by :data:`geometry.IQ_ROWS` an iq block 1,365 tets, 728 pyramids, 455
+prisms or 256 hexa. The scatter adds each
 block's field straight into the vertex sums with one ``np.add.at`` per
 component, in element order within each kind, so results do not depend on
 the block size and repeated runs are bit-reproducible.
@@ -166,23 +169,24 @@ class QualityReport:
         }
 
 
-_ROWS = 32768  # gathered coordinate rows per block: 8,192 tets, whose coordinates and fields take 0.8 MB each
+_ROWS = 32768  # (3, m) rows per kernel temporary: 8,192 tets, whose coordinates and fields take 0.8 MB each
 
 
-def _blocks(mesh: Mesh, coords):
-    """``(kind, ids, conn, x)`` for blocks of at most ``_ROWS`` rows of :data:`geometry.GATHERED_ROWS`,
+def _blocks(mesh: Mesh, coords, rows):
+    """``(kind, ids, conn, x)`` for blocks of at most ``_ROWS`` rows of ``rows[kind]`` per element,
     kind by kind in element order; ``x`` is the block's :func:`geometry.element_batch`."""
     for kind, (ids, conn) in kind_groups(mesh).items():
-        step = _ROWS // geometry.GATHERED_ROWS[kind]
+        step = _ROWS // rows[kind]
         for i in range(0, len(ids), step):
             c = conn[i : i + step]
             yield kind, ids[i : i + step], c, geometry.element_batch(kind, coords, c)
 
 
-def _per_kind(kernel, mesh: Mesh, coords, *arrays) -> np.ndarray:
-    """``kernel(kind, x, *(a[ids] for a in arrays))`` of every element, in element order."""
+def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:
+    """``kernel(kind, x, *(a[ids] for a in arrays))`` of every element, in element order; ``rows``:
+    the kernel's rows per element, :data:`geometry.GATHERED_ROWS` or :data:`geometry.IQ_ROWS`."""
     values = np.empty(mesh.n_elements)
-    for kind, ids, _, x in _blocks(mesh, coords):
+    for kind, ids, _, x in _blocks(mesh, coords, rows):
         values[ids] = kernel(kind, x, *(a[ids] for a in arrays))
     return values
 
@@ -205,13 +209,13 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None) -> np.ndarray:
+def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None, rows=geometry.GATHERED_ROWS) -> np.ndarray:
     """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, a fresh (m, n_e, 3) array, onto the
-    vertices, times ``scale[id]`` when given. Each block's field, taken component-major and scaled in
-    place, is added by one ``np.add.at`` per component, kind by kind in element order, so no bit
-    depends on the block size."""
+    vertices, times ``scale[id]`` when given; ``rows`` as for :func:`_per_kind`. Each block's field,
+    taken component-major and scaled in place, is added by one ``np.add.at`` per component, kind by
+    kind in element order, so no bit depends on the block size."""
     out = np.zeros((len(coords), 3))
-    for kind, ids, conn, x in _blocks(mesh, coords):
+    for kind, ids, conn, x in _blocks(mesh, coords, rows):
         w = kernel(kind, x, *(a[ids] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
             w *= scale[ids][:, None]
@@ -284,9 +288,10 @@ _MEASURES: dict[Measure, _MeasureDef] = {
     ),
     Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c)),
     Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
-        values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v),
-        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c, v).sum()),
-        vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c, v), degree=-1.0,
+        values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS),
+        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS).sum()),
+        vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c, v, rows=geometry.IQ_ROWS),
+        degree=-1.0,
     ),
 }
 

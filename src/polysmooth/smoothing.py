@@ -577,18 +577,21 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     """
     config = config or SmoothingConfig()
     coords = project_shape(np.array(coords, dtype=float))
-    tris = geometry._face_triangles(faces)
+    tables = geometry._tables(faces, len(coords))
 
-    def iq(c, state):
-        return float(geometry._iq_values(tris, c[None], state[0])[0])
+    def iq(c, vols):
+        return float(geometry._iq_values(tables, c.T[:, :, None], vols)[0])
 
-    state0 = geometry._div_volumes(tris, coords)  # the volume and its gradient
-    guard = state0[0][0] > 0.0  # as for a mesh: an inverted start may pass through volume 0
+    def gradient(c, vols):
+        xt = c.T[:, :, None]
+        return geometry._iq_gradients(tables, xt, vols, geometry._fields(tables, xt).transpose(1, 2, 0))[0]
+
+    v0 = geometry._div_volumes(tables, coords.T[:, :, None])
+    guard = v0[0] > 0.0  # as for a mesh: an inverted start may pass through volume 0
 
     def objective(c):
-        state = geometry._div_volumes(tris, c)
-        return (-np.inf if guard and not state[0][0] > 0.0 else iq(c, state)), state
+        vols = geometry._div_volumes(tables, c.T[:, :, None])
+        return (-np.inf if guard and not vols[0] > 0.0 else iq(c, vols)), vols
 
-    flow = _Flow(objective, lambda c, state: geometry._iq_gradients(tris, c[None], *state)[0],
-                 _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
-    return _drive(coords, flow, iq(coords, state0), state0, config)
+    flow = _Flow(objective, gradient, _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
+    return _drive(coords, flow, iq(coords, v0), v0, config)

@@ -79,6 +79,16 @@ class _Tokens:
         self.pos = 0
         self.last_line = first_line
 
+    def line_starts(self, first: int, count: int) -> np.ndarray:
+        """Which of the ``count`` tokens from ``first`` follow a newline directly, counted from ``first``."""
+        if count == 0:
+            return np.zeros(0, dtype=np.intp)
+        lo = np.searchsorted(self.newlines, self.starts[first] - 1)
+        hi = np.searchsorted(self.newlines, self.starts[first + count - 1] - 1, side="right")
+        after = self.newlines[lo:hi] + 1
+        tokens = np.searchsorted(self.starts, after)
+        return tokens[self.starts[tokens] == after] - first
+
     def lines(self, indices):
         """Line numbers of the tokens at ``indices``."""
         return self.first_line + np.searchsorted(self.newlines, self.starts[indices])
@@ -133,6 +143,32 @@ class _Tokens:
             raise MalformedFile(f"{what} out of range", self.last_line) from None
 
 
+def _cell_starts(flat: np.ndarray, n_cells: int, guess: np.ndarray, fail) -> np.ndarray:
+    """Where each of ``n_cells`` cells starts in the CELLS list ``flat``: the walk from 0 that steps
+    over a cell's arity and its vertices. ``guess`` (one cell per line, as files are written) is
+    taken when it is that walk; otherwise the walk is found by doubling its steps, 2**k cells at a
+    time, and ``fail`` gets the first cell it cannot take."""
+    total = len(flat)
+    if len(guess) == n_cells and (total == 0 if n_cells == 0 else guess[0] == 0):
+        if np.array_equal(guess + 1 + flat[guess], np.append(guess[1:], total)):
+            return guess
+    pos = np.arange(total)
+    bad = (flat < 0) | (flat > total - 1 - pos)  # an arity beyond the list: the walk stops there
+    step = np.append(pos + 1 + np.where(bad, -1, flat), total)
+    path, jump = np.zeros(1, dtype=np.intp), step
+    while len(path) <= min(n_cells, total):
+        path, jump = np.concatenate([path, jump[path]]), jump[jump]
+    stuck = np.flatnonzero(np.append(bad, True)[path[:n_cells]])
+    if stuck.size:
+        i, at = int(stuck[0]), int(path[stuck[0]])
+        if at == total:
+            fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
+        fail(f"cell {i} has arity {flat[at]} beyond the {total} advertised integers")
+    if path[n_cells] != total:
+        fail(f"CELLS advertised {total} integers but contained {path[n_cells]}")
+    return path[:n_cells]
+
+
 def read_document(path) -> MeshDocument:
     """Parse a file into points, cells, cell types and scalar data arrays."""
     with open(path, "rb") as fh:
@@ -173,19 +209,7 @@ def read_document(path) -> MeshDocument:
     total = body.next_count("cell list size")
     first_token = body.pos
     flat = body.array(total, int, "cell list entry")
-    values, starts, consumed = memoryview(flat), [], 0  # one Python int at a time, not a list of all
-    for i in range(n_cells):
-        if consumed >= total:
-            fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
-        arity = values[consumed]
-        end = consumed + 1 + arity
-        if arity < 0 or end > total:
-            fail(f"cell {i} has arity {arity} beyond the {total} advertised integers")
-        starts.append(consumed)
-        consumed = end
-    if consumed != total:
-        fail(f"CELLS advertised {total} integers but contained {consumed}")
-    starts = np.array(starts, dtype=np.int64)
+    starts = _cell_starts(flat, n_cells, body.line_starts(first_token, total), fail)
     offsets = np.concatenate([[0], np.cumsum(flat[starts])])
 
     if body.next("CELL_TYPES keyword") != "CELL_TYPES":

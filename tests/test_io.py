@@ -14,7 +14,7 @@ from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, Unsupp
 from polysmooth.generators import GENERATOR_NAMES, perturb_mesh, tet_grid, unit_element
 from polysmooth.mesh import KIND_CODES, _checked_coords
 from polysmooth.quality import mesh_mean_volumes
-from polysmooth.vtkio import CELL_TYPE_BY_KIND, read_document, read_mesh, write_mesh
+from polysmooth.vtkio import CELL_TYPE_BY_KIND, _cell_starts, read_document, read_mesh, write_mesh
 
 
 def _roundtrip(mesh, tmp_path, name="m.vtk", **kw):
@@ -292,6 +292,66 @@ def test_wrong_vertex_count_reports_the_line_of_its_cell(tmp_path, capsys):
     with pytest.raises(MalformedFile, match="cell 1 of type 10 has 3 vertices") as err:
         read_mesh(_write_lines(tmp_path / "second.vtk", lines))
     assert err.value.line == 12
+
+
+def _walk_cells(flat, n_cells):
+    """The loop the CELLS scan replaced: cell starts, or the message of the first cell it cannot take."""
+    total, values, starts, consumed = len(flat), memoryview(flat), [], 0
+    for i in range(n_cells):
+        if consumed >= total:
+            return f"CELLS advertised {total} integers, too few for {n_cells} cells"
+        arity = values[consumed]
+        end = consumed + 1 + arity
+        if arity < 0 or end > total:
+            return f"cell {i} has arity {arity} beyond the {total} advertised integers"
+        starts.append(consumed)
+        consumed = end
+    if consumed != total:
+        return f"CELLS advertised {total} integers but contained {consumed}"
+    return starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 6), max_size=40), st.integers(0, 45), st.sampled_from(["walk", "lines", "none"]))
+def test_cell_scan_is_the_walk_for_any_guess(values, n_cells, guess):
+    """Whether or not the one-cell-per-line guess holds, the scan finds the walk or its first error."""
+    flat = np.array(values, dtype=np.int64)
+    expected = _walk_cells(flat, n_cells)
+    if guess == "walk" and isinstance(expected, list):
+        guess = np.array(expected, dtype=np.intp)
+    elif guess == "lines":  # a line per four integers, as a writer that wraps lines might
+        guess = np.arange(0, len(flat), 4)
+    else:
+        guess = np.zeros(0, dtype=np.intp)
+
+    def fail(message):
+        raise MalformedFile(message, 7)
+
+    try:
+        got = _cell_starts(flat, n_cells, guess, fail).tolist()
+    except MalformedFile as err:
+        got = str(err).removeprefix("line 7: ")
+    assert got == expected
+
+
+def test_cells_of_mixed_arity_in_any_layout_read_the_same(tmp_path):
+    cube = unit_element(ElementKind.HEXA).vertices
+    pts = np.vstack([cube, [[0.5, 0.5, 1.7], [0.5, 0.5, -0.8], [1.6, 0.5, 0.5], [1.6, 0.5, 1.5]]])
+    elements = [
+        Element(ElementKind.TETRA, (0, 2, 1, 9)),
+        Element(ElementKind.HEXA, range(8)),
+        Element(ElementKind.PYRAMID, (4, 5, 6, 7, 8)),
+        Element(ElementKind.PRISM, (1, 2, 10, 5, 6, 11)),
+    ]
+    path, mesh = _roundtrip(make_mesh(pts, elements), tmp_path)
+    lines = path.read_text().split("\n")
+    at = lines.index(next(line for line in lines if line.startswith("CELLS")))
+    wrapped = " ".join(lines[at + 1 : at + 5]).split()
+    lines[at + 1 : at + 5] = [" ".join(wrapped[i : i + 7]) for i in range(0, len(wrapped), 7)]  # 7 integers a line
+    (tmp_path / "wrapped.vtk").write_text("\n".join(lines))
+    for read in (read_document(path), read_document(tmp_path / "wrapped.vtk")):
+        assert read.offsets.tolist() == [0, 4, 12, 17, 23]
+        assert read.connectivity.tolist() == mesh.elements.flat.tolist()
 
 
 def test_first_bad_cell_in_file_order_decides_the_error(tmp_path):

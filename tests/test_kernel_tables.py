@@ -1,18 +1,25 @@
 """The kernels of ``geometry`` against the code they replaced.
 
-The reference below is the loop form of each table kernel, kept verbatim:
-the fan sum ``_nu``, the row loop of the field, and the per-triangle loops
-over boundary areas, area gradients and divergence volumes. The tetra
-kernels are checked against their slice form, also verbatim: the field as
-cross products of strided (m, 3) slices, the volume as an ``np.einsum`` dot
-product. The scatter is checked against ``np.add.at``. Every comparison is
-on the bytes, so the sign of a zero counts too: each kernel adds the same
-terms in the same order, so no bit may move. Last, the block walk of
-``quality`` is checked against each kernel on whole kind groups, at and
-around the tet block size and on a mixed mesh whose every table kind spans
+The reference below is the loop form of each earlier kernel, kept verbatim:
+the fan sum ``_nu``, the row loop of the field over the vertex-link
+polygons, and the per-triangle loops over boundary areas, area gradients
+and divergence volumes. The tetra kernels are checked against their slice
+form, also verbatim: the field as cross products of strided (m, 3) slices,
+the volume as an ``np.einsum`` dot product. The scatter is checked against
+``np.add.at``.
+
+The tetra volume and field add the same terms in the same order as their
+references, so they are compared on the bytes, and the sign of a zero counts
+too. The triple-product volumes and fields of the other kinds, and every
+boundary area and iq kernel, add other terms or in another order: they are
+compared at a relative tolerance of 1e-13 of each element's largest entry,
+about 500 times the double rounding unit. Last, the block walk of ``quality``
+is checked against each kernel on whole kind groups, on the bytes, at and
+around the tet block size and on a mixed mesh whose every kind spans
 blocks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +27,7 @@ import pytest
 
 from polysmooth import ElementKind, geometry, quality
 from polysmooth.errors import DegenerateElement, InvalidPolygon
+from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     hex_grid,
     icosahedron_polyhedron,
@@ -64,6 +72,37 @@ def _ref_pyramid_volumes(x):
 
 # -- reference: the loop kernels ---------------------------------------------
 
+# Vertex-link polygons defining each row of the transformation field of the
+# non-tetra kinds, one pair per element vertex: a neighbor triangle and the
+# equator polygon around the vertex, averaged.
+_NU_ROWS = {
+    ElementKind.PYRAMID: (
+        ((4, 3, 1), (4, 3, 2, 1)),
+        ((4, 0, 2), (4, 0, 3, 2)),
+        ((4, 1, 3), (4, 1, 0, 3)),
+        ((4, 2, 0), (4, 2, 1, 0)),
+        ((0, 1, 2, 3), (0, 1, 2, 3)),
+    ),
+    ElementKind.PRISM: (
+        ((2, 1, 3), (1, 4, 3, 5, 2)),
+        ((0, 2, 4), (2, 5, 4, 3, 0)),
+        ((1, 0, 5), (0, 3, 5, 4, 1)),
+        ((4, 5, 0), (5, 2, 0, 1, 4)),
+        ((5, 3, 1), (3, 0, 1, 2, 5)),
+        ((3, 4, 2), (4, 1, 2, 0, 3)),
+    ),
+    ElementKind.HEXA: (
+        ((1, 4, 3), (5, 4, 7, 3, 2, 1)),
+        ((2, 5, 0), (6, 5, 4, 0, 3, 2)),
+        ((3, 6, 1), (7, 6, 5, 1, 0, 3)),
+        ((0, 7, 2), (4, 7, 6, 2, 1, 0)),
+        ((0, 5, 7), (5, 6, 7, 3, 0, 1)),
+        ((1, 6, 4), (6, 7, 4, 0, 1, 2)),
+        ((2, 7, 5), (7, 4, 5, 1, 2, 3)),
+        ((3, 4, 6), (4, 5, 6, 2, 3, 0)),
+    ),
+}
+
 
 def _nu(x, idx):
     p0 = x[:, idx[0]]
@@ -80,7 +119,7 @@ def _ref_fields(kind, x):
     if kind is ElementKind.TETRA:
         return _ref_tet_fields(x)
     out = np.empty_like(x)
-    for i, polys in enumerate(geometry._NU_ROWS[kind]):
+    for i, polys in enumerate(_NU_ROWS[kind]):
         acc = _nu(x, polys[0])
         for p in polys[1:]:
             acc = acc + _nu(x, p)
@@ -193,13 +232,50 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _largest(a):
+    """The largest magnitude of each element (leading index) of a batch."""
+    a = np.abs(np.asarray(a, dtype=float))
+    return a.reshape(len(a), -1).max(axis=1) if a.ndim else a
+
+
+def _close(a, b, scale=None, rel=1e-13):
+    """Equal shapes, and every entry within ``rel`` of its element's ``scale``, by default its largest entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(_largest(a - b) <= rel * (_largest(b) if scale is None else scale)))
+
+
+def _volume_scale(x):
+    """The cube of each element's largest coordinate difference: a volume near 0 is a sum of larger terms."""
+    return _largest(x - x[:, :1]) ** 3
+
+
+def _iq_gradient_scale(vgrad, areas):
+    """The size of the volume term of an iq gradient: at a stationary shape the gradient itself is rounding."""
+    return _SIX_SQRT_PI * _largest(vgrad) / areas**1.5
+
+
+# compared on the bytes for tets, at a relative tolerance otherwise
+_TET_BYTES = ("element_fields", "element_mean_volumes")
+
+
+def _matches(kind, name, got, expected, x):
+    if kind is ElementKind.TETRA and name in _TET_BYTES:
+        return _same_bits(got, expected)
+    if name == "element_mean_volumes":
+        return _close(got, expected, _volume_scale(x))
+    if name == "element_iq_gradients":
+        areas = _mean_areas(_face_triangles(FACES[kind]), x)
+        return _close(got, expected, _iq_gradient_scale(_ref_fields(kind, x) / 6.0, areas))
+    return _close(got, expected)
+
+
 # -- tables against loops ----------------------------------------------------
 
 # tets per block of the measure layer's walk
 _B = quality._ROWS // geometry.GATHERED_ROWS[ElementKind.TETRA]
-# the last size is larger than the walk's block of every table kind, so a kernel takes it as one batch
-_SMALLEST_TABLE = min(idx.size for idx, _ in geometry._KIND_TRIANGLES.values())
-SIZES = [1, 2, 7, 384, 2 * (_B // _SMALLEST_TABLE) + 3]
+# the last size is larger than the iq walk's block of every kind, so a kernel takes more than the walk gives it
+_IQ_BLOCK = max(quality._ROWS // rows for rows in geometry.IQ_ROWS.values())
+SIZES = [1, 2, 7, 384, _IQ_BLOCK + 2]
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -207,7 +283,7 @@ SIZES = [1, 2, 7, 384, 2 * (_B // _SMALLEST_TABLE) + 3]
 def test_element_kernels_match_loops(kind, m, rng):
     x = _batch(kind, m, rng)
     for name, expected in _reference(kind, x).items():
-        assert _same_bits(getattr(geometry, name)(kind, x), expected), name
+        assert _matches(kind, name, getattr(geometry, name)(kind, x), expected, x), name
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -216,7 +292,7 @@ def test_axis_aligned_elements_match_loops(kind):
     mesh = {ElementKind.TETRA: tet_grid(2), ElementKind.HEXA: hex_grid(2)}.get(kind, unit_element(kind))
     x = mesh.vertices[np.array([e.vertices for e in mesh.elements])]
     for name, expected in _reference(kind, x).items():
-        assert _same_bits(getattr(geometry, name)(kind, x), expected), name
+        assert _matches(kind, name, getattr(geometry, name)(kind, x), expected, x), name
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -242,12 +318,12 @@ def test_polyhedron_functions_match_loops(rng):
         tris, xb = _face_triangles(faces), x[None]
         vols, areas = _div_volumes(tris, xb), _mean_areas(tris, xb)
         vgrad = _div_volume_gradients(tris, xb)
-        assert _same_bits(geometry.polyhedron_mean_volume(faces, x), vols[0])
-        assert _same_bits(geometry.polyhedron_volume_gradient(faces, x), vgrad[0])
-        assert _same_bits(geometry.polyhedron_mean_area(faces, x), areas[0])
-        assert _same_bits(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
-        assert _same_bits(geometry.polyhedron_iq_gradient(faces, x),
-                              _ref_iq_gradients(tris, xb, vols, vgrad)[0])
+        assert _close(geometry.polyhedron_mean_volume(faces, x), vols[0], _volume_scale(xb)[0])
+        assert _close(geometry.polyhedron_volume_gradient(faces, x)[None], vgrad)
+        assert _close(geometry.polyhedron_mean_area(faces, x), areas[0])
+        assert _close(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
+        assert _close(geometry.polyhedron_iq_gradient(faces, x)[None], _ref_iq_gradients(tris, xb, vols, vgrad),
+                      _iq_gradient_scale(vgrad, areas))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -255,6 +331,38 @@ def test_polygon_normal_matches_loop(n, rng):
     for _ in range(10):
         pts = rng.standard_normal((n, 3)) * 10.0
         assert _same_bits(geometry.polygon_normal(pts), _nu(pts[None], range(n))[0])
+
+
+# -- independent references: quadrature of the trilinear map, finite differences --
+
+_UNIT_HEXA = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]])
+
+
+def _trilinear_volumes(x):
+    """Volumes of the trilinear maps of hexahedra (m, 8, 3) from the unit cube: 2-point Gauss
+    quadrature of the Jacobian determinant, exact for its degree of at most 2 in each variable."""
+    points = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
+    total = np.zeros(len(x))
+    for p in map(np.array, itertools.product(points, repeat=3)):
+        factors = np.where(_UNIT_HEXA == 1, p, 1.0 - p)  # (8, 3): each shape function's three factors
+        dshape = np.stack([np.where(_UNIT_HEXA[:, a] == 1, 1.0, -1.0) * np.prod(np.delete(factors, a, axis=1), axis=1)
+                           for a in range(3)], axis=1)  # (8, 3): d N_i / d xi_a
+        total += np.linalg.det(np.einsum("mic,ia->mca", x, dshape)) / 8.0
+    return total
+
+
+def test_hexa_mean_volume_is_the_trilinear_volume(rng):
+    x = _batch(ElementKind.HEXA, 500, rng) + rng.uniform(-10.0, 10.0, size=(500, 1, 3))
+    assert _close(_trilinear_volumes(_UNIT_HEXA[None] * 1.0), [1.0])
+    assert _close(geometry.element_mean_volumes(ElementKind.HEXA, x), _trilinear_volumes(x), _volume_scale(x))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fields_are_six_times_the_volume_gradients(kind, rng):
+    # the mean volume is cubic, so a central difference errs by h^2 / 6 times a bounded third derivative
+    for x in _batch(kind, 10, rng):
+        fd = fd_gradient(lambda y: geometry.element_mean_volume(kind, y), x, h=1e-5 * _largest(x[None] - x[:1])[0])
+        assert relative_error(geometry.element_field(kind, x) / 6.0, fd) < 1e-7
 
 
 # -- component-major tetra kernels against the slice form ---------------------
@@ -294,7 +402,7 @@ def test_tet_kernels_match_slice_form(case, m, rng):
 def test_pyramid_mean_volumes_match_slice_form(case, m, rng):
     x = _coords(case, m, rng, n=5)
     for xl in _layouts(x):
-        assert _same_bits(geometry.element_mean_volumes(ElementKind.PYRAMID, xl), _ref_pyramid_volumes(x))
+        assert _close(geometry.element_mean_volumes(ElementKind.PYRAMID, xl), _ref_pyramid_volumes(x), _volume_scale(x))
 
 
 def _ref_scatter(mesh, coords, scale):
@@ -338,7 +446,8 @@ def test_mixed_scatter_with_scale_matches_add_at(rng):
     mesh = perturb_mesh(make_mesh(pts, elements), 0.05, seed=3, fix_boundary=False)
     coords = np.array(mesh.vertices)
     scale = rng.standard_normal(mesh.n_elements)
-    assert _same_bits(scatter_element_fields(mesh, coords, scale), _ref_scatter(mesh, coords, scale))
+    expected = _ref_scatter(mesh, coords, scale)
+    assert _close(scatter_element_fields(mesh, coords, scale)[None], expected[None])
 
 
 # -- the block walk of quality against whole-group evaluation -----------------
@@ -413,8 +522,8 @@ def test_block_walk_matches_whole_groups(m, rng):
         mesh = _tet_hex_cube(13)
         assert len(kind_groups(mesh)[ElementKind.TETRA][0]) > _B  # the tets span two blocks
     elif m == "mixed":
-        mesh = _mixed_cube(10)
-        for kind, (ids, _) in kind_groups(mesh).items():  # 340 hexa, 660 prisms, 1,980 pyramids
+        mesh = _mixed_cube(14)
+        for kind, (ids, _) in kind_groups(mesh).items():  # 910 hexa, 1,848 prisms, 5,460 pyramids
             assert len(ids) > quality._ROWS // geometry.GATHERED_ROWS[kind]  # each kind spans two blocks
     else:
         mesh = _tet_cube(m)

@@ -291,6 +291,20 @@ def test_scaled_field_pass_holds_no_whole_mesh_weight_array():
     assert peak < 5e6
 
 
+def test_iq_gradient_field_memory_of_a_20_cube():
+    mesh = perturb_mesh(tet_grid(20), 0.015, seed=0)
+    spec = QualityMeasureSpec(Measure.ISOPERIMETRIC_QUOTIENT)
+    quality_gradient_field(mesh, spec=spec)  # builds the cached groups
+    tracemalloc.start()
+    try:
+        quality_gradient_field(mesh, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # iq blocks of 8,192 tets, each gathering its 12-row boundary triangulation, peaked at 14.4 MB here
+    assert peak < 6e6
+
+
 def test_vertex_fields_are_c_contiguous(interleaved_mesh):
     from polysmooth.smoothing import Assembly, assemble_field
 
