@@ -36,9 +36,8 @@ _DEGENERACY = 1e-14
 
 # Unit-edge regular tetrahedron, positively oriented: the reference shape of
 # the mean ratio and the stationary tetrahedron of the volume-ascent flow.
-REGULAR_TETRA = np.array([
-    [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0], [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
-])
+REGULAR_TETRA = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0],
+                          [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0]])
 
 
 def _as_batch(x: np.ndarray, n: int) -> np.ndarray:

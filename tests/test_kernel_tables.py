@@ -12,11 +12,14 @@ The tetra volume and field add the same terms in the same order as their
 references, so they are compared on the bytes, and the sign of a zero counts
 too. The triple-product volumes and fields of the other kinds, and every
 boundary area and iq kernel, add other terms or in another order: they are
-compared at a relative tolerance of 1e-13 of each element's largest entry,
-about 500 times the double rounding unit. Last, the block walk of ``quality``
-is checked against each kernel on whole kind groups, on the bytes, at and
-around the tet block size and on a mixed mesh whose every kind spans
-blocks.
+compared at a relative tolerance of 1e-13, about 500 times the double
+rounding unit, of each element's scale: its largest entry, the cube of its
+size for a volume, the size of the volume term for an iq gradient. Last, the
+block walk of ``quality`` is checked against each kernel on whole kind
+groups, on the bytes, at and around the tet block size and on a mixed mesh
+whose every kind spans blocks. Two tests check the new kernels against
+independent references: Gauss quadrature of the trilinear hexahedron, and
+central differences of the volume.
 """
 
 import itertools
