@@ -164,7 +164,7 @@ class _Tables(NamedTuple):
     tris: np.ndarray  # (3, F): base, p, q of each boundary triangle
     areas: np.ndarray  # (F, 1): their weights on |nu|
     faces_are_rows: bool  # a tetrahedron: the field's rows are its faces' normals
-    corners: tuple[np.ndarray, np.ndarray]  # (K, n) area gradient rows over (e_q x u, e_p x u)
+    corners: np.ndarray  # (K, n): the area gradient's rows over (e_q x u, u x e_p, (e_p - e_q) x u, 0) of the triangles
 
 
 def _tables(faces, n: int) -> _Tables:
@@ -176,7 +176,7 @@ def _tables(faces, n: int) -> _Tables:
     ``e_i x e_j`` for a triangle (r, i, j) off b, and its three split triangles
     through r at weight 1/2, ``(e_i + e_j) x (e_j + e_k) / 2``, for a
     quadrilateral (r, i, j, k). Area gradient: each triangle (b, p, q) of weight
-    w adds ``w (e_p - e_q) x u``, ``w e_q x u`` and ``-w e_p x u`` at b, p, q.
+    w adds ``w (e_p - e_q) x u``, ``w e_q x u`` and ``w u x e_p`` at b, p, q.
     """
     tris, w = _face_triangles(faces)
     off0 = ~np.any(tris == 0, axis=1)
@@ -203,19 +203,18 @@ def _tables(faces, n: int) -> _Tables:
     f = len(tris)
     corners = [[] for _ in base]
     for t, (b, p, q) in enumerate(tris.tolist()):
-        corners[b] += [(f + t, w[t]), (t, -w[t])]
-        corners[p].append((t, w[t]))
-        corners[q].append((f + t, -w[t]))
-    corners = np.array(_padded(corners, [(0, 0.0)] * n))  # (K, n, 2)
+        corners[b].append(2 * f + t)
+        corners[p].append(t)
+        corners[q].append(f + t)
     return _Tables(terms, weights, ends, _common(coef), tris.T, w[:, None], faces_are_rows,
-                   (corners[..., 0].astype(np.intp), corners[:, None, :, 1:]))
+                   np.array(_padded(corners, [3 * f] * n)))
 
 
 _KIND_TABLES = {kind: _tables(FACES[kind], kind.vertex_count) for kind in ElementKind}
 
 # (k, m) rows of the largest temporary per element of each kind: of the volume and field kernels, and of the iq ones
 GATHERED_ROWS = {kind: max(t.terms.size, t.ends[0, 0].size) for kind, t in _KIND_TABLES.items()}
-IQ_ROWS = {kind: max(GATHERED_ROWS[kind], 2 * t.tris.shape[1], t.corners[0].size) for kind, t in _KIND_TABLES.items()}
+IQ_ROWS = {kind: max(GATHERED_ROWS[kind], 3 * t.tris.shape[1] + 1, t.corners.size) for kind, t in _KIND_TABLES.items()}
 
 
 def element_batch(kind: ElementKind, coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
@@ -313,9 +312,10 @@ def _iq_gradients(tab: _Tables, xt: np.ndarray, vols: np.ndarray, field: np.ndar
     if np.any(nn <= tiny):
         raise DegenerateElement("zero-area triangle in boundary face")
     areas = _checked(_sum_rows(tab.areas * nn), tiny)
-    u = nu / nn
-    corner_terms = np.concatenate([_cross_cm(eq, u), _cross_cm(ep, u)], axis=1)
-    agrad = _sum_rows(np.take(corner_terms, tab.corners[0], axis=1).transpose(1, 0, 2, 3), tab.corners[1])
+    u = nu * (tab.areas / nn)  # unit normals times the triangles' weights
+    a, b = _cross_cm(eq, u), _cross_cm(u, ep)  # the gradient at p and at q; at the base -(a + b)
+    corner_terms = np.concatenate([a, b, -(a + b), np.zeros((3, 1, xt.shape[2]))], axis=1)
+    agrad = _sum_rows(np.take(corner_terms, tab.corners, axis=1).transpose(1, 0, 2, 3))
     a32, a52 = (areas**1.5)[:, None, None], (areas**2.5)[:, None, None]
     return _SIX_SQRT_PI * (field / 6.0 / a32 - 1.5 * (vols[:, None, None] / a52) * agrad.T)
 

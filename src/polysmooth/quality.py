@@ -11,8 +11,8 @@ each and evaluates one block at a time, so every temporary stays near the
 size of the L2 cache and the allocator reuses it instead of faulting in fresh
 pages on every call. By the rows per element of :data:`geometry.GATHERED_ROWS`
 a volume or field block holds 8,192 tets, 3,276 pyramids, 1,560 prisms or 728
-hexa; by :data:`geometry.IQ_ROWS` an iq block 1,365 tets, 728 pyramids, 455
-prisms or 256 hexa. The scatter adds each
+hexa; by :data:`geometry.IQ_ROWS` an iq block 2,520 tets, 1,310 pyramids, 762
+prisms or 448 hexa. The scatter adds each
 block's field straight into the vertex sums with one ``np.add.at`` per
 component, in element order within each kind, so results do not depend on
 the block size and repeated runs are bit-reproducible.
