@@ -164,7 +164,7 @@ class _Tables(NamedTuple):
     tris: np.ndarray  # (3, F): base, p, q of each boundary triangle
     areas: np.ndarray  # (F, 1): their weights on |nu|
     faces_are_rows: bool  # a tetrahedron: the field's rows are its faces' normals
-    corners: np.ndarray  # (K, n): the area gradient's rows over (e_q x u, u x e_p, (e_p - e_q) x u, 0) of the triangles
+    corners: np.ndarray  # (K, n): area gradient rows over the e_q x u, u x e_p, (e_p - e_q) x u and a zero
 
 
 def _tables(faces, n: int) -> _Tables:
