@@ -276,9 +276,9 @@ def _matches(kind, name, got, expected, x):
 
 # tets per block of the measure layer's walk
 _B = quality._ROWS // geometry.GATHERED_ROWS[ElementKind.TETRA]
-# the last size is larger than the iq walk's block of every kind, so a kernel takes more than the walk gives it
-_IQ_BLOCK = max(quality._ROWS // rows for rows in geometry.IQ_ROWS.values())
-SIZES = [1, 2, 7, 384, _IQ_BLOCK + 2]
+# the last size is larger than the iq walk's block of a table kind, so a kernel takes more than the walk gives it
+SIZES = [1, 2, 7, 384, 1367]
+assert all(SIZES[-1] > quality._ROWS // geometry.IQ_ROWS[kind] for kind in ALL_KINDS if kind is not ElementKind.TETRA)
 
 
 @pytest.mark.parametrize("m", SIZES)
