@@ -23,7 +23,9 @@ kernel's largest temporary per element.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +38,14 @@ _DEGENERACY = 1e-14
 
 # Unit-edge regular tetrahedron, positively oriented: the reference shape of
 # the mean ratio and the stationary tetrahedron of the volume-ascent flow.
-REGULAR_TETRA = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0],
-                          [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0]])
+REGULAR_TETRA = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.5, math.sqrt(3.0) / 2.0, 0.0],
+        [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
+    ]
+)
 
 
 def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
@@ -50,7 +58,11 @@ def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of two float arrays of one shape (..., 3), bit for bit ``np.cross`` without its axis moves."""
+    """Cross product of two float arrays of one shape (..., 3), bit for bit ``np.cross``.
+
+    The same products and differences, without ``np.cross``'s axis moves and
+    casts, which cost more than the arithmetic on the batches used here.
+    """
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     out = np.empty(u.shape)
@@ -167,6 +179,11 @@ class _Tables(NamedTuple):
     corners: np.ndarray  # (K, n): area gradient rows over the e_q x u, u x e_p, (e_p - e_q) x u and a zero
 
 
+def _face_tuple(faces) -> tuple[tuple[int, ...], ...]:
+    """Faces, any iterable of integer index sequences, as a tuple of tuples of ints."""
+    return tuple(tuple(map(operator.index, f)) for f in faces)
+
+
 def _tables(faces, n: int) -> _Tables:
     """Volume, field and area tables of a closed surface over n vertices, with ``e = x - x_b``.
 
@@ -178,6 +195,7 @@ def _tables(faces, n: int) -> _Tables:
     quadrilateral (r, i, j, k). Area gradient: each triangle (b, p, q) of weight
     w adds ``w (e_p - e_q) x u``, ``w e_q x u`` and ``w u x e_p`` at b, p, q.
     """
+    faces = _face_tuple(faces)
     tris, w = _face_triangles(faces)
     off0 = ~np.any(tris == 0, axis=1)
     terms, weights = tris[off0].T, _common(2.0 * w[off0, None])
@@ -210,6 +228,7 @@ def _tables(faces, n: int) -> _Tables:
                    np.array(_padded(corners, [3 * f] * n)))
 
 
+_cached_tables = functools.lru_cache(maxsize=64)(_tables)  # by the faces' _face_tuple
 _KIND_TABLES = {kind: _tables(FACES[kind], kind.vertex_count) for kind in ElementKind}
 
 # (k, m) rows of the largest temporary per element of each kind: of the volume and field kernels, and of the iq ones
@@ -326,7 +345,11 @@ def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
 
 
 def element_mean_boundary_area(kind: ElementKind, x) -> float:
-    """Mean surface area of one element's boundary: quadrilaterals averaged over their two diagonal splits."""
+    """Mean surface area of one element's boundary.
+
+    Triangle faces contribute their exact area; quadrilateral faces the mean
+    area over their two diagonal triangulations.
+    """
     return float(element_mean_boundary_areas(kind, np.asarray(x, dtype=float)[None])[0])
 
 
@@ -358,23 +381,51 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
     return element_iq_gradients(kind, np.asarray(x, dtype=float)[None])[0]
 
 
-# -- generic closed polyhedra: oriented triangle/quad faces over (n, 3) coordinates, tables built per
-# call by the element kinds' rule, so for those kinds these agree with the element_* forms
+# -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------
+#
+# A polyhedron here is a closed oriented surface given by faces over an
+# (n, 3) coordinate array. For the four element kinds these functions agree
+# with the element_* forms; they also cover shapes like the icosahedron that
+# are not volume cells. Areas and iq use tables built by the element kinds'
+# rule, cached per face list; the volume and its gradient are summed about
+# the centroid, triangle by triangle.
+
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the corners after and before corner k
+
+
+def _centroid_volume(faces, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Divergence-theorem volume of a closed polyhedron (n, 3) about its centroid, and its gradient.
+
+    Each triangle (a, b, c) of weight w of the mean triangulation adds
+    ``2w/6 a . (b x c)``, from 0.0 in triangle order, and at each corner 2w/6
+    times the cross product of the corners after and before it, added with
+    ``np.add.at`` in (triangle, corner) order.
+    """
+    idx, w = _face_triangles(faces)
+    g = (x - x.mean(axis=0))[idx]
+    s = 2.0 * w / 6.0
+    corners = _cross(g[:, _NEXT], g[:, _PREV])
+    vol = 0.0
+    for term in (s * np.einsum("tj,tj->t", g[:, 0], corners[:, 0])).tolist():
+        vol += term
+    grad = np.zeros_like(x)
+    np.add.at(grad, idx, s[:, None, None] * corners)
+    return vol, grad
 
 
 def _polyhedron(faces, x) -> tuple[_Tables, np.ndarray]:
-    """The tables of a polyhedron and its coordinates as a component-major batch of one, (3, n, 1)."""
+    """The cached tables of a polyhedron and its coordinates as a component-major batch of one, (3, n, 1)."""
     xt = np.asarray(x, dtype=float).T[:, :, None]
-    return _tables(faces, xt.shape[1]), xt
+    return _cached_tables(_face_tuple(faces), xt.shape[1]), xt
 
 
 def polyhedron_mean_volume(faces, x) -> float:
     """Enclosed signed volume with quad faces averaged over both diagonals."""
-    return float(_div_volumes(*_polyhedron(faces, x))[0])
+    return _centroid_volume(faces, np.asarray(x, dtype=float))[0]
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
-    return _fields(*_polyhedron(faces, x))[:, 0].T / 6.0
+    return _centroid_volume(faces, np.asarray(x, dtype=float))[1]
 
 
 def polyhedron_mean_area(faces, x) -> float:

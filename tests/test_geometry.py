@@ -368,6 +368,16 @@ def test_polyhedron_iq_gradient_matches_fd(rng):
     assert relative_error(polyhedron_iq_gradient(faces, x), fd) < 1e-6
 
 
+def test_polyhedron_functions_take_faces_as_arrays_or_iterators(rng):
+    coords, faces = icosahedron_polyhedron()
+    x = coords + rng.uniform(-0.1, 0.1, coords.shape)
+    for fn in (polyhedron_mean_volume, polyhedron_volume_gradient, polyhedron_mean_area, polyhedron_iq,
+               polyhedron_iq_gradient):
+        expected = fn(faces, x)
+        for given_faces in (np.array(faces), [np.array(f) for f in faces], iter(faces)):
+            assert np.array_equal(fn(given_faces, x), expected), fn.__name__
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_kind_faces_reproduce_element_iq(kind, rng):
     x = random_element_coords(kind, rng)

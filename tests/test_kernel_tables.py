@@ -8,9 +8,9 @@ form, also verbatim: the field as cross products of strided (m, 3) slices,
 the volume as an ``np.einsum`` dot product. The scatter is checked against
 ``np.add.at``.
 
-The tetra volume and field add the same terms in the same order as their
-references, so they are compared on the bytes, and the sign of a zero counts
-too. The triple-product volumes and fields of the other kinds, and every
+The tetra volume and field, and the polyhedron volume and its gradient, add
+the same terms in the same order as their references, so they are compared
+on the bytes, and the sign of a zero counts too. The triple-product volumes and fields of the other kinds, and every
 boundary area and iq kernel, add other terms or in another order: they are
 compared at a relative tolerance of 1e-13, about 500 times the double
 rounding unit, of each element's scale: its largest entry, the cube of its
@@ -321,8 +321,8 @@ def test_polyhedron_functions_match_loops(rng):
         tris, xb = _face_triangles(faces), x[None]
         vols, areas = _div_volumes(tris, xb), _mean_areas(tris, xb)
         vgrad = _div_volume_gradients(tris, xb)
-        assert _close(geometry.polyhedron_mean_volume(faces, x), vols[0], _volume_scale(xb)[0])
-        assert _close(geometry.polyhedron_volume_gradient(faces, x)[None], vgrad)
+        assert _same_bits(geometry.polyhedron_mean_volume(faces, x), vols[0])
+        assert _same_bits(geometry.polyhedron_volume_gradient(faces, x), vgrad[0])
         assert _close(geometry.polyhedron_mean_area(faces, x), areas[0])
         assert _close(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
         assert _close(geometry.polyhedron_iq_gradient(faces, x)[None], _ref_iq_gradients(tris, xb, vols, vgrad),
