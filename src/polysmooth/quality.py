@@ -65,6 +65,11 @@ class ReferenceFrame:
     def inverse(self) -> np.ndarray:
         return self._inverse
 
+    @property
+    def volume_scale(self) -> float:
+        """``6 det W^-1``: a tetrahedron's signed volume times this is ``det E W^-1``."""
+        return 6.0 * float(np.linalg.det(self._inverse))
+
     @classmethod
     def regular(cls) -> "ReferenceFrame":
         return cls(_difference_matrix(REGULAR_TETRA))
@@ -73,19 +78,32 @@ class ReferenceFrame:
 _DEFAULT_FRAME = ReferenceFrame.regular()
 
 
-def _mean_ratios(x: np.ndarray, reference: ReferenceFrame = _DEFAULT_FRAME) -> np.ndarray:
-    """Mean ratios of a batch of tetrahedra, (m, 4, 3) -> (m,).
+def _mean_ratios(x: np.ndarray, vols=None, reference: ReferenceFrame = _DEFAULT_FRAME) -> np.ndarray:
+    """Mean ratios of a batch of tetrahedra, (m, 4, 3) -> (m,); ``vols``: their
+    :func:`geometry.tet_signed_volumes`, computed if None.
 
-    ``np.float_power`` calls the same ``pow`` as a scalar power, so each
-    value is bit for bit the single-element formula.
+    The mean ratio is ``3 det(S)^(2/3) / |S|_F^2`` for ``S = E W^-1``, E and
+    W the edge vectors from the first vertex of the tetrahedron and of the
+    reference, and 0 where ``det S = 6 vol det W^-1`` is not positive. S is
+    formed from the component-major batch (3, 4, m) and its squares summed
+    row after row, by elementwise operations in a fixed order, so an element
+    gets the same bits in any batch.
     """
-    s = np.matmul(_difference_matrix(x), reference.inverse)
-    det = np.linalg.det(s)
-    q = np.zeros(len(x))
+    vols = geometry.tet_signed_volumes(x) if vols is None else vols
+    xt = x.T
+    e = xt[:, 1:] - xt[:, :1]  # (3, 3, m): component c of edge j
+    w = reference.inverse[:, :, None]
+    s = e[:, :1] * w[0]  # (3, 3, m): entry (c, k) of S, its terms added in edge order
+    s += e[:, 1:2] * w[1]
+    s += e[:, 2:] * w[2]
+    s *= s
+    norm2 = geometry._sum_rows(s.reshape(9, -1))
+    det = vols * reference.volume_scale
     ok = ~(det <= 0.0)
-    s = s[ok]
-    q[ok] = 3.0 * np.float_power(det[ok], 2.0 / 3.0) / np.sum((s * s).reshape(-1, 9), axis=1)
-    return q
+    q = np.zeros(len(det))
+    np.float_power(det, 2.0 / 3.0, out=q, where=ok)
+    q *= 3.0
+    return np.divide(q, norm2, out=q, where=ok)
 
 
 def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
@@ -94,7 +112,7 @@ def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
     Invalid orientations (nonpositive determinant) map to 0 by convention.
     """
     x = np.asarray(x, dtype=float)
-    return float(_mean_ratios(x[None], reference or _DEFAULT_FRAME)[0])
+    return float(_mean_ratios(x[None], reference=reference or _DEFAULT_FRAME)[0])
 
 
 def mean_ratio_volume_equivalence(x, reference: ReferenceFrame | None = None) -> tuple[float, float]:
@@ -239,10 +257,10 @@ def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.nda
     return _scatter(geometry.element_fields, mesh, coords, scale=scale)
 
 
-def _tet_mean_ratios(kind: ElementKind, x: np.ndarray) -> np.ndarray:
+def _tet_mean_ratios(kind: ElementKind, x: np.ndarray, vols: np.ndarray) -> np.ndarray:
     if kind is not ElementKind.TETRA:
         raise MixedMeshMeanRatio("mean ratio is defined for all-tetrahedra meshes")
-    return _mean_ratios(x)
+    return _mean_ratios(x, vols)
 
 
 @dataclass(frozen=True)
@@ -286,7 +304,7 @@ _MEASURES: dict[Measure, _MeasureDef] = {
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, _require_positive(v) ** -3),
         divisor=3.0, degree=-7.0, shifted=True,
     ),
-    Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c)),
+    Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c, v)),
     Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
         values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS),
         objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS).sum()),

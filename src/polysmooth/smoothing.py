@@ -37,6 +37,7 @@ are bit-reproducible run to run.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable
@@ -104,6 +105,11 @@ class SmoothingConfig:
             raise InvalidSpec("sigma0 must be positive and finite")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidSpec("shrink factor must lie in (0, 1)")
+        for name in ("max_iterations", "max_halvings"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.max_iterations < 0 or self.max_halvings < 0:
             raise InvalidSpec("iteration and halving caps must be >= 0")
         if not (self.field_tol >= 0 and self.quality_tol >= 0):

@@ -22,6 +22,7 @@ negative count or a non-ASCII byte, raises
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,25 +56,30 @@ class MeshDocument:
     cell_data: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-# ASCII whitespace as str.split() knows it
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = True
-
-
 class _Tokens:
     """Whitespace-separated tokens of an ASCII text, with line numbers for diagnostics.
 
-    One vectorized pass finds every token's offsets; only those are kept.
-    Bulk sections are parsed by numpy, and a section numpy rejects is re-read
-    token by token so that the error names the offending token and its line.
+    The tokens are those of ``str.split()``. Its ASCII whitespace, bytes 9 to
+    13 and 28 to 32, is found by byte comparisons: a byte is whitespace when
+    its uint8 difference from 9 or from 28, which wraps below 0, is at most 4.
+    The offsets where whitespace and token bytes meet alternate between token
+    starts and token ends, so one ``flatnonzero`` of those flips gives both;
+    only the offsets are kept. Lines are counted at LF bytes. Bulk sections
+    are parsed by numpy, and a section numpy rejects is re-read token by token
+    so that the error names the offending token and its line.
     """
 
     def __init__(self, data: memoryview, first_line: int):
         self.text = str(data, "ascii")
         raw = np.frombuffer(data, dtype=np.uint8)
-        edges = np.diff(np.concatenate(([True], _SPACE[raw], [True])).view(np.int8))
-        self.starts = np.flatnonzero(edges == -1)
-        self.ends = np.flatnonzero(edges == 1)
+        space = raw - np.uint8(9)
+        np.minimum(space, raw - np.uint8(28), out=space)
+        space = space <= 4
+        flips = np.empty(len(raw) + 1, dtype=bool)  # flips[i]: bytes i - 1 and i differ, whitespace beyond both ends
+        np.not_equal(space[1:], space[:-1], out=flips[1:-1])
+        flips[0], flips[-1] = (not space[0], not space[-1]) if len(raw) else (False, False)
+        flips = np.flatnonzero(flips)
+        self.starts, self.ends = flips[0::2], flips[1::2]
         self.newlines = np.flatnonzero(raw == ord("\n"))
         self.first_line = first_line
         self.pos = 0
@@ -172,11 +178,12 @@ def _cell_starts(flat: np.ndarray, n_cells: int, guess: np.ndarray, fail) -> np.
 def read_document(path) -> MeshDocument:
     """Parse a file into points, cells, cell types and scalar data arrays."""
     with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     raw = np.frombuffer(data, dtype=np.uint8)
-    non_ascii = np.flatnonzero(raw >= 0x80)
-    if non_ascii.size:
-        at = int(non_ascii[0])
+    if raw.size and raw.max() >= 0x80:
+        at = int(np.argmax(raw >= 0x80))
         line = 1 + int(np.count_nonzero(raw[:at] == ord("\n")))
         raise MalformedFile(f"non-ASCII byte 0x{raw[at]:02x}", line)
     if not data.startswith(b"# vtk DataFile Version"):
@@ -257,8 +264,11 @@ def mesh_from_document(doc: MeshDocument) -> Mesh:
     for cell_type, kind in KIND_BY_CELL_TYPE.items():
         codes[types == cell_type] = KIND_CODES[kind]
         ids = np.flatnonzero((types == cell_type) & (counts == kind.vertex_count))
-        rows = np.sort(conn[offsets[ids, None] + np.arange(kind.vertex_count)], axis=1)
-        ok[ids] = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
+        columns = [conn[offsets[ids] + j] for j in range(kind.vertex_count)]
+        distinct = np.ones(len(ids), dtype=bool)
+        for i, j in itertools.combinations(range(kind.vertex_count), 2):
+            distinct &= columns[i] != columns[j]
+        ok[ids] = distinct
     if not ok.all():
         i = int(np.argmin(ok))
         kind = KIND_BY_CELL_TYPE.get(int(types[i]))

@@ -14,7 +14,7 @@ from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, Unsupp
 from polysmooth.generators import GENERATOR_NAMES, perturb_mesh, tet_grid, unit_element
 from polysmooth.mesh import KIND_CODES, _checked_coords
 from polysmooth.quality import mesh_mean_volumes
-from polysmooth.vtkio import CELL_TYPE_BY_KIND, _cell_starts, read_document, read_mesh, write_mesh
+from polysmooth.vtkio import CELL_TYPE_BY_KIND, _cell_starts, _Tokens, read_document, read_mesh, write_mesh
 
 
 def _roundtrip(mesh, tmp_path, name="m.vtk", **kw):
@@ -245,6 +245,43 @@ def test_crlf_and_cr_line_endings(tmp_path, newline):
     with pytest.raises(MalformedFile) as err:
         read_mesh(path)
     assert err.value.line == 13
+
+
+# every separator str.split() knows, and control bytes that are no whitespace, which stay inside tokens
+_TEXT_PIECES = st.one_of(
+    st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.sampled_from(["\x00", "\x08", "\x0e", "\x1b", "\x7f", "1", "-2.5e3"]),
+    st.characters(max_codepoint=127),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TEXT_PIECES, max_size=60).map("".join), st.integers(1, 4))
+def test_tokens_are_those_of_str_split(text, first_line):
+    tokens = _Tokens(memoryview(text.encode("ascii")), first_line)
+    expected = [(tok, first_line + i) for i, line in enumerate(text.split("\n")) for tok in line.split()]
+    assert [tok for tok, _ in expected] == text.split()
+    got = []
+    while tokens.peek() is not None:
+        got.append((tokens.next("token"), tokens.last_line))
+    assert got == expected
+    assert tokens.lines(np.arange(len(expected))).tolist() == [line for _, line in expected]
+
+
+def test_vertical_tab_and_file_separators_read_as_spaces(tmp_path):
+    mesh = perturb_mesh(tet_grid(2), 0.05, seed=4)
+    path = tmp_path / "spaces.vtk"
+    write_mesh(mesh, path, point_data={"flag": mesh.boundary.astype(float)}, cell_data={"v": mesh_mean_volumes(mesh)})
+    lines = path.read_text().split("\n")
+    twin = lines[:2] + [line.replace(" ", "\x0b" if i % 2 else "\x1c") for i, line in enumerate(lines[2:])]
+    (tmp_path / "twin.vtk").write_text("\n".join(twin))
+    a, b = read_document(path), read_document(tmp_path / "twin.vtk")
+    assert "\x1c" in (tmp_path / "twin.vtk").read_text()
+    for name in ("points", "cell_types", "offsets", "connectivity", "cell_lines"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("point_data", "cell_data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.keys() == y.keys() and all(x[k].tobytes() == y[k].tobytes() for k in x)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import itertools
 import json
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +97,72 @@ def test_equivalence_regular_case():
     assert rhs == pytest.approx((np.sqrt(2) / 12) / frob**3, rel=1e-12)
 
 
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _minor(m, r, c):
+    """The determinant of the 3x3 ``m`` without row r and column c."""
+    (a, b), (d, e) = [[v for k, v in enumerate(row) if k != c] for i, row in enumerate(m) if i != r]
+    return a * e - b * d
+
+
+def _exact_mean_ratio(x, frame=None):
+    """The mean ratio of the float coordinates ``x`` in exact rational arithmetic, to the nearest float.
+
+    q^3 is rational: ``432 det(E)^2 / (sum l_ij^2)^3`` for the regular frame,
+    ``27 det(S)^2 / |S|_F^6`` with ``S = E W^-1``, W exactly inverted, for a
+    frame W; only its cube root is taken in 50-digit decimals.
+    """
+    x = [[Fraction(float(v)) for v in p] for p in x]
+    e = [[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)]
+    if frame is None:
+        det = _det3(e)
+        cubed = 432 * det**2 / sum((p[c] - q[c]) ** 2 for p, q in itertools.combinations(x, 2) for c in range(3)) ** 3
+    else:
+        w = [[Fraction(float(v)) for v in row] for row in frame]
+        w_inv = [[(-1) ** (i + j) * _minor(w, j, i) / _det3(w) for j in range(3)] for i in range(3)]
+        s = [[sum(e[c][j] * w_inv[j][k] for j in range(3)) for k in range(3)] for c in range(3)]
+        det = _det3(s)
+        cubed = 27 * det**2 / sum(v * v for row in s for v in row) ** 3
+    if det <= 0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((Decimal(cubed.numerator) / cubed.denominator) ** (Decimal(1) / 3))
+
+
+_OTHER_FRAME = np.array([[2.0, 0.5, 0.3], [0.0, 1.5, 0.2], [0.1, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("frame", [None, np.eye(3), _OTHER_FRAME])
+def test_mean_ratio_is_the_exact_value_within_a_few_ulp(frame, rng):
+    reference = None if frame is None else ReferenceFrame(frame)
+    for _ in range(100):
+        x = _random_valid_tet(rng)
+        q, exact = mean_ratio(x, reference), _exact_mean_ratio(x, frame)
+        assert 0.3 < exact and abs(q - exact) <= 8 * np.spacing(exact)
+
+
+def test_default_mean_ratio_is_the_edge_length_closed_form(rng):
+    for _ in range(200):
+        x = _random_valid_tet(rng)
+        volume = np.linalg.det((x[1:] - x[0]).T) / 6.0
+        lengths2 = sum(np.sum((x[i] - x[j]) ** 2) for i, j in itertools.combinations(range(4), 2))
+        assert mean_ratio(x) == pytest.approx(12.0 * (3.0 * volume) ** (2.0 / 3.0) / lengths2, rel=1e-14)
+
+
+def test_mean_ratio_in_another_frame_is_one_on_its_reference(rng):
+    reference = ReferenceFrame(_OTHER_FRAME)
+    corner = np.vstack([np.zeros(3), _OTHER_FRAME.T])  # the frame's columns are the edges from vertex 0
+    for _ in range(20):
+        moved = rng.uniform(0.2, 5.0) * corner @ random_rotation(rng).T + rng.uniform(-10, 10, size=3)
+        assert mean_ratio(moved, reference) == pytest.approx(1.0, abs=1e-12)
+        assert mean_ratio(moved) < 1.0 - 1e-3  # not regular
+        assert mean_ratio(moved[[0, 2, 1, 3]], reference) == 0.0  # inverted
+
+
 def test_default_reference_determinant():
     assert ReferenceFrame.regular().determinant == pytest.approx(1 / np.sqrt(2), rel=1e-14)
 
@@ -138,14 +207,23 @@ def test_report_json_schema():
 
 def test_batched_mean_ratio_matches_per_element_formula():
     mesh = perturb_mesh(tet_grid(4), 0.9 / 4, seed=0)
-    inverse = ReferenceFrame.regular().inverse
+    w = ReferenceFrame.regular().inverse.tolist()
+    scale = 6.0 * float(np.linalg.det(ReferenceFrame.regular().inverse))
 
     def scalar(x):
-        s = np.column_stack([x[1] - x[0], x[2] - x[0], x[3] - x[0]]) @ inverse
-        det = np.linalg.det(s)
-        return 0.0 if det <= 0.0 else float(3.0 * det ** (2.0 / 3.0) / np.sum(s * s))
+        """3 det(S)^(2/3) / |S|_F^2 in Python floats, S = E W^-1, det S = 6 vol det W^-1, in the kernel's order."""
+        e = [[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)]  # component c of edge j
+        (ax, bx, cx), (ay, by, cy), (az, bz, cz) = e
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        det = (((0.0 + nx * cx) + nz * cz) + ny * cy) / 6.0 * scale
+        norm2 = 0.0
+        for c in range(3):
+            for k in range(3):
+                s = (e[c][0] * w[0][k] + e[c][1] * w[1][k]) + e[c][2] * w[2][k]
+                norm2 += s * s
+        return 0.0 if det <= 0.0 else 3.0 * det ** (2.0 / 3.0) / norm2
 
-    expected = np.array([scalar(mesh.vertices[list(e.vertices)]) for e in mesh.elements])
+    expected = np.array([scalar(mesh.vertices[list(e.vertices)].tolist()) for e in mesh.elements])
     got = mesh_quality(mesh, spec=QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
     assert 0 < np.sum(expected == 0.0) < mesh.n_elements  # some elements are inverted
     assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))

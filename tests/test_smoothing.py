@@ -426,6 +426,19 @@ def test_config_validation():
             SmoothingConfig(**non_finite)
 
 
+@pytest.mark.parametrize("caps", [{"max_iterations": 2.5}, {"max_halvings": 3.0}, {"max_iterations": "3"},
+                                  {"max_halvings": None}])
+def test_config_rejects_non_integer_caps(caps):
+    with pytest.raises(InvalidSpec, match=next(iter(caps))):
+        SmoothingConfig(**caps)
+
+
+def test_config_accepts_numpy_integer_caps():
+    config = SmoothingConfig(max_iterations=np.int64(2), max_halvings=np.uint8(3))
+    _, report = smooth(tet_grid(2), config)
+    assert report.iterations <= 2
+
+
 @pytest.mark.parametrize("entry", ["smooth", "smoothing_step", "mesh_quality", "quality_gradient_field",
                                    "compute_volume_shift", "assemble_field", "write_mesh"])
 @pytest.mark.parametrize("bad", ["short", "two-column", "nan", "inf"])
