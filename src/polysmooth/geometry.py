@@ -57,24 +57,9 @@ def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
     raise ValueError(f"expected coordinates of shape ({n}, 3) or (m, {n}, 3), got {x.shape}")
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of two float arrays of one shape (..., 3), bit for bit ``np.cross``.
-
-    The same products and differences, without ``np.cross``'s axis moves and
-    casts, which cost more than the arithmetic on the batches used here.
-    """
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    out = np.empty(u.shape)
-    out[..., 0] = u1 * v2 - u2 * v1
-    out[..., 1] = u2 * v0 - u0 * v2
-    out[..., 2] = u0 * v1 - u1 * v0
-    return out
-
-
 def _cross_cm(u: np.ndarray, v: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_cross` of component-major arrays (3, ...) of one shape, on flat components; added
-    into ``into``, an array of that shape, when given."""
+    """Cross product of component-major arrays (3, ...) of one shape, on flat components, bit for bit
+    ``np.cross``; added into ``into``, an array of that shape, when given."""
     (u0, u1, u2), (v0, v1, v2) = u.reshape(3, -1), v.reshape(3, -1)
     out = np.empty(u.shape) if into is None else into
     for o, (a, b, c, d) in zip(out, ((u1, v2, u2, v1), (u2, v0, u0, v2), (u0, v1, u1, v0))):
@@ -131,7 +116,7 @@ def polygon_normal(points) -> np.ndarray:
         raise InvalidPolygon(f"need at least 3 points of dimension 3, got shape {pts.shape}")
     d = pts[1:] - pts[0]  # the fan from the first point, which keeps translation out of the rounding
     acc = np.zeros(3)
-    for nu in _cross(d[:-1], d[1:]):
+    for nu in _cross_cm(d[:-1].T, d[1:].T).T:
         acc += nu
     return acc
 
@@ -404,7 +389,8 @@ def _centroid_volume(faces, x: np.ndarray) -> tuple[float, np.ndarray]:
     idx, w = _face_triangles(faces)
     g = (x - x.mean(axis=0))[idx]
     s = 2.0 * w / 6.0
-    corners = _cross(g[:, _NEXT], g[:, _PREV])
+    # contiguous rows: np.einsum rounds the sum of a strided row in another order
+    corners = np.ascontiguousarray(_cross_cm(g[:, _NEXT].T, g[:, _PREV].T).T)
     vol = 0.0
     for term in (s * np.einsum("tj,tj->t", g[:, 0], corners[:, 0])).tolist():
         vol += term

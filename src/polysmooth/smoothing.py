@@ -21,13 +21,13 @@ set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input. The set-up's volume
 pass also gives the objective at the start.
 
-Under the project policy the set-up triangulates the start's boundary once,
-stores each triangle's bounding sphere and bins the sphere centres in a
-uniform grid. Each step then maps all boundary vertices in one batched pass:
-a vertex near the surface takes the triangles around its grid cell as
-candidates, any other vertex every triangle, and a triangle is tested
-exactly only when its sphere's lower distance bound does not exceed an
-upper bound on the smallest distance by more than a slack far above
+Under the project policy the set-up triangulates the start's boundary once
+and stores each triangle's bounding sphere. Each step maps all boundary
+vertices in one batched pass: a vertex takes the triangles around its cell
+as candidates, in the finest of the uniform grids of doubling cell edge
+that can settle it (the coarsest lists every triangle), and a triangle is
+tested exactly only when its sphere's lower distance bound does not exceed
+an upper bound on the smallest distance by more than a slack far above
 rounding. So the result is bit for bit that of testing every triangle.
 
 Per-element work is pure and accumulated in fixed element order, so results
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable
@@ -265,17 +266,20 @@ class _Surface:
     in triangle order. Triangle t lies in the ball of centre ``g[:, t]`` (its
     centroid; ``g`` is (3, T), for one-dimensional gathers) and radius
     ``r[t]`` (the largest corner distance from it); ``scale`` is the largest
-    coordinate magnitude.
+    coordinate magnitude, and ``low`` and ``high`` bound the corners.
 
-    The centroids are binned in a uniform grid (Ericson, *Real-Time
-    Collision Detection*, section 7.1) of ``shape`` cubic cells of edge ``h``
-    from the corner ``lo``: ``h`` is 1.5 times the largest radius (coarser
-    only when that would make more than about 27 cells per triangle), and
-    the grid covers every corner with a margin of one cell. The triangles
-    whose centroid lies in the 27 cells around cell i (i in C order) are
+    The centroids are binned in uniform grids (Ericson, *Real-Time Collision
+    Detection*, sections 7.1 and 7.2), built on first use by :meth:`grid`.
+    Grid k has ``shape`` cubic cells of edge ``h * 2**k`` from the corner
+    ``lo``: ``h`` is 1.5 times the largest radius (coarser only when that
+    would make more than about 27 cells per triangle), and the grid covers
+    every corner with a margin of one cell. The triangles whose centroid
+    lies in the 27 cells around cell i (i in C order) are
     ``near[start[i]:start[i + 1]]``, in index order. For a point in cell i,
-    each other triangle has a lower distance bound of at least
-    ``h - max(r)``; ``reach`` is that, less a slack far above rounding.
+    or clamped to it from outside, each other triangle has a lower distance
+    bound of at least ``h * 2**k - max(r)``; ``reach`` is that, less a slack
+    far above rounding. The last grid, the first wider than the corners'
+    extent, lists every triangle in every cell and has infinite reach.
     """
 
     a: np.ndarray
@@ -284,12 +288,10 @@ class _Surface:
     g: np.ndarray
     r: np.ndarray
     scale: float
-    lo: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
     h: float
-    shape: np.ndarray
-    start: np.ndarray
-    near: np.ndarray
-    reach: float
+    grids: list = dc_field(default_factory=list)
 
     @classmethod
     def of(cls, tris: np.ndarray) -> _Surface:
@@ -300,19 +302,25 @@ class _Surface:
         corners = tris.reshape(-1, 3)
         # scale bounds every coordinate, so it changes nothing but an empty soup's box
         low, high = corners.min(axis=0, initial=scale), corners.max(axis=0, initial=-scale)
-        r_max = float(r.max(initial=0.0))
         # the extent term caps the cells near 27 per triangle (small triangles far apart)
-        h = max(1.5 * r_max, float((high - low).max()) / np.cbrt(27 * max(len(r), 1))) or 1.0
-        lo = low - h
-        shape = (np.floor((high - lo) / h) + 2).astype(np.intp)
-        # a centroid rounded past the corners stays off the margin, so its 27 cells exist
-        cell = np.clip(np.floor((g - lo) / h), 1, shape - 2).astype(np.intp)
-        stride = np.array([shape[1] * shape[2], shape[2], 1])
-        around = ((cell @ stride)[:, None] + _AROUND @ stride).ravel()
-        near = np.argsort(around, kind="stable") // len(_AROUND)
-        start = np.concatenate([[0], np.cumsum(np.bincount(around, minlength=int(np.prod(shape))))])
-        reach = h - r_max - 1e-9 * (h + scale)
-        return cls(a, b, c, np.ascontiguousarray(g.T), r, scale, lo, h, shape, start, near, reach)
+        h = max(1.5 * float(r.max(initial=0.0)), float((high - low).max()) / np.cbrt(27 * max(len(r), 1))) or 1.0
+        return cls(a, b, c, np.ascontiguousarray(g.T), r, scale, low, high, h)
+
+    def grid(self, k: int) -> _Grid:
+        while len(self.grids) <= k:
+            h = self.h * 2.0 ** len(self.grids)
+            lo = self.low - h
+            shape = (np.floor((self.high - lo) / h) + 2).astype(np.intp)
+            # a centroid rounded past the corners stays off the margin, so its 27 cells exist
+            cell = np.clip(np.floor((self.g.T - lo) / h), 1, shape - 2).astype(np.intp)
+            stride = np.array([shape[1] * shape[2], shape[2], 1])
+            around = ((cell @ stride)[:, None] + _AROUND @ stride).ravel()
+            near = np.argsort(around, kind="stable") // len(_AROUND)
+            start = np.concatenate([[0], np.cumsum(np.bincount(around, minlength=int(np.prod(shape))))])
+            # with 3 cells an axis every centroid is in the middle cell, so every cell lists every triangle
+            reach = np.inf if shape.max() <= 3 else h - self.r.max(initial=0.0) - 1e-9 * (h + self.scale)
+            self.grids.append(_Grid(lo, h, shape, start, near, reach))
+        return self.grids[k]
 
     def slacked(self, upper: np.ndarray) -> np.ndarray:
         """An upper bound on a distance, plus a slack far above the rounding of any distance here."""
@@ -320,9 +328,9 @@ class _Surface:
 
 
 _AROUND = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_Grid = namedtuple("_Grid", "lo h shape start near reach")
 
-# (vertex, triangle) pairs per pass over every triangle: 128 kB per float
-# temporary, about 1 MB for all of them together
+# (vertex, triangle) pairs per block: 128 kB per float temporary, about 1 MB in all
 _BLOCK_PAIRS = 1 << 14
 
 
@@ -336,40 +344,36 @@ def _closest_points(surface: _Surface, pts: np.ndarray) -> np.ndarray:
     skipped for point p when ``|p-g| - r`` exceeds an upper bound on the
     smallest distance by more than a slack far above rounding.
 
-    A point in the grid takes the triangles around its cell (see
-    :class:`_Surface`) as candidates, and the exact distance to the
-    candidate with the smallest ``|p-g| + r`` is its upper bound. When that
-    bound stays below ``surface.reach``, no other triangle can be closer or
-    tie. Every other point (off the grid, non-finite, or farther from the
-    surface than the grid can settle) takes every triangle, in blocks of
-    ``_BLOCK_PAIRS`` pairs, with ``min(|p-g| + r)`` over them as its upper
-    bound; a non-finite point keeps every triangle.
+    Each point searches the grids of :class:`_Surface` from the finest, in
+    blocks of about ``_BLOCK_PAIRS`` pairs. It takes the triangles around
+    its cell, clamped to the grid, as candidates, and the exact distance to
+    the candidate with the smallest ``|p-g| + r`` is its upper bound. When
+    that bound stays below the grid's ``reach``, no other triangle can be
+    closer or tie; otherwise the point goes on to the next grid. The last
+    grid settles every point; there a non-finite point keeps every triangle.
     """
     out = np.empty_like(pts)
-    q = np.floor((pts - surface.lo) / surface.h)
-    on_grid = np.flatnonzero(np.all((q >= 0) & (q < surface.shape), axis=1))
-    cell = np.ravel_multi_index(tuple(q[on_grid].astype(np.intp).T), surface.shape)
-    first, n = surface.start[cell], surface.start[cell + 1] - surface.start[cell]
-    rows = np.repeat(on_grid, n)
-    tri = surface.near[np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)]
-    centre = np.sqrt(sum((pts.T[k][rows] - surface.g[k][tri]) ** 2 for k in range(3)))
-    r = surface.r[tri]
-    best = _first_min(centre + r, rows)
-    ids, best = rows[best], tri[best]
-    bound = np.full(len(pts), np.nan)  # NaN: no candidates, never settled
-    bound[ids] = surface.slacked(_closest_on_pairs(surface.a[best], surface.b[best], surface.c[best], pts[ids])[1])
-    settled = bound < surface.reach
-    keep = np.flatnonzero(settled[rows] & ~(centre - r > bound[rows]))
-    out[settled] = _nearest(surface, pts, rows[keep], tri[keep])
-
-    rest = np.flatnonzero(~settled)
-    block = max(1, _BLOCK_PAIRS // max(len(surface.r), 1))
-    for lo in range(0, len(rest), block):
-        p = pts[rest[lo:lo + block]]
-        centre = np.sqrt(sum((p[:, k, None] - surface.g[k]) ** 2 for k in range(3)))
-        upper = np.min(centre + surface.r, axis=1)
-        rows, tri = np.nonzero(~(centre - surface.r > surface.slacked(upper)[:, None]))
-        out[rest[lo:lo + block]] = _nearest(surface, p, rows, tri)
+    todo, level = np.arange(len(pts)), 0
+    while len(todo):
+        grid, p = surface.grid(level), pts[todo]
+        # fmax sends a NaN coordinate to cell 0: no cell settles it before the last grid
+        q = np.fmin(np.fmax(np.floor((p - grid.lo) / grid.h), 0), grid.shape - 1).astype(np.intp)
+        cell = np.ravel_multi_index(tuple(q.T), grid.shape)
+        first, n = grid.start[cell], grid.start[cell + 1] - grid.start[cell]
+        offset = np.cumsum(n) - n
+        bound, settled = np.full(len(p), np.nan), np.full(len(p), grid.reach == np.inf)  # NaN: no candidates
+        for block in np.split(np.arange(len(p)), np.flatnonzero(np.diff(offset // _BLOCK_PAIRS)) + 1):
+            rows = np.repeat(block, n[block])
+            tri = grid.near[np.repeat(first[block] - offset[block], n[block]) + offset[block[0]] + np.arange(len(rows))]
+            centre = np.sqrt(sum((p.T[k][rows] - surface.g[k][tri]) ** 2 for k in range(3)))
+            r = surface.r[tri]
+            best = _first_min(centre + r, rows)
+            ids, best = rows[best], tri[best]
+            bound[ids] = surface.slacked(_closest_on_pairs(surface.a[best], surface.b[best], surface.c[best], p[ids])[1])
+            settled[block] |= bound[block] < grid.reach
+            keep = np.flatnonzero(settled[rows] & ~(centre - r > bound[rows]))
+            out[todo[block[settled[block]]]] = _nearest(surface, p, rows[keep], tri[keep])
+        todo, level = todo[~settled], level + 1
     return out
 
 

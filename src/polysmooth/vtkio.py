@@ -23,6 +23,7 @@ negative count or a non-ASCII byte, raises
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,10 +134,13 @@ class _Tokens:
         """The next ``count`` tokens as integers or floats."""
         first, stop = self.pos, self.pos + count
         if count and stop <= len(self.starts):
-            try:
-                values = np.fromstring(self.text[self.starts[first]:self.ends[stop - 1]], dtype=dtype, sep=" ")
-            except ValueError:
-                values = None
+            # numpy 1.x warns on unmatched data and returns the numbers before it; numpy 2 raises
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                try:
+                    values = np.fromstring(self.text[self.starts[first]:self.ends[stop - 1]], dtype=dtype, sep=" ")
+                except (ValueError, DeprecationWarning):
+                    values = None
             if values is not None and values.size == count:
                 self.pos = stop
                 self.last_line = int(self.lines(stop - 1))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,30 @@ def test_negative_count_or_huge_index_is_malformed_with_its_line(tmp_path, capsy
         read_mesh(path)
     assert err.value.line == line
     assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3
+
+
+def test_unmatched_number_is_malformed_under_numpy_1_warnings(tmp_path, monkeypatch):
+    # numpy 1.x's fromstring does not raise on unmatched data: it warns and returns the numbers before it
+    def fromstring_1x(text, dtype, sep):
+        values = []
+        for tok in text.split():
+            try:
+                values.append(dtype(tok))
+            except ValueError:
+                warnings.warn("string or file could not be read to its end due to unmatched data; "
+                              "this will raise a ValueError in the future.", DeprecationWarning, stacklevel=2)
+                break
+        return np.array(values, dtype=dtype)
+
+    path = _write_lines(tmp_path / "bad.vtk", _TET_WITH_DATA, {7: "1 x 0"})
+    with pytest.raises(MalformedFile) as expected:
+        read_mesh(path)
+    monkeypatch.setattr(np, "fromstring", fromstring_1x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedFile) as err:
+            read_mesh(path)
+    assert str(err.value) == str(expected.value) and err.value.line == expected.value.line == 7
 
 
 @pytest.mark.parametrize("line,text", [(2, "caf\u00e9 mesh"), (7, "1 0 0\u00a0")])

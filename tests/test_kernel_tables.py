@@ -39,7 +39,6 @@ from polysmooth.generators import (
     tet_grid,
     unit_element,
 )
-from polysmooth.geometry import _cross
 from polysmooth.mesh import FACES, KIND_CODES, Connectivity, Element, kind_groups, make_mesh
 from polysmooth.quality import Measure, scatter_element_fields
 
@@ -52,14 +51,14 @@ def _ref_tet_volumes(x):
     d1 = x[:, 1] - x[:, 0]
     d2 = x[:, 2] - x[:, 0]
     d3 = x[:, 3] - x[:, 0]
-    return np.einsum("ij,ij->i", _cross(d1, d2), d3) / 6.0
+    return np.einsum("ij,ij->i", np.cross(d1, d2), d3) / 6.0
 
 
 def _ref_tet_fields(x):
     # row i: normal of the face opposite vertex i, added into zeros so a zero is +0.0
     out = np.zeros_like(x)
     for i, (a, b, c) in enumerate(((3, 2, 1), (3, 0, 2), (3, 1, 0), (0, 1, 2))):
-        out[:, i] += _cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
+        out[:, i] += np.cross(x[:, b] - x[:, a], x[:, c] - x[:, a])
     return out
 
 
@@ -113,7 +112,7 @@ def _nu(x, idx):
     prev = x[:, idx[1]] - p0
     for a in idx[2:]:
         cur = x[:, a] - p0
-        acc += _cross(prev, cur)
+        acc += np.cross(prev, cur)
         prev = cur
     return acc
 
@@ -169,9 +168,9 @@ def _area_gradients(tris, x, tiny):
         if np.any(nn <= tiny):
             raise DegenerateElement("zero-area triangle in boundary face")
         u = nu / nn[:, None]
-        grad[:, a] += w * _cross(x[:, b] - x[:, c], u)
-        grad[:, b] += w * _cross(x[:, c] - x[:, a], u)
-        grad[:, c] += w * _cross(x[:, a] - x[:, b], u)
+        grad[:, a] += w * np.cross(x[:, b] - x[:, c], u)
+        grad[:, b] += w * np.cross(x[:, c] - x[:, a], u)
+        grad[:, c] += w * np.cross(x[:, a] - x[:, b], u)
     return grad
 
 
@@ -180,7 +179,7 @@ def _div_volumes(tris, x):
     total = np.zeros(x.shape[0])
     for a, b, c, w in tris:
         total += (2.0 * w / 6.0) * np.einsum(
-            "ij,ij->i", xc[:, a], _cross(xc[:, b], xc[:, c])
+            "ij,ij->i", xc[:, a], np.cross(xc[:, b], xc[:, c])
         )
     return total
 
@@ -190,9 +189,9 @@ def _div_volume_gradients(tris, x):
     grad = np.zeros_like(x)
     for a, b, c, w in tris:
         s = 2.0 * w / 6.0
-        grad[:, a] += s * _cross(xc[:, b], xc[:, c])
-        grad[:, b] += s * _cross(xc[:, c], xc[:, a])
-        grad[:, c] += s * _cross(xc[:, a], xc[:, b])
+        grad[:, a] += s * np.cross(xc[:, b], xc[:, c])
+        grad[:, b] += s * np.cross(xc[:, c], xc[:, a])
+        grad[:, c] += s * np.cross(xc[:, a], xc[:, b])
     return grad
 
 

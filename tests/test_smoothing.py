@@ -554,10 +554,10 @@ def _moved(points, length, rng):
 
 
 def _surface_points(case, rng):
-    if case == "cube moved by 1e-4, 1e-2, 0.3 and 3 cells":
-        # the last moves reach past the grid neighbourhoods: both passes run in one call
+    if case == "cube moved by 1e-4, 1e-2, 0.3, 3 and 10 cells":
+        # the last moves reach past the first grid's neighbourhoods: coarser grids settle them in the same call
         corners, tris = _cube_surface()
-        return tris, _moved(corners, 0.1 * rng.choice([1e-4, 1e-2, 0.3, 3.0], len(corners)), rng)
+        return tris, _moved(corners, 0.1 * rng.choice([1e-4, 1e-2, 0.3, 3.0, 10.0], len(corners)), rng)
     corners, tris = _bumpy_surface()
     near = corners + rng.normal(scale=0.05, size=corners.shape)
     if case == "corners and shared edges":
@@ -586,7 +586,7 @@ def _surface_points(case, rng):
         shapes = rng.standard_normal((20, 3, 3))
         tris = np.array([0.3, -0.2, 0.5]) + shapes - shapes.mean(axis=1, keepdims=True)
         surface = _Surface.of(tris)
-        assert len(np.unique(np.floor((surface.g.T - surface.lo) / surface.h), axis=0)) == 1
+        assert len(np.unique(np.floor((surface.g.T - surface.grid(0).lo) / surface.grid(0).h), axis=0)) == 1
         return tris, np.concatenate([rng.standard_normal((40, 3)), tris[:, 0] + 0.01])
     if case == "zero-radius triangles among others":
         return np.concatenate([np.repeat(corners[::3, None], 3, axis=1), tris]), near
@@ -595,12 +595,12 @@ def _surface_points(case, rng):
     if case == "one point as every triangle":
         return np.full((5, 3, 3), 0.7), near
     if case == "points on cell faces":
-        surface = _Surface.of(tris)
+        grid = _Surface.of(tris).grid(0)
         axis = rng.integers(3, size=len(near))
         rows = np.arange(len(near))
-        cells = np.round((near[rows, axis] - surface.lo[axis]) / surface.h)
-        near[rows, axis] = surface.lo[axis] + cells * surface.h
-        assert np.mean((near[rows, axis] - surface.lo[axis]) / surface.h == cells) > 0.5
+        cells = np.round((near[rows, axis] - grid.lo[axis]) / grid.h)
+        near[rows, axis] = grid.lo[axis] + cells * grid.h
+        assert np.mean((near[rows, axis] - grid.lo[axis]) / grid.h == cells) > 0.5
         return tris, near
     if case == "single point":
         return tris, near[:1]
@@ -615,7 +615,7 @@ def _surface_points(case, rng):
 @pytest.mark.parametrize("case", [
     "corners and shared edges", "far outside", "translated by 1e6", "scaled by 1e-6",
     "block remainder", "a large triangle among small ones", "single point", "no point", "non-finite points",
-    "cube moved by 1e-4, 1e-2, 0.3 and 3 cells", "duplicated triangles", "all triangles in one cell",
+    "cube moved by 1e-4, 1e-2, 0.3, 3 and 10 cells", "duplicated triangles", "all triangles in one cell",
     "zero-radius triangles among others", "only zero-radius triangles", "one point as every triangle",
     "points on cell faces",
 ])
@@ -627,7 +627,8 @@ def test_batched_closest_points_match_the_per_point_search(case, rng):
     assert np.array_equal(found, expected, equal_nan=True)
 
 
-def test_closest_points_test_few_pairs_exactly(monkeypatch, rng):
+def _exact_pairs_per_point(monkeypatch, rng, move):
+    """Exact point-triangle tests per point when the 10^3 cube's boundary points move by ``move``."""
     corners, tris = _cube_surface()
     surface = _Surface.of(tris)
     pairs = []
@@ -637,9 +638,18 @@ def test_closest_points_test_few_pairs_exactly(monkeypatch, rng):
         return _closest_on_pairs(a, b, c, p)
 
     monkeypatch.setattr(smoothing_module, "_closest_on_pairs", counting)
-    _closest_points(surface, _moved(corners, 1e-3, rng))
+    _closest_points(surface, _moved(corners, move, rng))
+    return sum(pairs) / len(corners)
+
+
+def test_closest_points_test_few_pairs_exactly(monkeypatch, rng):
     # about 7 a point: one for the exact upper bound, and the grid candidates within it
-    assert sum(pairs) <= 10 * len(corners)
+    assert _exact_pairs_per_point(monkeypatch, rng, 1e-3) <= 10
+
+
+def test_closest_points_test_few_pairs_exactly_after_a_3_cell_move(monkeypatch, rng):
+    # about 23 a point: a bound and the candidates within it on each grid the point reaches
+    assert _exact_pairs_per_point(monkeypatch, rng, 0.3) <= 30
 
 
 def test_boundary_triangles_match_the_per_face_split(rng):
