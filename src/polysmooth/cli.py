@@ -165,7 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=None, help="volume shift for q1/q2")
     p.set_defaults(func=_cmd_quality)
 
-    p = sub.add_parser("smooth", help="smooth a mesh and write the result")
+    p = sub.add_parser("smooth", help="smooth a mesh and write the result", description=(
+        "Smooth a mesh and write the result. When every element starts with a positive mean volume, "
+        "steps that would invert an element are rejected; when any element starts inverted or flat, "
+        "no step is guarded, so elements that started valid may invert."))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--measure", required=True, choices=measures)

@@ -7,12 +7,15 @@ shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
 through two helpers only: one maps a kernel over the elements, one scatters
 per-element vectors onto the vertices. Both read one walk, which cuts each
 kind into blocks whose kernel temporaries hold at most ``_ROWS`` (3, m) rows
-each and evaluates one block at a time, so every temporary stays near the
-size of the L2 cache and the allocator reuses it instead of faulting in fresh
-pages on every call. By the rows per element of :data:`geometry.GATHERED_ROWS`
-a volume or field block holds 8,192 tets, 3,276 pyramids, 1,560 prisms or 728
-hexa; by :data:`geometry.IQ_ROWS` an iq block 2,520 tets, 1,310 pyramids, 762
-prisms or 448 hexa. The scatter adds each
+each and evaluates one block at a time, so every temporary stays under
+768 KiB and a block's temporaries together under twice ``_HEAP`` (a tier-1
+test holds each kernel to it). The chunk of ``_HEAP`` bytes allocated and
+freed at import raises glibc's dynamic mmap and trim thresholds (mallopt(3)),
+so the temporaries come from heap pages that stay mapped from block to block
+instead of being faulted in afresh. By the rows per element of
+:data:`geometry.GATHERED_ROWS` a volume or field block holds 8,192 tets,
+3,276 pyramids, 1,560 prisms or 728 hexa; by :data:`geometry.IQ_ROWS` an iq
+block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter adds each
 block's field straight into the vertex sums with one ``np.add.at`` per
 component, in element order within each kind, so results do not depend on
 the block size and repeated runs are bit-reproducible.
@@ -188,6 +191,12 @@ class QualityReport:
 
 
 _ROWS = 32768  # (3, m) rows per kernel temporary: 8,192 tets, whose coordinates and fields take 0.8 MB each
+_HEAP = _ROWS * 128  # bytes, 4 MiB: above any one block temporary, and twice it above any block's peak
+# Freeing a mapped chunk of _HEAP bytes raises glibc's mmap threshold to _HEAP and its trim threshold
+# to 2 * _HEAP (mallopt(3), dynamic thresholds), so every block's temporaries come from heap pages that
+# stay mapped between blocks instead of being handed back and faulted in again. Under other
+# allocators, or with thresholds pinned by the host process, it is one harmless allocation.
+np.empty(_HEAP // 8)
 
 
 def _blocks(mesh: Mesh, coords, rows):

@@ -171,6 +171,8 @@ def project_shape(coords) -> np.ndarray:
     """Quotient out translation and scale: center on the vertex centroid and
     divide by the Frobenius norm of the centered coordinates."""
     coords = np.asarray(coords, dtype=float)
+    if not len(coords):
+        raise DegenerateMesh("no vertices; shape projection undefined")
     centered = coords - coords.mean(axis=0)
     norm = float(np.linalg.norm(centered))
     if norm == 0.0 or not np.isfinite(norm):

@@ -213,6 +213,23 @@ def test_bad_argument_values_exit_without_traceback(argv, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_free_smooth_of_a_mesh_without_vertices_is_a_numerical_failure(tmp_path):
+    import subprocess
+    import sys
+
+    src = tmp_path / "empty.vtk"
+    src.write_text("# vtk DataFile Version 3.0\nempty\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                   "POINTS 0 double\nCELLS 0 0\nCELL_TYPES 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "polysmooth.cli", "smooth", "--in", str(src),
+         "--out", str(tmp_path / "out.vtk"), "--measure", "q1", "--boundary", "free"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == ["numerical failure: no vertices; shape projection undefined"]
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--spec", "tet-cube", "--perturb", "nan"],
     ["quality", "--measure", "q1", "--shift", "nan"],

@@ -19,11 +19,17 @@ block walk of ``quality`` is checked against each kernel on whole kind
 groups, on the bytes, at and around the tet block size and on a mixed mesh
 whose every kind spans blocks. Two tests check the new kernels against
 independent references: Gauss quadrature of the trilinear hexahedron, and
-central differences of the volume.
+central differences of the volume. The last tests hold the memory peak of
+every kernel on a full block under the free heap that ``quality`` keeps
+mapped, and count the page faults of repeated smooths in a fresh process.
 """
 
 import itertools
 import math
+import platform
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ from polysmooth.generators import (
     icosahedron_polyhedron,
     perturb_mesh,
     random_element_coords,
+    regular_element_coords,
     tet_grid,
     unit_element,
 )
@@ -556,3 +563,74 @@ def test_block_walk_matches_whole_groups(m, rng):
     if list(kind_groups(mesh)) == [ElementKind.TETRA]:
         ratios = quality.mesh_quality(mesh, coords, quality.QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
         assert _same_bits(ratios, _whole(lambda kind, x: quality._mean_ratios(x), mesh, coords))
+
+
+# -- the heap the blocks run on ----------------------------------------------
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` holds at once, result included (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_KERNEL_ROWS = {
+    "element_mean_volumes": geometry.GATHERED_ROWS,
+    "element_fields": geometry.GATHERED_ROWS,
+    "element_iqs": geometry.IQ_ROWS,
+    "element_iq_gradients": geometry.IQ_ROWS,
+}
+
+
+@pytest.mark.parametrize("name", _KERNEL_ROWS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_full_block_peaks_stay_on_the_retained_heap(kind, name, rng):
+    # freeing the import-time chunk keeps 2 * quality._HEAP bytes of free heap mapped: a block whose
+    # temporaries peak higher hands pages back to the kernel and faults them in again on the next block
+    m = quality._ROWS // _KERNEL_ROWS[name][kind]
+    x = regular_element_coords(kind) + 0.1 * rng.standard_normal((m, kind.vertex_count, 3))
+    x = np.ascontiguousarray(x.T).T  # the component-major layout of geometry.element_batch
+    kernel = getattr(geometry, name)
+    args = [(kind, x)]
+    if name in ("element_iqs", "element_iq_gradients"):
+        args.append((kind, x, geometry.element_mean_volumes(kind, x)))  # as the measure layer calls them
+    for a in args:
+        assert _traced_peak(kernel, *a) < 2 * quality._HEAP, len(a)
+
+
+@pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.ISOPERIMETRIC_QUOTIENT])
+def test_mixed_field_pass_peak_stays_on_the_retained_heap(measure):
+    mesh = _mixed_cube(14)  # every kind spans two blocks
+    coords = np.array(mesh.vertices)
+    spec = quality.QualityMeasureSpec(measure)
+    assert _traced_peak(quality.quality_gradient_field, mesh, coords, spec) < 2 * quality._HEAP
+
+
+_FAULTS = """
+import resource
+from polysmooth import generators, quality, smoothing
+meshes = [generators.perturb_mesh(generators.tet_grid(8), 0.3 / 8, seed=0),
+          generators.perturb_mesh(generators.hex_grid(10), 0.3 / 10, seed=0)]
+for mesh in meshes:
+    for measure in (quality.Measure.PRODUCT_SQUARED, quality.Measure.ISOPERIMETRIC_QUOTIENT):
+        config = smoothing.SmoothingConfig(quality.QualityMeasureSpec(measure, quality.Combiner.SUM), max_iterations=5)
+        for _ in range(2):
+            smoothing.smooth(mesh, config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            smoothing.smooth(mesh, config)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the retained heap relies on glibc's malloc")
+def test_repeated_smooths_take_no_page_faults():
+    # a fresh interpreter, so that no earlier test has raised the allocator's thresholds
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 4 and max(faults) < 100, faults  # tet q1, tet iq, hex q1, hex iq; 5 smooths each

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -161,6 +162,15 @@ def test_project_shape_one_point_mesh():
         project_shape(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(DegenerateMesh):
         project_shape(np.tile([1.0, 2.0, 3.0], (4, 1)))
+
+
+def test_project_shape_without_vertices_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMesh, match="no vertices"):
+            project_shape(np.empty((0, 3)))
+        with pytest.raises(DegenerateMesh, match="no vertices"):
+            smooth_polyhedron(np.empty((0, 3)), ())
 
 
 # -- homogeneity degree and scale normalization ----------------------------------
