@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import fdcheck, generators, geometry, quality, smoothing, vtkio
 from .errors import (
@@ -123,15 +122,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_demo_icosahedron(args) -> int:
-    if not 0 <= args.perturb < np.inf:  # a negative amplitude fails in rng.uniform
+    if not 0 <= args.perturb < math.inf:  # the amplitudes perturb_mesh accepts
         raise InvalidSpec(f"--perturb must be finite and >= 0, got {args.perturb}")
     coords, faces = generators.icosahedron_polyhedron()
     regular_iq = geometry.polyhedron_iq(faces, coords)
-    edge = 2.0
-    rng = np.random.default_rng(args.seed)
-    direction = rng.standard_normal(coords.shape)
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    start = coords + direction * rng.uniform(0.0, args.perturb * edge, size=(len(coords), 1))
+    start = coords + generators.random_displacements(len(coords), args.perturb * 2.0, args.seed)  # edge 2
     config = smoothing.SmoothingConfig(
         sigma0=args.sigma0, max_iterations=args.max_iter, field_tol=1e-10
     )

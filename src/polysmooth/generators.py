@@ -141,19 +141,25 @@ def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = Tru
 
     The result shares the elements and adjacency of ``mesh``.
     """
+    pts = np.array(mesh.vertices)
+    if eps != 0:
+        pts += random_displacements(len(pts), eps, seed, mesh.boundary if fix_boundary else None)
+    return dataclasses.replace(mesh, vertices=vertex_array(pts))
+
+
+def random_displacements(n: int, eps: float, seed: int = 0, frozen=None) -> np.ndarray:
+    """Displacements (n, 3): normalized Gaussian directions times lengths uniform in [0, eps), drawn in
+    that order from ``np.random.default_rng(seed)``; zero on the vertices ``frozen`` selects."""
     if not 0 <= eps < math.inf:
         raise InvalidSpec(f"perturbation amplitude must be finite and >= 0, got {eps}")
-    pts = np.array(mesh.vertices)
-    if eps > 0:
-        rng = np.random.default_rng(seed)
-        direction = rng.standard_normal(pts.shape)
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        norms[norms < 1e-300] = 1.0
-        step = direction / norms * rng.uniform(0.0, eps, size=(pts.shape[0], 1))
-        if fix_boundary:
-            step[mesh.boundary] = 0.0
-        pts += step
-    return dataclasses.replace(mesh, vertices=vertex_array(pts))
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((n, 3))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms < 1e-300] = 1.0
+    step = direction / norms * rng.uniform(0.0, eps, size=(n, 1))
+    if frozen is not None:
+        step[frozen] = 0.0
+    return step
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

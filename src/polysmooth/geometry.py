@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidPolygon
+from .errors import DegenerateElement, InvalidPolygon, InvalidSpec
 from .mesh import FACES, ElementKind
 
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
@@ -164,11 +164,6 @@ class _Tables(NamedTuple):
     corners: np.ndarray  # (K, n): area gradient rows over the e_q x u, u x e_p, (e_p - e_q) x u and a zero
 
 
-def _face_tuple(faces) -> tuple[tuple[int, ...], ...]:
-    """Faces, any iterable of integer index sequences, as a tuple of tuples of ints."""
-    return tuple(tuple(map(operator.index, f)) for f in faces)
-
-
 def _tables(faces, n: int) -> _Tables:
     """Volume, field and area tables of a closed surface over n vertices, with ``e = x - x_b``.
 
@@ -180,7 +175,6 @@ def _tables(faces, n: int) -> _Tables:
     quadrilateral (r, i, j, k). Area gradient: each triangle (b, p, q) of weight
     w adds ``w (e_p - e_q) x u``, ``w e_q x u`` and ``w u x e_p`` at b, p, q.
     """
-    faces = _face_tuple(faces)
     tris, w = _face_triangles(faces)
     off0 = ~np.any(tris == 0, axis=1)
     terms, weights = tris[off0].T, _common(2.0 * w[off0, None])
@@ -213,8 +207,18 @@ def _tables(faces, n: int) -> _Tables:
                    np.array(_padded(corners, [3 * f] * n)))
 
 
-_cached_tables = functools.lru_cache(maxsize=64)(_tables)  # by the faces' _face_tuple
-_KIND_TABLES = {kind: _tables(FACES[kind], kind.vertex_count) for kind in ElementKind}
+@functools.lru_cache(maxsize=64)
+def _checked_tables(faces: tuple[tuple[int, ...], ...], n: int) -> _Tables:
+    """:func:`_tables` of faces as tuples of ints, cached; ``InvalidPolygon`` unless every index is valid."""
+    if not faces:
+        raise InvalidPolygon("a closed polyhedron needs faces, got none")
+    for f in faces:
+        if len(set(f)) < len(f) or not all(0 <= i < n for i in f):
+            raise InvalidPolygon(f"face {f} repeats a vertex index or has one outside 0 to {n - 1}")
+    return _tables(faces, n)
+
+
+_KIND_TABLES = {kind: _checked_tables(FACES[kind], kind.vertex_count) for kind in ElementKind}
 
 # (k, m) rows of the largest temporary per element of each kind: of the volume and field kernels, and of the iq ones
 GATHERED_ROWS = {kind: max(t.terms.size, t.ends[0, 0].size) for kind, t in _KIND_TABLES.items()}
@@ -371,9 +375,9 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
 # A polyhedron here is a closed oriented surface given by faces over an
 # (n, 3) coordinate array. For the four element kinds these functions agree
 # with the element_* forms; they also cover shapes like the icosahedron that
-# are not volume cells. Areas and iq use tables built by the element kinds'
-# rule, cached per face list; the volume and its gradient are summed about
-# the centroid, triangle by triangle.
+# are not volume cells. Each reads its faces, tables and coordinates through
+# _polyhedron. Areas and iq use the tables; the volume and its gradient are
+# summed about the centroid, triangle by triangle.
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the corners after and before corner k
 
@@ -399,31 +403,53 @@ def _centroid_volume(faces, x: np.ndarray) -> tuple[float, np.ndarray]:
     return vol, grad
 
 
-def _polyhedron(faces, x) -> tuple[_Tables, np.ndarray]:
-    """The cached tables of a polyhedron and its coordinates as a component-major batch of one, (3, n, 1)."""
-    xt = np.asarray(x, dtype=float).T[:, :, None]
-    return _cached_tables(_face_tuple(faces), xt.shape[1]), xt
+def _coordinates(x) -> np.ndarray:
+    """``x`` as float coordinates; ``InvalidSpec`` unless they are finite and of shape (n, 3)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3 or not np.isfinite(x).all():
+        raise InvalidSpec(f"polyhedron coordinates must be finite and of shape (n, 3), got shape {x.shape}")
+    return x
+
+
+def _polyhedron(faces, x) -> tuple[tuple[tuple[int, ...], ...], _Tables, np.ndarray]:
+    """A polyhedron's faces as tuples of ints, their cached and checked tables, and its checked coordinates."""
+    x = _coordinates(x)
+    faces = tuple(tuple(map(operator.index, f)) for f in faces)
+    return faces, _checked_tables(faces, len(x)), x
 
 
 def polyhedron_mean_volume(faces, x) -> float:
-    """Enclosed signed volume with quad faces averaged over both diagonals."""
-    return _centroid_volume(faces, np.asarray(x, dtype=float))[0]
+    """Enclosed signed volume with quad faces averaged over both diagonals.
+
+    Every ``polyhedron_*`` function raises ``InvalidPolygon`` for no faces, a face that is not a triangle
+    or quadrilateral, or an index outside 0 to n - 1 or repeated in a face; and ``InvalidSpec`` for
+    coordinates that are not finite or not of shape (n, 3).
+    """
+    faces, _, x = _polyhedron(faces, x)
+    return _centroid_volume(faces, x)[0]
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
-    return _centroid_volume(faces, np.asarray(x, dtype=float))[1]
+    """Gradient (n, 3) of :func:`polyhedron_mean_volume`, with its errors."""
+    faces, _, x = _polyhedron(faces, x)
+    return _centroid_volume(faces, x)[1]
 
 
 def polyhedron_mean_area(faces, x) -> float:
-    return float(_mean_areas(*_polyhedron(faces, x))[0])
+    """Boundary area, quad faces averaged over both diagonals; errors as :func:`polyhedron_mean_volume`."""
+    _, tab, x = _polyhedron(faces, x)
+    return float(_mean_areas(tab, x.T[:, :, None])[0])
 
 
 def polyhedron_iq(faces, x) -> float:
-    """Isoperimetric quotient of a closed polyhedron."""
-    tab, xt = _polyhedron(faces, x)
+    """Isoperimetric quotient; errors as :func:`polyhedron_mean_volume`, ``DegenerateElement`` for no area."""
+    _, tab, x = _polyhedron(faces, x)
+    xt = x.T[:, :, None]
     return float(_iq_values(tab, xt, _div_volumes(tab, xt))[0])
 
 
 def polyhedron_iq_gradient(faces, x) -> np.ndarray:
-    tab, xt = _polyhedron(faces, x)
+    """Gradient (n, 3) of :func:`polyhedron_iq`, with its errors, and ``DegenerateElement`` for a flat triangle."""
+    _, tab, x = _polyhedron(faces, x)
+    xt = x.T[:, :, None]
     return _iq_gradients(tab, xt, _div_volumes(tab, xt), _fields(tab, xt).transpose(1, 2, 0))[0]

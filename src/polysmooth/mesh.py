@@ -100,6 +100,12 @@ KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _ARITY = np.array([kind.vertex_count for kind in _KINDS])
 
 
+def _distinct_rows(conn: np.ndarray) -> np.ndarray:
+    """Whether each row of vertex indices (m, n_e) has no repeated index: one pairwise test per kind."""
+    pairs = itertools.combinations(range(conn.shape[1]), 2)
+    return np.all([conn[:, i] != conn[:, j] for i, j in pairs], axis=0)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -120,7 +126,8 @@ class Connectivity(Sequence):
 
     The arrays are read-only; codes or vertex indices that are not of an
     integer type, a code outside :data:`KIND_CODES`, or a ``flat`` of another
-    length than the codes' vertex counts, raise ``InvalidSpec``.
+    length than the codes' vertex counts, raise ``InvalidSpec``; the first
+    element that repeats a vertex raises ``InvalidElement``.
     As a sequence it yields :class:`Element` objects, built on every access.
     """
 
@@ -137,6 +144,9 @@ class Connectivity(Sequence):
         object.__setattr__(self, "flat", _freeze(np.asarray(flat, dtype=np.int64)))
         if len(self.flat) != self.counts.sum():
             raise InvalidSpec(f"the kind codes need {self.counts.sum()} vertex indices; got {len(self.flat)}")
+        repeats = [ids[~_distinct_rows(conn)][:1] for ids, conn in self.groups.values()]
+        if any(map(len, repeats)):
+            self[int(min(np.concatenate(repeats)))]  # raises InvalidElement: a repeated vertex
 
     @property
     def counts(self) -> np.ndarray:

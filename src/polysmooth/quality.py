@@ -358,6 +358,16 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     )
 
 
+def _gradient_measure(spec: QualityMeasureSpec) -> _MeasureDef:
+    """The measure of ``spec``; ``InvalidSpec`` for the min combiner or a measure without a gradient field."""
+    if spec.combiner is Combiner.MIN:
+        raise InvalidSpec("the min combiner has no gradient")
+    measure = _MEASURES[spec.measure]
+    if measure.vertex_field is None:
+        raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
+    return measure
+
+
 def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> np.ndarray:
     """Exact gradient of :func:`mesh_quality`'s global value, shape (n, 3).
 
@@ -366,11 +376,7 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     for it); both raise ``InvalidSpec``.
     """
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
-    if spec.combiner is Combiner.MIN:
-        raise InvalidSpec("the min combiner has no gradient")
-    measure = _MEASURES[spec.measure]
-    if measure.vertex_field is None:
-        raise InvalidSpec(f"no gradient field is defined for the {spec.measure.value} measure")
+    measure = _gradient_measure(spec)
     coords = _checked_coords(mesh, coords)
     v = _shifted(mesh_mean_volumes(mesh, coords), spec.volume_shift)
     if measure.product:

@@ -59,6 +59,7 @@ from .quality import (
     _MEASURES,
     Measure,
     QualityMeasureSpec,
+    _gradient_measure,
     _require_positive,
     _shifted,
     _volume_shift,
@@ -500,9 +501,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     :class:`_Surface`, from the connectivity it holds.
     """
     spec = config.measure
-    measure = _MEASURES[spec.measure]
-    if measure.vertex_field is None:
-        raise InvalidSpec(f"no smoothing field is defined for measure {spec.measure.value!r}")
+    measure = _gradient_measure(spec)
     vols0 = mesh_mean_volumes(mesh, coords0)
     shift = spec.volume_shift
     if measure.shifted:
@@ -565,11 +564,13 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
 def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tuple[np.ndarray, SmoothingReport]:
     """Ascend the configured quality measure until a stopping rule fires.
 
-    The driver optimizes the sum form of the measure (the log product for the
-    product measure). Every accepted step strictly increases the objective;
-    with all elements initially valid, steps that would invert an element are
-    rejected during backtracking. Under the free policy the run starts from,
-    and is set up on, the shape representative of the start.
+    The driver ascends the sum form of the measure (the log product for the
+    product measure) whatever the combiner, and rejects the min combiner,
+    which has no gradient, with ``InvalidSpec``. Every accepted step strictly
+    increases the objective; with all elements initially valid, steps that
+    would invert an element are rejected during backtracking. Under the free
+    policy the run starts from, and is set up on, the shape representative
+    of the start.
     """
     config = config or SmoothingConfig()
     coords0 = np.array(_checked_coords(mesh, coords))
@@ -586,10 +587,11 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     under the free policy; the measure and boundary settings of ``config``
     are ignored, only its numeric knobs apply. As in :func:`smooth`, steps
     to a nonpositive volume are rejected only when the start's is positive.
+    Faces, tables and errors are those of the ``polyhedron_*`` functions, and
+    ``DegenerateMesh`` for a start without vertices or with all at one point.
     """
     config = config or SmoothingConfig()
-    coords = project_shape(np.array(coords, dtype=float))
-    tables = geometry._tables(faces, len(coords))
+    _, tables, coords = geometry._polyhedron(faces, project_shape(geometry._coordinates(coords)))
 
     def iq(c, vols):
         return float(geometry._iq_values(tables, c.T[:, :, None], vols)[0])

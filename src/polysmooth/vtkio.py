@@ -22,14 +22,15 @@ negative count or a non-ASCII byte, raises
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSpec, MalformedFile, UnsupportedCellType
-from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, _checked_coords, make_mesh
+from .mesh import (
+    KIND_CODES, Connectivity, Element, ElementKind, Mesh, _checked_coords, _distinct_rows, make_mesh,
+)
 
 CELL_TYPE_BY_KIND = {
     ElementKind.TETRA: 10,
@@ -268,11 +269,7 @@ def mesh_from_document(doc: MeshDocument) -> Mesh:
     for cell_type, kind in KIND_BY_CELL_TYPE.items():
         codes[types == cell_type] = KIND_CODES[kind]
         ids = np.flatnonzero((types == cell_type) & (counts == kind.vertex_count))
-        columns = [conn[offsets[ids] + j] for j in range(kind.vertex_count)]
-        distinct = np.ones(len(ids), dtype=bool)
-        for i, j in itertools.combinations(range(kind.vertex_count), 2):
-            distinct &= columns[i] != columns[j]
-        ok[ids] = distinct
+        ok[ids] = _distinct_rows(conn[offsets[ids, None] + np.arange(kind.vertex_count)])
     if not ok.all():
         i = int(np.argmin(ok))
         kind = KIND_BY_CELL_TYPE.get(int(types[i]))

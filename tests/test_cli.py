@@ -199,6 +199,8 @@ def test_console_entry_point():
     ["demo-icosahedron", "--perturb", "-0.05"],
     # 7 PiB: numpy refuses the allocation without touching memory
     ["generate", "--spec", "tet-cube", "--size", "100000", "--out", "{tmp}/x.vtk"],
+    # finite, but twice it, the amplitude in edge lengths of 2, is not
+    ["demo-icosahedron", "--perturb", "1e308"],
 ])
 def test_bad_argument_values_exit_without_traceback(argv, tmp_path):
     import subprocess

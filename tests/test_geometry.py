@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysmooth import ElementKind
-from polysmooth.errors import DegenerateElement, InvalidPolygon
+from polysmooth.errors import DegenerateElement, InvalidPolygon, InvalidSpec
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     icosahedron_polyhedron,
@@ -32,6 +32,7 @@ from polysmooth.geometry import (
     polyhedron_volume_gradient,
     tet_signed_volume,
 )
+from polysmooth.smoothing import SmoothingConfig, smooth_polyhedron
 
 ALL_KINDS = list(ElementKind)
 
@@ -376,6 +377,37 @@ def test_polyhedron_functions_take_faces_as_arrays_or_iterators(rng):
         expected = fn(faces, x)
         for given_faces in (np.array(faces), [np.array(f) for f in faces], iter(faces)):
             assert np.array_equal(fn(given_faces, x), expected), fn.__name__
+
+
+def _smooth_polyhedron(faces, x):
+    return smooth_polyhedron(x, faces, SmoothingConfig(max_iterations=1))
+
+
+POLYHEDRON_FUNCTIONS = [polyhedron_mean_volume, polyhedron_volume_gradient, polyhedron_mean_area, polyhedron_iq,
+                        polyhedron_iq_gradient, _smooth_polyhedron]
+
+
+@pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("first", [(0, 11, 12), (0, 11, -1), (0, 11, 11), None],
+                         ids=["index 12", "index -1", "repeated index", "no faces"])
+def test_polyhedron_functions_reject_bad_faces(fn, first):
+    # -1 would read vertex 11, and a repeated index a flat face, without an error
+    coords, faces = icosahedron_polyhedron()
+    faces = () if first is None else (first, *faces[1:])
+    with pytest.raises(InvalidPolygon):
+        fn(faces, coords)
+
+
+@pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape (12, 2)"])
+def test_polyhedron_functions_reject_bad_coordinates(fn, bad):
+    coords, faces = icosahedron_polyhedron()
+    if bad == "shape (12, 2)":
+        coords = coords[:, :2]
+    else:
+        coords[3, 1] = float(bad)
+    with pytest.raises(InvalidSpec):
+        fn(faces, coords)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

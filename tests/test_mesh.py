@@ -16,7 +16,9 @@ from polysmooth.generators import (
     tet_with_inner_vertex,
     unit_element,
 )
-from polysmooth.mesh import _MAX_FACES, FACES, Connectivity, _faces_by_size, boundary_faces, kind_groups
+from polysmooth.mesh import (
+    _MAX_FACES, FACES, KIND_CODES, Connectivity, _faces_by_size, boundary_faces, kind_groups,
+)
 
 
 def test_single_tet_adjacency():
@@ -151,6 +153,16 @@ def test_out_of_range_error_names_the_first_bad_element():
 def test_connectivity_rejects_arrays_it_cannot_describe(codes, flat, message):
     with pytest.raises(InvalidSpec, match=message):
         make_mesh(np.zeros((12, 3)), Connectivity(codes, np.array(flat)))
+
+
+def test_connectivity_names_the_first_element_that_repeats_a_vertex():
+    # each kind's rows are tested apart; the error names the first such element over all kinds
+    codes = [KIND_CODES[ElementKind.HEXA], KIND_CODES[ElementKind.TETRA], KIND_CODES[ElementKind.HEXA]]
+    flat = [*range(8), 0, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 6]
+    with pytest.raises(InvalidElement, match=r"^repeated vertex index in \(0, 0, 1, 2\)$"):
+        Connectivity(codes, np.array(flat))
+    with pytest.raises(InvalidElement, match=r"^repeated vertex index in \(0, 1, 2, 3, 4, 5, 6, 6\)$"):
+        Connectivity(codes[::2], np.array(flat[:8] + flat[-8:]))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64])

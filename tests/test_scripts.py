@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_ARGS = {
     "cube_smoothing_regression.py": ["--size", "2", "--max-iter", "3"],
-    "icosahedron_roundness.py": ["--max-iter", "3"],
     "inner_vertex_flow.py": ["--max-iter", "3"],
 }
 

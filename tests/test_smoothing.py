@@ -752,6 +752,7 @@ def test_iq_field_evaluates_the_field_once_per_kind(interleaved_mesh, counts):
 
 
 def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
+    geometry_module._checked_tables.cache_clear()  # the face tables are built once, on the first use
     coords, faces = icosahedron_polyhedron()
     start = coords + 0.1 * np.random.default_rng(0).standard_normal(coords.shape)
     config = SmoothingConfig(max_iterations=40, field_tol=1e-10)
@@ -760,6 +761,29 @@ def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
     assert trials > report.iterations > 0
     assert counts["_div_volumes"] == trials + 1
     assert counts["_face_triangles"] == 1
+
+
+@pytest.mark.parametrize("measure", [Measure.MEAN_VOLUME_SUM, Measure.PRODUCT_SQUARED, Measure.ISOPERIMETRIC_QUOTIENT])
+def test_driver_rejects_the_min_combiner(measure):
+    # the driver ascends the sum form, so a min spec would run the sum ascent under another name
+    mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
+    config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.MIN))
+    with pytest.raises(InvalidSpec, match="^the min combiner has no gradient$"):
+        smooth(mesh, config)
+    with pytest.raises(InvalidSpec, match="^the min combiner has no gradient$"):
+        smoothing_step(mesh, mesh.vertices, config, 0.1)
+
+
+def test_polyhedron_tables_are_built_once_per_face_list():
+    coords, faces = icosahedron_polyhedron()
+    start = coords + 0.1 * np.random.default_rng(0).standard_normal(coords.shape)
+    geometry_module._checked_tables.cache_clear()
+    polyhedron_iq(faces, start)
+    polyhedron_iq_gradient([list(f) for f in faces], start)
+    for _ in range(2):
+        smooth_polyhedron(start, np.array(faces), SmoothingConfig(max_iterations=2))
+    info = geometry_module._checked_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize("mirror", [1.0, -1.0])
