@@ -209,12 +209,16 @@ def _tables(faces, n: int) -> _Tables:
 
 @functools.lru_cache(maxsize=64)
 def _checked_tables(faces: tuple[tuple[int, ...], ...], n: int) -> _Tables:
-    """:func:`_tables` of faces as tuples of ints, cached; ``InvalidPolygon`` unless every index is valid."""
+    """:func:`_tables` of faces as tuples of ints, cached; ``InvalidPolygon`` unless every index is valid
+    and the faces close the surface: each directed edge used once, and its reverse once."""
     if not faces:
         raise InvalidPolygon("a closed polyhedron needs faces, got none")
     for f in faces:
         if len(set(f)) < len(f) or not all(0 <= i < n for i in f):
             raise InvalidPolygon(f"face {f} repeats a vertex index or has one outside 0 to {n - 1}")
+    edges = [(f[i - 1], f[i]) for f in faces for i in range(len(f))]
+    if len(set(edges)) < len(edges) or set(edges) != {(b, a) for a, b in edges}:
+        raise InvalidPolygon("the faces do not close a surface: each edge must be used once in each direction")
     return _tables(faces, n)
 
 
@@ -414,16 +418,20 @@ def _coordinates(x) -> np.ndarray:
 def _polyhedron(faces, x) -> tuple[tuple[tuple[int, ...], ...], _Tables, np.ndarray]:
     """A polyhedron's faces as tuples of ints, their cached and checked tables, and its checked coordinates."""
     x = _coordinates(x)
-    faces = tuple(tuple(map(operator.index, f)) for f in faces)
+    try:
+        faces = tuple(tuple(map(operator.index, f)) for f in faces)
+    except TypeError:
+        raise InvalidPolygon("faces must be sequences of integer vertex indices") from None
     return faces, _checked_tables(faces, len(x)), x
 
 
 def polyhedron_mean_volume(faces, x) -> float:
     """Enclosed signed volume with quad faces averaged over both diagonals.
 
-    Every ``polyhedron_*`` function raises ``InvalidPolygon`` for no faces, a face that is not a triangle
-    or quadrilateral, or an index outside 0 to n - 1 or repeated in a face; and ``InvalidSpec`` for
-    coordinates that are not finite or not of shape (n, 3).
+    Every ``polyhedron_*`` function raises ``InvalidPolygon`` for no faces, an index that is not an
+    integer, a face that is not a triangle or quadrilateral, an index outside 0 to n - 1 or repeated in a
+    face, or faces that do not close the surface (each directed edge once, and its reverse once); and
+    ``InvalidSpec`` for coordinates that are not finite or not of shape (n, 3).
     """
     faces, _, x = _polyhedron(faces, x)
     return _centroid_volume(faces, x)[0]

@@ -18,9 +18,9 @@ read (:func:`kind_groups`), built on first use. A mesh built from another
 mesh's ``elements`` shares the arrays and the cached groups.
 
 :func:`make_mesh` also stores vertex valence and boundary flags, from one
-``np.bincount`` and, for each face size, one two-key sort over the stacked
-element faces: a sorting network orders each face's vertices, which are
-packed into two int64 keys.
+``np.bincount`` and, per face size, one ``np.lexsort`` of the element faces'
+vertex sets, each packed into one int64 key (two above 2**21 vertices, or
+55,108 with quads). :func:`boundary_faces` matches boundary vertices' faces only.
 :func:`~polysmooth.generators.perturb_mesh` moves vertices only and keeps
 its input's adjacency.
 """
@@ -220,63 +220,58 @@ _SORTING_NETWORK = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1,
 _MAX_KEYED_VERTICES = 3_037_000_499  # the largest n whose n * n fits in int64
 
 
-def _face_keys(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two int64 keys per face, equal exactly for faces with the same vertex set.
-
-    A sorting network orders each face's vertices; with ``n`` one past the
-    largest index, ``hi = v0 * n + v1`` and ``lo`` is ``v2`` (triangles) or
-    ``v2 * n + v3`` (quads).
-    """
-    n = int(faces.max(initial=-1)) + 1
+def _face_keys(cols: np.ndarray) -> list[np.ndarray]:
+    """The fewest int64 keys per face, a column of ``cols`` (size, f), equal exactly for faces with
+    the same vertex set: a sorting network orders each face's vertices, read as digits in base ``n``,
+    one past the largest index, as many to a key as fit below 2**63 (all for a triangle while
+    n <= 2**21, for a quad while n <= 55,108)."""
+    n = int(cols.max(initial=-1)) + 1
     if n > _MAX_KEYED_VERTICES:
         raise InvalidSpec(f"face matching needs vertex indices below {_MAX_KEYED_VERTICES}; got {n - 1}")
-    # int32 columns below 2**31: half the memory of the network's temporaries
-    cols = list(np.ascontiguousarray(faces.T, dtype=np.int32 if n <= 2**31 else np.int64))
+    cols = list(cols)
     for i, j in _SORTING_NETWORK[len(cols)]:
         cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
-    hi = cols[0].astype(np.int64) * n + cols[1]
-    lo = cols[2].astype(np.int64)
-    if len(cols) == 4:
-        lo = lo * n + cols[3]
-    return hi, lo
+    digits = next(d for d in range(len(cols), 0, -1) if n**d <= 2**63)
+    keys = [col.astype(np.int64) for col in cols[::digits]]
+    for k, col in enumerate(cols):
+        if k % digits:
+            keys[k // digits] *= n
+            keys[k // digits] += col
+    return keys
 
 
-def _faces_by_size(groups) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every oriented element face, stacked by face size.
+def _once(cols: np.ndarray) -> np.ndarray:
+    """Indices, in no set order, of the faces (columns of ``cols``) whose vertex set occurs once: one lexsort."""
+    keys = _face_keys(cols)
+    perm = np.lexsort(keys[::-1])
+    # a face occurs once when both it and its successor in sorted order start a run
+    starts = np.ones(len(perm) + 1, dtype=bool)
+    starts[1:-1] = False
+    while keys:  # one key permuted at a time and freed once compared: a lower peak
+        starts[1:-1] |= np.diff(keys.pop()[perm]) != 0
+    return perm[starts[:-1] & starts[1:]]
 
-    Returns ``{size: (faces, order, once)}``: ``faces`` (f, size) holds global
-    vertex indices, ``order`` the position of each face in the walk over
-    elements in order and their faces in :data:`FACES` order, and ``once``
-    flags faces whose vertex set occurs exactly once among faces of that size.
-    """
+
+def _faces_by_size(groups, keep=None) -> dict[int, tuple[np.ndarray, list[tuple[np.ndarray, int]]]]:
+    """The oriented element faces whose vertices all have ``keep`` set (all when None), ``{size: (cols, parts)}``:
+    ``cols`` (size, f) holds their vertices (int32 below 2**31) in the walk over kinds and each kind's
+    faces in :data:`FACES` order, which ``parts`` cuts into ``(ids, j)``, the elements whose face j is next."""
+    n = max((int(conn.max(initial=-1)) for _, conn in groups.values()), default=-1) + 1
     stacks: dict[int, list] = {}
     for kind, (ids, conn) in groups.items():
+        inside = None if keep is None else keep[conn]
         for j, face in enumerate(FACES[kind]):
-            stacks.setdefault(len(face), []).append((ids, conn, j, face))
+            rows = slice(None) if keep is None else inside[:, face].all(axis=1)
+            stacks.setdefault(len(face), []).append((ids[rows], conn[rows], j, face))
     out = {}
     for size, parts in stacks.items():
-        # each part gathered into place: no per-part copies to concatenate
-        total = sum(len(ids) for ids, *_ in parts)
-        faces, order = np.empty((total, size), dtype=np.int64), np.empty(total, dtype=np.int64)
+        cols = np.empty((size, sum(len(ids) for ids, *_ in parts)), dtype=np.int32 if n <= 2**31 else np.int64)
         stop = 0
         for ids, conn, j, face in parts:
             start, stop = stop, stop + len(ids)
-            np.take(conn, face, axis=1, out=faces[start:stop], mode="clip")  # "raise" would buffer
-            order[start:stop] = ids * _MAX_FACES + j
-        hi, lo = _face_keys(faces)
-        perm = np.lexsort((lo, hi))
-        # a face occurs once when both it and its successor in sorted order start a run
-        starts = np.ones(len(perm) + 1, dtype=bool)
-        # one key permuted at a time and freed once compared: a lower peak
-        hi = hi[perm]
-        starts[1:-1] = hi[1:] != hi[:-1]
-        del hi
-        lo = lo[perm]
-        starts[1:-1] |= lo[1:] != lo[:-1]
-        del lo
-        once = np.empty(len(perm), dtype=bool)
-        once[perm] = starts[:-1] & starts[1:]
-        out[size] = (faces, order, once)
+            for k, v in enumerate(face):  # column by column, straight into place: no temporaries
+                cols[k, start:stop] = conn[:, v]
+        out[size] = (cols, [(ids, j) for ids, _, j, _ in parts])
     return out
 
 
@@ -328,20 +323,27 @@ def make_mesh(points, elements) -> Mesh:
     if bad.size:
         first = int(np.searchsorted(cells.offsets, bad[0], side="right")) - 1
         raise InvalidElement(f"vertex index out of range in {cells[first].vertices}")
-
     valence = np.bincount(cells.flat, minlength=n)
     boundary = np.zeros(n, dtype=bool)
-    for faces, _, once in _faces_by_size(cells.groups).values():
-        boundary[faces[once]] = True
+    for cols, _ in _faces_by_size(cells.groups).values():
+        boundary[cols[:, _once(cols)]] = True
     return Mesh(pts, cells, _freeze(valence), _freeze(boundary))
+
+
+def _boundary_faces(mesh: Mesh) -> np.ndarray:
+    """:func:`boundary_faces` as rows (F, 4), a triangle's first vertex repeated as its fourth. Only faces
+    with every vertex on the boundary are matched: the copies of a face share its vertices, so all or none are."""
+    corners, order = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for size, (cols, parts) in _faces_by_size(mesh.elements.groups, mesh.boundary).items():
+        once = _once(cols)
+        corners.append(cols[:, once][[0, 1, 2, 3 % size]].T)  # rows 0, 1, 2, 0 for a triangle
+        order.append(np.concatenate([ids * _MAX_FACES + j for ids, j in parts])[once])
+    return np.concatenate(corners)[np.argsort(np.concatenate(order))]
 
 
 def boundary_faces(mesh: Mesh) -> list[tuple[int, ...]]:
     """Oriented faces incident to exactly one element, in element order."""
-    found = []
-    for faces, order, once in _faces_by_size(mesh.elements.groups).values():
-        found += zip(order[once].tolist(), map(tuple, faces[once].tolist()))
-    return [face for _, face in sorted(found)]
+    return [tuple(row[:3 + (row[3] != row[0])]) for row in _boundary_faces(mesh).tolist()]
 
 
 def kind_groups(mesh: Mesh) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:

@@ -21,14 +21,16 @@ set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input. The set-up's volume
 pass also gives the objective at the start.
 
-Under the project policy the set-up triangulates the start's boundary once
-and stores each triangle's bounding sphere. Each step maps all boundary
-vertices in one batched pass: a vertex takes the triangles around its cell
-as candidates, in the finest of the uniform grids of doubling cell edge
-that can settle it (the coarsest lists every triangle), and a triangle is
-tested exactly only when its sphere's lower distance bound does not exceed
-an upper bound on the smallest distance by more than a slack far above
-rounding. So the result is bit for bit that of testing every triangle.
+Under the project policy the set-up triangulates the start's boundary faces
+once, read as arrays from a face matching among the faces of boundary
+vertices only, and stores each triangle's bounding sphere. Each step maps
+all boundary vertices in one batched pass: a vertex takes the triangles
+around its cell as candidates, in the finest of the uniform grids of
+doubling cell edge that can settle it (the coarsest lists every triangle),
+and a triangle is tested exactly only when its sphere's lower distance
+bound does not exceed an upper bound on the smallest distance by more than
+a slack far above rounding. So the result is bit for bit that of testing
+every triangle.
 
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
@@ -54,7 +56,7 @@ from .errors import (
     NonHomogeneous,
     ZeroField,
 )
-from .mesh import Mesh, _checked_coords, boundary_faces
+from .mesh import Mesh, _boundary_faces, _checked_coords
 from .quality import (
     _MEASURES,
     Measure,
@@ -243,14 +245,10 @@ class _Flow:
 
 
 def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
-    """Boundary surface as triangles (T, 3, 3) in face order; quads split along their shorter diagonal.
-
-    The order decides ties between equally close triangles, so it is part of
-    the result.
-    """
-    faces = boundary_faces(mesh)
-    quad = np.array([len(f) == 4 for f in faces], dtype=bool)
-    corners = np.array([f if len(f) == 4 else f + f[:1] for f in faces], dtype=np.int64).reshape(-1, 4)
+    """Boundary surface as triangles (T, 3, 3) in face order, quads split along their shorter diagonal;
+    the order decides ties between equally close triangles, so it is part of the result."""
+    corners = _boundary_faces(mesh)
+    quad = corners[:, 3] != corners[:, 0]
     d = coords[corners]
     ac, bd = d[:, 0] - d[:, 2], d[:, 1] - d[:, 3]
     # row by row, (1, 3) @ (3, 1) rounds as np.linalg.norm of one vector does; a sum over axis 1 does not

@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec, MalformedFile, UnsupportedCellType
-from .mesh import (
-    KIND_CODES, Connectivity, Element, ElementKind, Mesh, _checked_coords, _distinct_rows, make_mesh,
-)
+from .mesh import KIND_CODES, Connectivity, ElementKind, Mesh, _checked_coords, make_mesh
 
 CELL_TYPE_BY_KIND = {
     ElementKind.TETRA: 10,
@@ -268,17 +266,16 @@ def mesh_from_document(doc: MeshDocument) -> Mesh:
     ok = np.zeros(len(types), dtype=bool)
     for cell_type, kind in KIND_BY_CELL_TYPE.items():
         codes[types == cell_type] = KIND_CODES[kind]
-        ids = np.flatnonzero((types == cell_type) & (counts == kind.vertex_count))
-        ok[ids] = _distinct_rows(conn[offsets[ids, None] + np.arange(kind.vertex_count)])
-    if not ok.all():
-        i = int(np.argmin(ok))
+        ok |= (types == cell_type) & (counts == kind.vertex_count)
+    i = int(np.argmin(ok)) if not ok.all() else len(types)
+    # the cells before the first of a bad type or count; raises InvalidElement at a repeated vertex
+    cells = Connectivity(codes[:i], conn[:offsets[i]])
+    if i < len(types):
         kind = KIND_BY_CELL_TYPE.get(int(types[i]))
         if kind is None:
             raise UnsupportedCellType(f"cell {i} has unsupported type {types[i]}")
-        if counts[i] != kind.vertex_count:
-            raise MalformedFile(f"cell {i} of type {types[i]} has {counts[i]} vertices", int(doc.cell_lines[i]))
-        Element(kind, conn[offsets[i]:offsets[i + 1]])  # raises InvalidElement: a repeated vertex
-    return make_mesh(doc.points, Connectivity(codes, conn))
+        raise MalformedFile(f"cell {i} of type {types[i]} has {counts[i]} vertices", int(doc.cell_lines[i]))
+    return make_mesh(doc.points, cells)
 
 
 def read_mesh(path) -> Mesh:

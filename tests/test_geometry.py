@@ -387,15 +387,25 @@ POLYHEDRON_FUNCTIONS = [polyhedron_mean_volume, polyhedron_volume_gradient, poly
                         polyhedron_iq_gradient, _smooth_polyhedron]
 
 
+_BAD_FACES = {
+    "index 12": lambda faces: ((0, 11, 12), *faces[1:]),
+    "index -1": lambda faces: ((0, 11, -1), *faces[1:]),
+    "repeated index": lambda faces: ((0, 11, 11), *faces[1:]),
+    "no faces": lambda faces: (),
+    "float faces": lambda faces: np.array(faces, dtype=float),
+    "open surface": lambda faces: faces[1:],
+    "one face reversed": lambda faces: (faces[0][::-1], *faces[1:]),
+}
+
+
 @pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)
-@pytest.mark.parametrize("first", [(0, 11, 12), (0, 11, -1), (0, 11, 11), None],
-                         ids=["index 12", "index -1", "repeated index", "no faces"])
-def test_polyhedron_functions_reject_bad_faces(fn, first):
-    # -1 would read vertex 11, and a repeated index a flat face, without an error
+@pytest.mark.parametrize("bad", list(_BAD_FACES.values()), ids=list(_BAD_FACES))
+def test_polyhedron_functions_reject_bad_faces(fn, bad):
+    # -1 would read vertex 11, a repeated index a flat face, and an open surface
+    # an iq above the regular one (0.98319 without the first face), without an error
     coords, faces = icosahedron_polyhedron()
-    faces = () if first is None else (first, *faces[1:])
     with pytest.raises(InvalidPolygon):
-        fn(faces, coords)
+        fn(bad(faces), coords)
 
 
 @pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)

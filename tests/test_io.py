@@ -428,6 +428,18 @@ def test_first_bad_cell_in_file_order_decides_the_error(tmp_path):
             read_mesh(_write_lines(tmp_path / f"case{i}.vtk", head + cells))
 
 
+def test_read_mesh_tests_each_cell_for_a_repeated_vertex_once(tmp_path, monkeypatch):
+    import polysmooth.mesh as mesh_module
+    import polysmooth.vtkio as vtkio_module
+
+    path, _ = _roundtrip(tet_grid(3), tmp_path)
+    rows, distinct_rows = [], mesh_module._distinct_rows
+    for module in (mesh_module, vtkio_module):  # the reader's own test, if it had one, counts too
+        monkeypatch.setattr(module, "_distinct_rows", lambda conn: rows.append(len(conn)) or distinct_rows(conn),
+                            raising=False)
+    assert read_mesh(path).n_elements == sum(rows) == 162
+
+
 def test_quality_of_a_file_without_cells_is_an_input_error(tmp_path, capsys):
     path = _write_lines(tmp_path / "empty.vtk", _TET_WITH_DATA[:9] + ["CELLS 0 0", "CELL_TYPES 0"])
     assert read_mesh(path).n_elements == 0

@@ -17,7 +17,7 @@ from polysmooth.generators import (
     unit_element,
 )
 from polysmooth.mesh import (
-    _MAX_FACES, FACES, KIND_CODES, Connectivity, _faces_by_size, boundary_faces, kind_groups,
+    _MAX_FACES, FACES, KIND_CODES, Connectivity, _face_keys, _faces_by_size, _once, boundary_faces, kind_groups,
 )
 
 
@@ -298,9 +298,19 @@ def _reference_faces_by_size(groups):
 def _assert_faces_match_reference(groups):
     expected, got = _reference_faces_by_size(groups), _faces_by_size(groups)
     assert list(got) == list(expected)
-    for size in expected:
-        for a, b in zip(got[size], expected[size]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for size, (faces, order, once) in expected.items():
+        cols, parts = got[size]
+        assert np.array_equal(cols, faces.T)
+        assert np.array_equal(np.concatenate([ids * _MAX_FACES + j for ids, j in parts]), order)
+        assert np.array_equal(np.sort(_once(cols)), np.flatnonzero(once))
+
+
+def _reference_boundary_faces(groups):
+    """The faces the reference finds once, in walk order."""
+    found = []
+    for faces, order, once in _reference_faces_by_size(groups).values():
+        found += zip(order[once].tolist(), map(tuple, faces[once].tolist()))
+    return [face for _, face in sorted(found)]
 
 
 def _face_multiplicities(groups):
@@ -326,9 +336,11 @@ def test_face_matching_equals_the_reference_on_random_mixed_meshes(seed):
         Element(ElementKind.PYRAMID, (0, 1, 2, 3, 8)),
     ]
     rng.shuffle(elements)
-    groups = kind_groups(make_mesh(rng.standard_normal((10, 3)), elements))
+    mesh = make_mesh(rng.standard_normal((10, 3)), elements)
+    groups = kind_groups(mesh)
     assert len(groups) == 4 and {1, 2, 3} <= _face_multiplicities(groups)
     _assert_faces_match_reference(groups)
+    assert boundary_faces(mesh) == _reference_boundary_faces(groups)
 
 
 def test_face_matching_equals_the_reference_on_grids(interleaved_mesh):
@@ -336,10 +348,14 @@ def test_face_matching_equals_the_reference_on_grids(interleaved_mesh):
         _assert_faces_match_reference(kind_groups(mesh))
 
 
-@pytest.mark.parametrize("base", [2**31 - 40, 2**31 - 20, 2**31, 3_037_000_499 - 40])
+@pytest.mark.parametrize("base", [
+    55_108 - 40, 55_108 - 20, 55_108, 2**21 - 40, 2**21 - 20, 2**21,
+    2**31 - 40, 2**31 - 20, 2**31, 3_037_000_499 - 40,
+])
 def test_face_matching_equals_the_reference_near_large_indices(base):
-    # groups without coordinates, indices spread around base: below and
-    # above 2**31, and up to the largest index the two keys can hold
+    # groups without coordinates, indices spread around base: where quads
+    # (n <= 55,108) and triangles (n <= 2**21) stop fitting one key, below
+    # and above 2**31, and up to the largest index two keys can hold
     rng = np.random.default_rng(base % 97)
     groups = {}
     for kind in ElementKind:
@@ -350,15 +366,25 @@ def test_face_matching_equals_the_reference_near_large_indices(base):
     _assert_faces_match_reference(groups)
 
 
+@pytest.mark.parametrize("size, n, count", [
+    (3, 2**21, 1), (3, 2**21 + 1, 2), (4, 55_108, 1), (4, 55_109, 2), (4, 2**21, 2), (4, 3_037_000_499, 2),
+])
+def test_face_keys_are_as_few_as_fit_in_int64(size, n, count):
+    cols = np.array([np.arange(size), n - 1 - np.arange(size)]).T
+    keys = _face_keys(cols)
+    assert len(keys) == count and all(key.dtype == np.int64 for key in keys)
+    assert keys[0][0] != keys[0][1] and keys[0][1] >= 0
+
+
 def test_face_matching_rejects_indices_the_keys_cannot_hold():
     largest = 3_037_000_498  # n = largest + 1 is the last n with n * n in int64
     conn = np.array([[0, 1, 2, largest]], dtype=np.int64)
     ids = np.array([0])
     _assert_faces_match_reference({ElementKind.TETRA: (ids, conn)})
     with pytest.raises(InvalidSpec, match="vertex indices below"):
-        _faces_by_size({ElementKind.TETRA: (ids, conn + 1)})
+        _once(_faces_by_size({ElementKind.TETRA: (ids, conn + 1)})[3][0])
     with pytest.raises(InvalidSpec):
-        _faces_by_size({ElementKind.HEXA: (ids, np.array([[0, 1, 2, 3, 4, 5, 6, largest + 1]]))})
+        _once(_faces_by_size({ElementKind.HEXA: (ids, np.array([[0, 1, 2, 3, 4, 5, 6, largest + 1]]))})[4][0])
 
 
 def test_make_mesh_memory_of_a_20_cube():
@@ -369,5 +395,6 @@ def test_make_mesh_memory_of_a_20_cube():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the row-sort face matching peaked at 14.3 MB here
-    assert peak < 14.3e6
+    # the row-sort face matching peaked at 14.3 MB here, two keys on (f, size) faces at 12.6 MB,
+    # and one key on int32 columns at 7.2 MB
+    assert peak < 8.0e6

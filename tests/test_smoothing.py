@@ -670,6 +670,19 @@ def test_boundary_triangles_match_the_per_face_split(rng):
         assert np.array_equal(_boundary_triangles(mesh, coords), _boundary_triangles_per_face(mesh, coords))
 
 
+def test_project_set_up_matches_only_faces_on_the_boundary(monkeypatch):
+    import polysmooth.mesh as mesh_module
+
+    mesh = tet_grid(20)
+    boundary = len(mesh_module.boundary_faces(mesh))
+    once, sorted_faces = mesh_module._once, []
+    monkeypatch.setattr(mesh_module, "_once", lambda cols: sorted_faces.append(cols.shape[1]) or once(cols))
+    _build_flow(mesh, _config(Measure.PRODUCT_SQUARED, boundary_policy=BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY),
+                np.array(mesh.vertices))
+    # 5,952 faces with every vertex on the boundary, of 96,000 element faces, for 4,800 boundary faces
+    assert boundary == 4_800 and 0 < sum(sorted_faces) <= 2 * boundary
+
+
 def test_project_policy_contract_on_a_10_cube():
     mesh = perturb_mesh(tet_grid(10), 0.03, seed=0, fix_boundary=False)
     start = np.array(mesh.vertices)
