@@ -231,7 +231,7 @@ IQ_ROWS = {kind: max(GATHERED_ROWS[kind], 3 * t.tris.shape[1] + 1, t.corners.siz
 
 def element_batch(kind: ElementKind, coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """``coords[conn]``, shape (m, n_e, 3): the transposed view of one component-major (3, n_e, m) gather."""
-    return np.take(coords.T, conn.T, axis=1).T
+    return coords.T.take(conn.T, axis=1).T
 
 
 def _div_volumes(tab: _Tables, xt: np.ndarray) -> np.ndarray:

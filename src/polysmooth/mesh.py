@@ -14,8 +14,8 @@ A mesh stores its elements as integer arrays, a :class:`Connectivity` in the
 CSR layout of the legacy VTK ``CELLS`` section. ``mesh.elements`` is the
 connectivity itself; indexing or iterating it builds :class:`Element` objects
 on demand. The connectivity caches the per-kind groups the batched kernels
-read (:func:`kind_groups`), built on first use. A mesh built from another
-mesh's ``elements`` shares the arrays and the cached groups.
+read (:func:`kind_groups`) and the block plans read off them, built on first
+use. A mesh built from another mesh's ``elements`` shares all of them.
 
 :func:`make_mesh` also stores vertex valence and boundary flags, from one
 ``np.bincount`` and, per face size, one ``np.lexsort`` of the element faces'
@@ -161,6 +161,11 @@ class Connectivity(Sequence):
     def groups(self) -> dict[ElementKind, tuple[np.ndarray, np.ndarray]]:
         """``{kind: (element_ids, connectivity)}``, kinds in first-occurrence order."""
         return _group_by_kind(self)
+
+    @cached_property
+    def plans(self) -> dict:
+        """Layouts other modules read off :attr:`groups`, under their own keys (quality's block plans)."""
+        return {}
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -1,24 +1,24 @@
 """Element and mesh quality: mean ratio, volume-based measures, gradients.
 
 Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
-:func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing
-driver all read. Its functions take ``(mesh, coords, v)``, ``v`` the
-shifted mean volumes, and reach the per-kind groups of :func:`kind_groups`
-through two helpers only: one maps a kernel over the elements, one scatters
-per-element vectors onto the vertices. Both read one walk, which cuts each
-kind into blocks whose kernel temporaries hold at most ``_ROWS`` (3, m) rows
-each and evaluates one block at a time, so every temporary stays under
-768 KiB and a block's temporaries together under twice ``_HEAP`` (a tier-1
-test holds each kernel to it). The chunk of ``_HEAP`` bytes allocated and
-freed at import raises glibc's dynamic mmap and trim thresholds (mallopt(3)),
-so the temporaries come from heap pages that stay mapped from block to block
-instead of being faulted in afresh. By the rows per element of
-:data:`geometry.GATHERED_ROWS` a volume or field block holds 8,192 tets,
-3,276 pyramids, 1,560 prisms or 728 hexa; by :data:`geometry.IQ_ROWS` an iq
-block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter adds each
-block's field straight into the vertex sums with one ``np.add.at`` per
-component, in element order within each kind, so results do not depend on
-the block size and repeated runs are bit-reproducible.
+:func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing driver
+all read. Its functions take ``(mesh, coords, v)``, ``v`` the shifted mean
+volumes, and reach the per-kind groups of :func:`kind_groups` through two
+helpers only: one maps a kernel over the elements, one scatters per-element
+vectors onto the vertices. Both loop over one block plan, cached with the
+groups, which cuts each kind into blocks whose kernel temporaries hold at most
+``_ROWS`` (3, m) rows each, and evaluate one block at a time, so every
+temporary stays under 768 KiB and a block's temporaries together under twice
+``_HEAP`` (a tier-1 test holds each kernel to it). The chunk of ``_HEAP``
+bytes allocated and freed at import raises glibc's dynamic mmap and trim
+thresholds (mallopt(3)), so the temporaries come from heap pages that stay
+mapped from block to block instead of being faulted in afresh. By the rows per
+element of :data:`geometry.GATHERED_ROWS` a volume or field block holds 8,192
+tets, 3,276 pyramids, 1,560 prisms or 728 hexa; by :data:`geometry.IQ_ROWS` an
+iq block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter adds
+each block's field straight into the vertex sums with one ``np.add.at`` per
+component, in element order within each kind, so results do not depend on the
+block size and repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -199,22 +199,39 @@ _HEAP = _ROWS * 128  # bytes, 4 MiB: above any one block temporary, and twice it
 np.empty(_HEAP // 8)
 
 
-def _blocks(mesh: Mesh, coords, rows):
-    """``(kind, ids, conn, x)`` for blocks of at most ``_ROWS`` rows of ``rows[kind]`` per element,
-    kind by kind in element order; ``x`` is the block's :func:`geometry.element_batch`."""
-    for kind, (ids, conn) in kind_groups(mesh).items():
+def _block_plan(groups, rows) -> tuple:
+    """``(kind, sel, conn)`` for blocks of at most ``_ROWS`` rows of ``rows[kind]`` per element, kind by
+    kind in element order: ``sel`` picks the block's elements, a slice when their ids run in one stretch
+    (as in a one-kind or kind-sorted mesh) or else the ids, and ``conn`` is a view of their rows."""
+    plan = []
+    for kind, (ids, conn) in groups.items():
         step = _ROWS // rows[kind]
         for i in range(0, len(ids), step):
-            c = conn[i : i + step]
-            yield kind, ids[i : i + step], c, geometry.element_batch(kind, coords, c)
+            sel = ids[i : i + step]
+            if sel[-1] - sel[0] + 1 == len(sel):  # the ids ascend
+                sel = slice(int(sel[0]), int(sel[-1]) + 1)
+            plan.append((kind, sel, conn[i : i + step]))
+    return tuple(plan)
+
+
+def _blocks(mesh: Mesh, rows) -> tuple:
+    """The :func:`_block_plan` for the row table ``rows`` (a module constant), cached per connectivity."""
+    groups, plans = kind_groups(mesh), mesh.elements.plans
+    if id(rows) not in plans:
+        plans[id(rows)] = _block_plan(groups, rows)
+    return plans[id(rows)]
 
 
 def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:
-    """``kernel(kind, x, *(a[ids] for a in arrays))`` of every element, in element order; ``rows``:
-    the kernel's rows per element, :data:`geometry.GATHERED_ROWS` or :data:`geometry.IQ_ROWS`."""
-    values = np.empty(mesh.n_elements)
-    for kind, ids, _, x in _blocks(mesh, coords, rows):
-        values[ids] = kernel(kind, x, *(a[ids] for a in arrays))
+    """``kernel(kind, x, *(a[sel] for a in arrays))`` of every element, in element order (for one block,
+    the kernel's own array); ``rows``: its rows per element, :data:`geometry.GATHERED_ROWS` or ``IQ_ROWS``."""
+    plan = _blocks(mesh, rows)
+    values = None if len(plan) == 1 else np.empty(mesh.n_elements)
+    for kind, sel, conn in plan:
+        block = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[sel] for a in arrays))
+        if values is None:  # the one block is the whole mesh in element order
+            return block
+        values[sel] = block
     return values
 
 
@@ -237,15 +254,15 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
 
 
 def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None, rows=geometry.GATHERED_ROWS) -> np.ndarray:
-    """Sum ``kernel(kind, x, *(a[ids] for a in arrays))``, a fresh (m, n_e, 3) array, onto the
+    """Sum ``kernel(kind, x, *(a[sel] for a in arrays))``, a fresh (m, n_e, 3) array, onto the
     vertices, times ``scale[id]`` when given; ``rows`` as for :func:`_per_kind`. Each block's field,
     taken component-major and scaled in place, is added by one ``np.add.at`` per component, kind by
     kind in element order, so no bit depends on the block size."""
     out = np.zeros((len(coords), 3))
-    for kind, ids, conn, x in _blocks(mesh, coords, rows):
-        w = kernel(kind, x, *(a[ids] for a in arrays)).transpose(2, 0, 1)
+    for kind, sel, conn in _blocks(mesh, rows):
+        w = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[sel] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
-            w *= scale[ids][:, None]
+            w *= scale[sel][:, None]
         for k in range(3):
             np.add.at(out[:, k], conn.ravel(), w[k].ravel())
     return out
@@ -302,14 +319,14 @@ _MEASURES: dict[Measure, _MeasureDef] = {
     Measure.PRODUCT_SQUARED: _MeasureDef(
         values=lambda mesh, c, v: _require_positive(v) ** 2,
         objective=lambda mesh, c, v: (
-            -np.inf if np.any(v <= 0.0) else float(2.0 * np.log(v).sum())),
+            -np.inf if (v <= 0.0).any() else float(2.0 * np.log(v).sum())),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, 1.0 / _require_positive(v)),
         divisor=3.0, degree=-1.0, shifted=True, product=True,
     ),
     Measure.INVERSE_SQUARED_SUM: _MeasureDef(
         values=lambda mesh, c, v: -1.0 / _require_positive(v) ** 2,
         objective=lambda mesh, c, v: (
-            -np.inf if np.any(v <= 0.0) else float(-np.sum(v**-2))),
+            -np.inf if (v <= 0.0).any() else float(-np.sum(v**-2))),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, _require_positive(v) ** -3),
         divisor=3.0, degree=-7.0, shifted=True,
     ),

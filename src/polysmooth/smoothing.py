@@ -213,7 +213,11 @@ def scale_normalize(field, degree: float) -> np.ndarray:
     if abs(degree) < 1e-9:
         raise InvalidDegree("scale normalization undefined for degree 0")
     field = np.asarray(field, dtype=float)
-    norm = float(np.linalg.norm(field))
+    return _normalized(field, float(np.linalg.norm(field)), degree)
+
+
+def _normalized(field: np.ndarray, norm: float, degree: float) -> np.ndarray:
+    """:func:`scale_normalize` of ``field``, whose norm is ``norm``, for a degree other than 0."""
     if norm == 0.0:
         return np.zeros_like(field)
     return norm ** ((1.0 - degree) / degree) * field
@@ -231,7 +235,8 @@ class _Flow:
     volume pass there (a mesh's shifted mean volumes; a polyhedron's volume
     and its gradient).
     The objective is ``-inf`` when a step has inverted an element that was
-    valid at the start. ``field`` is zero on the vertices the policy fixes,
+    valid at the start (an unshifted q1 or q2 objective is so by itself).
+    ``field`` is zero on the vertices the policy fixes,
     and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
     configuration back onto the policy's constraint: the identity (fix), the
     shape sphere (free) or the original boundary surface (project; each
@@ -459,7 +464,7 @@ def _drive(coords: np.ndarray, flow: _Flow, q: float, state,
         if fnorm <= config.field_tol:
             termination = Termination.FIELD_BELOW_TOL
             break
-        direction = scale_normalize(f, flow.degree)
+        direction = _normalized(f, fnorm, flow.degree)
 
         sigma = config.sigma0
         accepted = None
@@ -494,7 +499,9 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     """The flow of ``config`` on ``mesh``, with its objective and state at ``coords0``.
 
     Its one mean-volume pass serves the volume shift, the validity check,
-    the guard decision and the objective at the start. Under the project
+    the guard decision and the objective at the start. The guard scans the
+    trials' volumes when all start ones are positive, but not for unshifted
+    q1 or q2, whose objective is ``-inf`` there already. Under the project
     policy it also sets up the boundary surface at ``coords0`` once, as a
     :class:`_Surface`, from the connectivity it holds.
     """
@@ -506,7 +513,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
         if shift is None:
             shift = _volume_shift(vols0, coords0)
         _require_positive(vols0 + shift)
-    guard = bool(np.all(vols0 > 0.0))
+    guard = bool(np.all(vols0 > 0.0)) and not (measure.shifted and not shift)
 
     def objective(c):
         vols = mesh_mean_volumes(mesh, c)
@@ -516,11 +523,12 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
         return measure.objective(mesh, c, v), v
 
     policy = config.boundary_policy
-    fixed = mesh.boundary if policy is BoundaryPolicy.FIX_BOUNDARY else None
+    fixed = np.flatnonzero(mesh.boundary) if policy is BoundaryPolicy.FIX_BOUNDARY else None
 
     def field(c, v):
         f = measure.vertex_field(mesh, c, v)
-        f = _averaged(mesh, f / measure.divisor, config.assembly)
+        f /= measure.divisor  # a fresh array
+        f = _averaged(mesh, f, config.assembly)
         if fixed is not None:
             f[fixed] = 0.0
         return f

@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polysmooth import Element, ElementKind, make_mesh
+from polysmooth import Element, ElementKind, geometry, make_mesh
 from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     _house_mesh,
+    hex_grid,
     perturb_mesh,
     random_element_coords,
     random_rotation,
@@ -36,7 +37,7 @@ from polysmooth.quality import (
     quality_gradient_field,
     scatter_element_fields,
 )
-from polysmooth.quality import _per_kind, _scatter
+from polysmooth.quality import _blocks, _per_kind, _scatter
 
 
 def _random_valid_tet(rng):
@@ -470,6 +471,24 @@ def test_scatter_matches_add_at_bit_for_bit(interleaved_mesh, rng):
         add_at(lambda k, ids, x: element_fields(k, x) * scale[ids][:, None, None]))
     assert np.array_equal(
         _scatter(element_iq_gradients, mesh, coords), add_at(lambda k, ids, x: element_iq_gradients(k, x)))
+
+
+def test_a_mesh_of_one_block_gets_the_kernels_own_volumes(monkeypatch):
+    returned = []
+    kernel = geometry.element_mean_volumes
+
+    def recording(kind, x):
+        returned.append(kernel(kind, x))
+        return returned[-1]
+
+    monkeypatch.setattr(geometry, "element_mean_volumes", recording)
+    for mesh in (tet_grid(4), hex_grid(3), unit_element(ElementKind.PRISM)):  # 384 tets, 27 hexa, 1 prism
+        assert len(_blocks(mesh, geometry.GATHERED_ROWS)) == 1
+        assert mesh_mean_volumes(mesh) is returned[-1]
+    mesh = tet_grid(12)  # 10,368 tets: two blocks
+    assert len(_blocks(mesh, geometry.GATHERED_ROWS)) == 2
+    vols = mesh_mean_volumes(mesh)
+    assert vols is not returned[-1] and np.array_equal(vols[-len(returned[-1]):], returned[-1])
 
 
 @pytest.mark.parametrize("combiner", [Combiner.SUM, Combiner.ARITHMETIC_MEAN])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -852,6 +853,73 @@ def test_project_policy_builds_connectivity_once(monkeypatch):
     second, _ = smooth(mesh, config)
     assert np.array_equal(first, second)
     assert calls["built"] == 1
+
+
+def test_block_plan_is_built_once_per_connectivity(monkeypatch):
+    # the plans are cached with the groups: shared by copies and by meshes built on the connectivity
+    calls = Counter()
+    build = quality_module._block_plan
+
+    def counting(groups, rows):
+        calls[id(rows)] += 1
+        return build(groups, rows)
+
+    monkeypatch.setattr(quality_module, "_block_plan", counting)
+    mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
+    q1 = _config(Measure.PRODUCT_SQUARED, max_iterations=5)
+    first, _ = smooth(mesh, q1)
+    second, _ = smooth(mesh, q1)
+    assert np.array_equal(first, second)
+    smooth(perturb_mesh(mesh, 0.05, seed=2), q1)
+    smooth(make_mesh(first, mesh.elements), q1)
+    smooth(mesh, _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=3))
+    smooth(make_mesh(first, mesh.elements), _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=3))
+    # one plan for the volume and field kernels, one for the iq kernels
+    assert calls == {id(geometry_module.GATHERED_ROWS): 1, id(geometry_module.IQ_ROWS): 1}
+
+
+def _inner_vertex_above_the_apex(mesh):
+    """``mesh.vertices`` of :func:`tet_with_inner_vertex` with the inner vertex moved out: three tets invert."""
+    inverted = np.array(mesh.vertices)
+    inverted[4] = [0.5, 0.29, 0.9]
+    assert np.sum(mesh_mean_volumes(mesh, inverted) <= 0.0) == 3
+    return inverted
+
+
+@pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM])
+def test_unshifted_q1_and_q2_reject_an_inverting_trial_by_their_objective(measure, monkeypatch):
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    inverted = _inner_vertex_above_the_apex(mesh)
+    config = _config(measure, sigma0=50.0, max_iterations=1)
+    flow, _, v0 = _build_flow(mesh, config, np.array(mesh.vertices))
+    q, v = flow.objective(inverted)
+    assert q == -np.inf == quality_module._MEASURES[measure].objective(mesh, inverted, v)
+    # a first trial at sigma0 inverts, so the accepted step is a shorter one
+    direction = scale_normalize(flow.field(np.array(mesh.vertices), v0), flow.degree)
+    assert mesh_mean_volumes(mesh, mesh.vertices + config.sigma0 * direction).min() < 0.0
+    coords, report = smooth(mesh, config)
+    assert report.iterations == 1 and report.sigma[0] < config.sigma0
+    assert mesh_mean_volumes(mesh, coords).min() > 0.0
+    # no other guard: an objective that scores the inversion lets it through
+    finite = dataclasses.replace(quality_module._MEASURES[measure], objective=lambda mesh, c, v: float(v.sum()))
+    monkeypatch.setitem(quality_module._MEASURES, measure, finite)
+    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
+    assert np.isfinite(flow.objective(inverted)[0])
+
+
+@pytest.mark.parametrize("measure,shift", [
+    (Measure.MEAN_VOLUME_SUM, None),
+    (Measure.ISOPERIMETRIC_QUOTIENT, None),
+    (Measure.PRODUCT_SQUARED, 0.5),
+])
+def test_guard_rejects_an_inverting_trial_the_objective_would_score(measure, shift):
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    inverted = _inner_vertex_above_the_apex(mesh)
+    config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.SUM, shift))
+    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
+    q, v = flow.objective(inverted)
+    assert np.isfinite(quality_module._MEASURES[measure].objective(mesh, inverted, v))
+    assert q == -np.inf
 
 
 def test_smoothing_step_makes_one_volume_pass(counts):
