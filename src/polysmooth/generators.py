@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry, quality
 from .errors import InvalidSpec
 from .geometry import REGULAR_TETRA
-from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, make_mesh, vertex_array
+from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, _freeze, make_mesh, vertex_array
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -141,10 +141,10 @@ def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = Tru
 
     The result shares the elements and adjacency of ``mesh``.
     """
-    pts = np.array(mesh.vertices)
+    pts = mesh.vertices
     if eps != 0:
-        pts += random_displacements(len(pts), eps, seed, mesh.boundary if fix_boundary else None)
-    return dataclasses.replace(mesh, vertices=vertex_array(pts))
+        pts = pts + random_displacements(len(pts), eps, seed, mesh.boundary if fix_boundary else None)
+    return dataclasses.replace(mesh, vertices=_freeze(vertex_array(pts)))
 
 
 def random_displacements(n: int, eps: float, seed: int = 0, frozen=None) -> np.ndarray:

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidPolygon, InvalidSpec
-from .mesh import FACES, ElementKind
+from .errors import DegenerateElement, InvalidPolygon
+from .mesh import FACES, ElementKind, vertex_array
 
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
 _DEGENERACY = 1e-14
@@ -379,50 +379,18 @@ def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
 # A polyhedron here is a closed oriented surface given by faces over an
 # (n, 3) coordinate array. For the four element kinds these functions agree
 # with the element_* forms; they also cover shapes like the icosahedron that
-# are not volume cells. Each reads its faces, tables and coordinates through
-# _polyhedron. Areas and iq use the tables; the volume and its gradient are
-# summed about the centroid, triangle by triangle.
-
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the corners after and before corner k
+# are not volume cells. Each reads its tables and coordinates through
+# _polyhedron and runs the element kernels on them as a batch of one.
 
 
-def _centroid_volume(faces, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Divergence-theorem volume of a closed polyhedron (n, 3) about its centroid, and its gradient.
-
-    Each triangle (a, b, c) of weight w of the mean triangulation adds
-    ``2w/6 a . (b x c)``, from 0.0 in triangle order, and at each corner 2w/6
-    times the cross product of the corners after and before it, added with
-    ``np.add.at`` in (triangle, corner) order.
-    """
-    idx, w = _face_triangles(faces)
-    g = (x - x.mean(axis=0))[idx]
-    s = 2.0 * w / 6.0
-    # contiguous rows: np.einsum rounds the sum of a strided row in another order
-    corners = np.ascontiguousarray(_cross_cm(g[:, _NEXT].T, g[:, _PREV].T).T)
-    vol = 0.0
-    for term in (s * np.einsum("tj,tj->t", g[:, 0], corners[:, 0])).tolist():
-        vol += term
-    grad = np.zeros_like(x)
-    np.add.at(grad, idx, s[:, None, None] * corners)
-    return vol, grad
-
-
-def _coordinates(x) -> np.ndarray:
-    """``x`` as float coordinates; ``InvalidSpec`` unless they are finite and of shape (n, 3)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3 or not np.isfinite(x).all():
-        raise InvalidSpec(f"polyhedron coordinates must be finite and of shape (n, 3), got shape {x.shape}")
-    return x
-
-
-def _polyhedron(faces, x) -> tuple[tuple[tuple[int, ...], ...], _Tables, np.ndarray]:
-    """A polyhedron's faces as tuples of ints, their cached and checked tables, and its checked coordinates."""
-    x = _coordinates(x)
+def _polyhedron(faces, x) -> tuple[_Tables, np.ndarray]:
+    """A polyhedron's cached and checked face tables, and its :func:`vertex_array` coordinates as a batch (3, n, 1)."""
+    x = vertex_array(x)
     try:
         faces = tuple(tuple(map(operator.index, f)) for f in faces)
     except TypeError:
         raise InvalidPolygon("faces must be sequences of integer vertex indices") from None
-    return faces, _checked_tables(faces, len(x)), x
+    return _checked_tables(faces, len(x)), x.T[:, :, None]
 
 
 def polyhedron_mean_volume(faces, x) -> float:
@@ -433,31 +401,26 @@ def polyhedron_mean_volume(faces, x) -> float:
     face, or faces that do not close the surface (each directed edge once, and its reverse once); and
     ``InvalidSpec`` for coordinates that are not finite or not of shape (n, 3).
     """
-    faces, _, x = _polyhedron(faces, x)
-    return _centroid_volume(faces, x)[0]
+    return float(_div_volumes(*_polyhedron(faces, x))[0])
 
 
 def polyhedron_volume_gradient(faces, x) -> np.ndarray:
     """Gradient (n, 3) of :func:`polyhedron_mean_volume`, with its errors."""
-    faces, _, x = _polyhedron(faces, x)
-    return _centroid_volume(faces, x)[1]
+    return _fields(*_polyhedron(faces, x)).transpose(1, 2, 0)[0] / 6.0
 
 
 def polyhedron_mean_area(faces, x) -> float:
     """Boundary area, quad faces averaged over both diagonals; errors as :func:`polyhedron_mean_volume`."""
-    _, tab, x = _polyhedron(faces, x)
-    return float(_mean_areas(tab, x.T[:, :, None])[0])
+    return float(_mean_areas(*_polyhedron(faces, x))[0])
 
 
 def polyhedron_iq(faces, x) -> float:
     """Isoperimetric quotient; errors as :func:`polyhedron_mean_volume`, ``DegenerateElement`` for no area."""
-    _, tab, x = _polyhedron(faces, x)
-    xt = x.T[:, :, None]
+    tab, xt = _polyhedron(faces, x)
     return float(_iq_values(tab, xt, _div_volumes(tab, xt))[0])
 
 
 def polyhedron_iq_gradient(faces, x) -> np.ndarray:
     """Gradient (n, 3) of :func:`polyhedron_iq`, with its errors, and ``DegenerateElement`` for a flat triangle."""
-    _, tab, x = _polyhedron(faces, x)
-    xt = x.T[:, :, None]
+    tab, xt = _polyhedron(faces, x)
     return _iq_gradients(tab, xt, _div_volumes(tab, xt), _fields(tab, xt).transpose(1, 2, 0))[0]

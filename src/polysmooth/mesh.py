@@ -281,13 +281,13 @@ def _faces_by_size(groups, keep=None) -> dict[int, tuple[np.ndarray, list[tuple[
 
 
 def vertex_array(points) -> np.ndarray:
-    """``points`` as read-only (n, 3) finite float coordinates."""
+    """``points`` as (n, 3) finite float coordinates, C-contiguous: the caller's array itself when it is one."""
     pts = np.ascontiguousarray(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidSpec(f"points must have shape (n, 3), got {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidSpec("vertex coordinates must be finite")
-    return _freeze(pts)
+    return pts
 
 
 def _shaped_coords(mesh: Mesh, coords) -> np.ndarray:
@@ -314,7 +314,7 @@ def make_mesh(points, elements) -> Mesh:
     ``elements`` is any iterable of :class:`Element`, or a mesh's
     ``elements``, whose arrays and cached groups are then shared.
     """
-    pts = vertex_array(points)
+    pts = _freeze(vertex_array(points))
     if isinstance(elements, Connectivity):
         cells = elements
     else:

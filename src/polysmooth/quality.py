@@ -298,7 +298,7 @@ class _MeasureDef:
     objective the driver ascends. ``vertex_field`` scatters the weighted
     per-element fields; over ``divisor`` it is the objective's gradient, of
     scaling degree ``degree`` when there is no shift. ``product``: the global
-    value multiplies the values; ``shifted``: the measure takes a shift.
+    value, the values' product, is the exp of the objective; ``shifted``: the measure takes a shift.
     """
 
     values: Callable
@@ -347,11 +347,20 @@ def _shifted(vols: np.ndarray, shift: float | None) -> np.ndarray:
     return vols + shift if shift else vols
 
 
+def _exp(log: float) -> float:
+    """The product whose log is ``log``: 0.0 below about -745, inf above about 709.78."""
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
+
+
 def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None) -> QualityReport:
     """Evaluate the configured measure over the mesh.
 
     The product measure combines per-element values multiplicatively (that is
-    its definition); every other measure is combined by ``spec.combiner``.
+    its definition), as the exp of ``log_global``: 0 only below a log of about
+    -745, in any element order. Every other measure is combined by ``spec.combiner``.
     """
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
     if mesh.n_elements == 0:
@@ -361,17 +370,17 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     vols = mesh_mean_volumes(mesh, coords)
     v = _shifted(vols, spec.volume_shift)
     values = measure.values(mesh, coords, v)
-    combine = np.prod if measure.product else _COMBINE[spec.combiner]
+    log = measure.objective(mesh, coords, v) if measure.product else None
     return QualityReport(
         measure=spec.measure,
         combiner=spec.combiner,
-        global_value=float(combine(values)),
+        global_value=float(_COMBINE[spec.combiner](values)) if log is None else _exp(log),
         minimum=float(values.min()),
         maximum=float(values.max()),
         mean=float(values.mean()),
         invalid_count=int(np.sum(vols <= 0.0)),
         per_element=values,
-        log_global=measure.objective(mesh, coords, v) if measure.product else None,
+        log_global=log,
     )
 
 
@@ -396,16 +405,17 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     measure = _gradient_measure(spec)
     coords = _checked_coords(mesh, coords)
     v = _shifted(mesh_mean_volumes(mesh, coords), spec.volume_shift)
+    field = measure.vertex_field(mesh, coords, v)
     if measure.product:
         # d(prod)/dx = prod * d(log prod)/dx
-        scale = np.prod(measure.values(mesh, coords, v))
-        if scale == 0.0:  # every factor is positive: the product underflowed
+        log = measure.objective(mesh, coords, v)
+        scale = _exp(log)
+        if scale == 0.0:  # the field checked every factor positive: the product underflowed
             raise ProductUnderflow(
-                f"the {spec.measure.value} product underflows to 0 (log "
-                f"{measure.objective(mesh, coords, v)!r}); its gradient is not representable")
+                f"the {spec.measure.value} product underflows to 0 (log {log!r}); its gradient is not representable")
     else:
         scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
-    return scale / measure.divisor * measure.vertex_field(mesh, coords, v)
+    return scale / measure.divisor * field
 
 
 def compute_volume_shift(mesh: Mesh, coords=None) -> float:

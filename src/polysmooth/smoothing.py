@@ -56,7 +56,7 @@ from .errors import (
     NonHomogeneous,
     ZeroField,
 )
-from .mesh import Mesh, _boundary_faces, _checked_coords
+from .mesh import Mesh, _boundary_faces, _checked_coords, vertex_array
 from .quality import (
     _MEASURES,
     Measure,
@@ -597,7 +597,8 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     ``DegenerateMesh`` for a start without vertices or with all at one point.
     """
     config = config or SmoothingConfig()
-    _, tables, coords = geometry._polyhedron(faces, project_shape(geometry._coordinates(coords)))
+    coords = project_shape(vertex_array(coords))
+    tables, xt = geometry._polyhedron(faces, coords)
 
     def iq(c, vols):
         return float(geometry._iq_values(tables, c.T[:, :, None], vols)[0])
@@ -606,7 +607,7 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
         xt = c.T[:, :, None]
         return geometry._iq_gradients(tables, xt, vols, geometry._fields(tables, xt).transpose(1, 2, 0))[0]
 
-    v0 = geometry._div_volumes(tables, coords.T[:, :, None])
+    v0 = geometry._div_volumes(tables, xt)
     guard = v0[0] > 0.0  # as for a mesh: an inverted start may pass through volume 0
 
     def objective(c):

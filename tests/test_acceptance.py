@@ -237,15 +237,12 @@ def test_criterion_10_cube_smoothing_regression():
             "termination": report.termination.value,
             "final_objective": report.quality[-1],
         }
-        if GOLDEN.exists():
-            golden = json.loads(GOLDEN.read_text())
-            assert golden["iterations"] == record["iterations"]
-            assert golden["termination"] == record["termination"]
-            for key in ("initial_min_mean_ratio", "final_min_mean_ratio", "final_objective"):
-                assert record[key] == pytest.approx(golden[key], rel=1e-9), key
-        else:  # first green run freezes the regression values
-            GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
+        # a missing file fails the test: the frozen values are never regenerated
+        golden = json.loads(GOLDEN.read_text())
+        assert golden["iterations"] == record["iterations"]
+        assert golden["termination"] == record["termination"]
+        for key in ("initial_min_mean_ratio", "final_min_mean_ratio", "final_objective"):
+            assert record[key] == pytest.approx(golden[key], rel=1e-9), key
 
 
 def test_criterion_11_io_roundtrip(tmp_path):

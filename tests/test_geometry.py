@@ -369,6 +369,16 @@ def test_polyhedron_iq_gradient_matches_fd(rng):
     assert relative_error(polyhedron_iq_gradient(faces, x), fd) < 1e-6
 
 
+def test_polyhedron_iq_sign_follows_the_mean_volume_on_coplanar_vertices(rng):
+    # every vertex in one plane: the volume is rounding of either sign, and the iq must carry that sign
+    coords, faces = icosahedron_polyhedron()
+    for _ in range(300):
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        x = coords.copy()
+        x[:, 2] = a * x[:, 0] + b * x[:, 1] + 0.3
+        assert np.sign(polyhedron_iq(faces, x)) == np.sign(polyhedron_mean_volume(faces, x))
+
+
 def test_polyhedron_functions_take_faces_as_arrays_or_iterators(rng):
     coords, faces = icosahedron_polyhedron()
     x = coords + rng.uniform(-0.1, 0.1, coords.shape)
@@ -385,6 +395,13 @@ def _smooth_polyhedron(faces, x):
 
 POLYHEDRON_FUNCTIONS = [polyhedron_mean_volume, polyhedron_volume_gradient, polyhedron_mean_area, polyhedron_iq,
                         polyhedron_iq_gradient, _smooth_polyhedron]
+
+
+@pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_polyhedron_functions_leave_the_callers_coordinates_writable(fn):
+    coords, faces = icosahedron_polyhedron()
+    fn(faces, coords)
+    assert coords.flags.writeable
 
 
 _BAD_FACES = {

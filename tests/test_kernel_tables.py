@@ -8,13 +8,17 @@ form, also verbatim: the field as cross products of strided (m, 3) slices,
 the volume as an ``np.einsum`` dot product. The scatter is checked against
 ``np.add.at``.
 
-The tetra volume and field, and the polyhedron volume and its gradient, add
-the same terms in the same order as their references, so they are compared
-on the bytes, and the sign of a zero counts too. The triple-product volumes and fields of the other kinds, and every
+The tetra volume and field add the same terms in the same order as their
+references, so they are compared on the bytes, and the sign of a zero counts
+too. The triple-product volumes and fields of the other kinds, and every
 boundary area and iq kernel, add other terms or in another order: they are
 compared at a relative tolerance of 1e-13, about 500 times the double
 rounding unit, of each element's scale: its largest entry, the cube of its
-size for a volume, the size of the volume term for an iq gradient. Last, the
+size for a volume, the size of the volume term for an iq gradient. The
+polyhedron volume and its gradient run the element kernels on the face
+tables: for the four kinds they equal ``element_mean_volume`` and
+``element_field / 6`` on the bytes, and for the icosahedron they are
+compared with the loop about the centroid at that tolerance. Last, the
 block walk of ``quality`` is checked against each kernel on whole kind
 groups, on the bytes, at and around the tet block size and on a mixed mesh
 whose every kind spans blocks. Two tests check the new kernels against
@@ -314,21 +318,27 @@ def test_batched_kernels_equal_single_calls(kind, rng):
 
 
 def _polyhedron_cases(rng):
+    """``(kind, faces, x)``: the icosahedron, as built and moved, with kind None, then one element of each kind."""
     coords, faces = icosahedron_polyhedron()
-    yield faces, coords
+    yield None, faces, coords
     for _ in range(3):
-        yield faces, coords + rng.uniform(-0.1, 0.1, size=coords.shape)
+        yield None, faces, coords + rng.uniform(-0.1, 0.1, size=coords.shape)
     for kind in ElementKind:
-        yield FACES[kind], random_element_coords(kind, rng)
+        yield kind, FACES[kind], random_element_coords(kind, rng)
 
 
 def test_polyhedron_functions_match_loops(rng):
-    for faces, x in _polyhedron_cases(rng):
+    for kind, faces, x in _polyhedron_cases(rng):
         tris, xb = _face_triangles(faces), x[None]
         vols, areas = _div_volumes(tris, xb), _mean_areas(tris, xb)
         vgrad = _div_volume_gradients(tris, xb)
-        assert _same_bits(geometry.polyhedron_mean_volume(faces, x), vols[0])
-        assert _same_bits(geometry.polyhedron_volume_gradient(faces, x), vgrad[0])
+        volume, gradient = geometry.polyhedron_mean_volume(faces, x), geometry.polyhedron_volume_gradient(faces, x)
+        if kind is None:
+            assert _close(volume, vols[0], _volume_scale(xb)[0])
+            assert _close(gradient[None], vgrad)
+        else:  # the same table kernels as the element forms
+            assert _same_bits(volume, geometry.element_mean_volume(kind, x))
+            assert _same_bits(gradient, geometry.element_field(kind, x) / 6.0)
         assert _close(geometry.polyhedron_mean_area(faces, x), areas[0])
         assert _close(geometry.polyhedron_iq(faces, x), _ref_iq(vols, areas)[0])
         assert _close(geometry.polyhedron_iq_gradient(faces, x)[None], _ref_iq_gradients(tris, xb, vols, vgrad),
@@ -566,18 +576,15 @@ def test_block_walk_matches_whole_groups(m, rng):
     assert _same_bits(scatter_element_fields(mesh, coords), _whole_scatter(geometry.element_fields, mesh, coords))
     assert _same_bits(scatter_element_fields(mesh, coords, scale),
                       _whole_scatter(geometry.element_fields, mesh, coords, scale=scale))
+    product = math.exp(float(2.0 * np.log(v).sum()))
+    assert 0.0 < product < math.inf
     expected = {
-        Measure.PRODUCT_SQUARED: np.prod(v**2) / 3.0 * _whole_scatter(
-            geometry.element_fields, mesh, coords, scale=1.0 / v),
+        Measure.PRODUCT_SQUARED: product / 3.0 * _whole_scatter(geometry.element_fields, mesh, coords, scale=1.0 / v),
         Measure.INVERSE_SQUARED_SUM: 1.0 / n / 3.0 * _whole_scatter(
             geometry.element_fields, mesh, coords, scale=v**-3),
         Measure.ISOPERIMETRIC_QUOTIENT: 1.0 / n / 1.0 * _whole_scatter(
             geometry.element_iq_gradients, mesh, coords, v),
     }
-    if m == "kind-sorted":  # with 5,460 pyramids in a row np.prod underflows to 0, though the log product is ~0
-        del expected[Measure.PRODUCT_SQUARED]
-    else:
-        assert 0.0 < np.prod(v**2) < np.inf
     for measure, grad in expected.items():
         got = quality.quality_gradient_field(mesh, coords, quality.QualityMeasureSpec(measure))
         assert _same_bits(got, grad), measure
@@ -586,6 +593,21 @@ def test_block_walk_matches_whole_groups(m, rng):
     if list(kind_groups(mesh)) == [ElementKind.TETRA]:
         ratios = quality.mesh_quality(mesh, coords, quality.QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
         assert _same_bits(ratios, _whole(lambda kind, x: quality._mean_ratios(x), mesh, coords))
+
+
+def test_product_measure_does_not_depend_on_element_order():
+    # 5,460 pyramids in a row: a product formed in element order underflows to 0, though its log is ~0
+    spec = quality.QualityMeasureSpec(Measure.PRODUCT_SQUARED)
+    built = _mixed_cube(14)
+    reports, grads = [], []
+    for mesh in (built, _kind_sorted(built)):
+        reports.append(quality.mesh_quality(mesh, spec=spec))
+        grads.append(quality.quality_gradient_field(mesh, spec=spec))
+    assert reports[0].global_value == pytest.approx(1.0, rel=1e-9)
+    assert reports[1].global_value == pytest.approx(reports[0].global_value, rel=1e-9)
+    assert np.all(np.isfinite(grads[0])) and np.any(grads[0])
+    # the sorted mesh numbers its vertices as built, so the gradients compare vertex by vertex
+    assert _close(grads[1][None], grads[0][None], rel=1e-9)
 
 
 # -- the heap the blocks run on ----------------------------------------------

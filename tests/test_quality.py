@@ -527,3 +527,11 @@ def test_q1_product_underflow_is_reported_in_logs_and_raised_by_the_gradient():
     assert report.log_global == pytest.approx(np.log(report.global_value), rel=1e-12)
     assert np.any(quality_gradient_field(small, spec=spec))
     assert "log_global" not in mesh_quality(small).to_json_dict()
+
+
+def test_q1_product_overflow_is_reported_as_inf_beside_its_finite_log():
+    mesh = tet_grid(2)
+    big = make_mesh(mesh.vertices * 1e20, mesh.elements)  # 48 squared volumes near 1e118 each
+    report = mesh_quality(big, spec=QualityMeasureSpec(Measure.PRODUCT_SQUARED))
+    assert report.global_value == np.inf
+    assert report.log_global == float(2.0 * np.log(mesh_mean_volumes(big)).sum()) > 709.8
