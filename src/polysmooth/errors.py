@@ -41,6 +41,10 @@ class ProductUnderflow(PolysmoothError):
     """A product measure of positive factors rounds to 0; use its logarithm."""
 
 
+class ProductOverflow(PolysmoothError):
+    """A product measure rounds to inf; use its logarithm."""
+
+
 class MixedMeshMeanRatio(PolysmoothError):
     """Mean ratio is defined for tetrahedra only; the mesh has other kinds."""
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
+from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductOverflow, ProductUnderflow
 from .geometry import REGULAR_TETRA
 from .mesh import ElementKind, Mesh, _checked_coords, _shaped_coords, kind_groups
 
@@ -399,7 +399,8 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
 
     Matches central finite differences of the global value. Undefined for the
     min combiner (nonsmooth) and for the mean ratio (no gradient is provided
-    for it); both raise ``InvalidSpec``.
+    for it); both raise ``InvalidSpec``. A q1 product that rounds to 0 or to
+    inf raises ``ProductUnderflow`` or ``ProductOverflow``.
     """
     spec = spec or QualityMeasureSpec(Measure.MEAN_VOLUME_SUM)
     measure = _gradient_measure(spec)
@@ -410,9 +411,9 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
         # d(prod)/dx = prod * d(log prod)/dx
         log = measure.objective(mesh, coords, v)
         scale = _exp(log)
-        if scale == 0.0:  # the field checked every factor positive: the product underflowed
-            raise ProductUnderflow(
-                f"the {spec.measure.value} product underflows to 0 (log {log!r}); its gradient is not representable")
+        if not 0.0 < scale < math.inf:  # the field checked every factor positive: the product under- or overflowed
+            error, limit = (ProductUnderflow, "underflows to 0") if scale == 0.0 else (ProductOverflow, "overflows")
+            raise error(f"the {spec.measure.value} product {limit} (log {log!r}); its gradient is not representable")
     else:
         scale = 1.0 / mesh.n_elements if spec.combiner is Combiner.ARITHMETIC_MEAN else 1.0
     return scale / measure.divisor * field

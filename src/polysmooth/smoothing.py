@@ -8,18 +8,17 @@ product measure the driver tracks the logarithm of the product, which has
 the same maximizers and an identical gradient direction but cannot
 underflow on large meshes.
 
-Objective, field and the field's scaling degree come from the measure table
-in :mod:`polysmooth.quality`; the degrees are closed-form (2 for the mean
-volume, -1 for q1, -7 for q2, -1 for iq). A nonzero volume shift makes the
-q1/q2 fields inhomogeneous, and the driver then steps along the raw field
-(degree 1).
-
-The boundary policy is decided once, when the flow is set up: the field is
+A flow declares the problem: its volume pass, score (the objective) and
+field from the measure table in :mod:`polysmooth.quality`, the field's
+closed-form scaling degree (2 for the mean volume, -1 for q1, -7 for q2, -1
+for iq; 1, the raw field, under a nonzero q1/q2 volume shift, which makes
+the field inhomogeneous) and the boundary policy. Its ``direction`` is the
+one place the field is normalized, and the driver owns the one inversion
+guard. The policy is decided once, when the flow is set up: the field is
 zero on fixed vertices (fix), and every step is mapped back onto the shape
 sphere (free) or onto the start's boundary surface (project). A free run is
 set up on the shape representative of its start, so its volume shift and
-trajectory do not depend on the scale of the input. The set-up's volume
-pass also gives the objective at the start.
+trajectory do not depend on the scale of the input.
 
 Under the project policy the set-up triangulates the start's boundary faces
 once, read as arrays from a face matching among the faces of boundary
@@ -230,23 +229,28 @@ def _normalized(field: np.ndarray, norm: float, degree: float) -> np.ndarray:
 class _Flow:
     """One ascent problem, with the boundary policy already applied.
 
-    ``objective(coords)`` returns the objective at ``coords`` and a state
-    that ``field(coords, state)`` reuses at the same coordinates: the one
-    volume pass there (a mesh's shifted mean volumes; a polyhedron's volume
-    and its gradient).
-    The objective is ``-inf`` when a step has inverted an element that was
-    valid at the start (an unshifted q1 or q2 objective is so by itself).
-    ``field`` is zero on the vertices the policy fixes,
-    and ``degree`` is its scaling degree. ``constrain(moved)`` maps a moved
-    configuration back onto the policy's constraint: the identity (fix), the
-    shape sphere (free) or the original boundary surface (project; each
-    boundary vertex goes to its closest point, see :func:`_closest_points`).
+    ``volumes(c)`` is the one volume pass at ``c`` (a mesh's raw mean volumes;
+    a polyhedron's volume), which ``score(c, vols)``, the objective, and
+    ``field(c, vols)`` reuse; both apply any volume shift themselves. ``field``
+    is zero on the vertices the policy fixes, and ``degree`` is its scaling
+    degree. ``constrain(moved)`` maps a moved configuration back onto the
+    identity (fix), the shape sphere (free) or the original boundary surface
+    (project; see :func:`_closest_points`). ``guarded`` is False only where
+    the score is ``-inf`` at a volume <= 0 by itself (unshifted q1 and q2).
     """
 
-    objective: Callable[[np.ndarray], tuple[float, object]]
-    field: Callable[[np.ndarray, object], np.ndarray]
+    volumes: Callable[[np.ndarray], np.ndarray]
+    score: Callable[[np.ndarray, np.ndarray], float]
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     degree: float
     constrain: Callable[[np.ndarray], np.ndarray]
+    guarded: bool = True
+
+    def direction(self, coords: np.ndarray, vols: np.ndarray) -> tuple[np.ndarray, float]:
+        """The step direction at ``coords``, the field scaled to degree 1, and the field's norm."""
+        f = self.field(coords, vols)
+        norm = float(np.linalg.norm(f))
+        return _normalized(f, norm, self.degree), norm
 
 
 def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
@@ -449,61 +453,55 @@ def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
     return cand, np.linalg.norm(cand - p, axis=1)
 
 
-def _drive(coords: np.ndarray, flow: _Flow, q: float, state,
+def _drive(coords: np.ndarray, flow: _Flow, vols: np.ndarray,
            config: SmoothingConfig) -> tuple[np.ndarray, SmoothingReport]:
-    """Backtracking ascent from ``coords``, where the objective and its state are ``q``, ``state``."""
-    q0 = q
-    quality_hist: list[float] = []
-    sigma_hist: list[float] = []
-    norm_hist: list[float] = []
-    termination = Termination.MAX_ITERATIONS
+    """Backtracking ascent from ``coords``, whose volume pass is ``vols``.
 
+    The one inversion guard: when the flow is guarded and every start volume
+    is positive, a trial with a volume <= 0 scores ``-inf``. Each trial makes
+    one volume pass, one scan of it when guarded, and one score.
+    """
+    guard = flow.guarded and bool(np.all(vols > 0.0))
+    report = SmoothingReport(0, [], [], [], Termination.MAX_ITERATIONS, flow.score(coords, vols))
+    q = report.initial_quality
     for _ in range(config.max_iterations):
-        f = flow.field(coords, state)
-        fnorm = float(np.linalg.norm(f))
+        direction, fnorm = flow.direction(coords, vols)
         if fnorm <= config.field_tol:
-            termination = Termination.FIELD_BELOW_TOL
+            report.termination = Termination.FIELD_BELOW_TOL
             break
-        direction = _normalized(f, fnorm, flow.degree)
 
         sigma = config.sigma0
-        accepted = None
         for _h in range(config.max_halvings + 1):
             cand = flow.constrain(coords + sigma * direction)
-            qc, cand_state = flow.objective(cand)
+            cand_vols = flow.volumes(cand)
+            qc = -np.inf if guard and not cand_vols.min() > 0.0 else flow.score(cand, cand_vols)
             if qc > q:
-                accepted = (cand, qc, sigma, cand_state)
                 break
             sigma *= config.shrink
-        if accepted is None:
-            termination = Termination.BACKTRACKING_FAILED
+        else:
+            report.termination = Termination.BACKTRACKING_FAILED
             break
 
-        coords, qc, sigma, state = accepted
-        quality_hist.append(qc)
-        sigma_hist.append(sigma)
-        norm_hist.append(fnorm)
-        gain = qc - q
-        q = qc
+        coords, vols = cand, cand_vols
+        report.quality.append(qc)
+        report.sigma.append(sigma)
+        report.field_norm.append(fnorm)
+        gain, q = qc - q, qc
         if gain < config.quality_tol:
-            termination = Termination.QUALITY_STALLED
+            report.termination = Termination.QUALITY_STALLED
             break
-
-    return coords, SmoothingReport(
-        iterations=len(quality_hist), quality=quality_hist, sigma=sigma_hist,
-        field_norm=norm_hist, termination=termination, initial_quality=q0)
+    report.iterations = len(report.quality)
+    return coords, report
 
 
 def _build_flow(mesh: Mesh, config: SmoothingConfig,
-                coords0: np.ndarray) -> tuple[_Flow, float, np.ndarray]:
-    """The flow of ``config`` on ``mesh``, with its objective and state at ``coords0``.
+                coords0: np.ndarray) -> tuple[_Flow, np.ndarray]:
+    """The flow of ``config`` on ``mesh``, and its volume pass at ``coords0``.
 
-    Its one mean-volume pass serves the volume shift, the validity check,
-    the guard decision and the objective at the start. The guard scans the
-    trials' volumes when all start ones are positive, but not for unshifted
-    q1 or q2, whose objective is ``-inf`` there already. Under the project
-    policy it also sets up the boundary surface at ``coords0`` once, as a
-    :class:`_Surface`, from the connectivity it holds.
+    That one pass serves the volume shift and the validity check here, and
+    the guard decision and the start's objective in :func:`_drive`. Under the
+    project policy the boundary surface at ``coords0`` is set up once, as a
+    :class:`_Surface`.
     """
     spec = config.measure
     measure = _gradient_measure(spec)
@@ -513,20 +511,15 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
         if shift is None:
             shift = _volume_shift(vols0, coords0)
         _require_positive(vols0 + shift)
-    guard = bool(np.all(vols0 > 0.0)) and not (measure.shifted and not shift)
-
-    def objective(c):
-        vols = mesh_mean_volumes(mesh, c)
-        v = _shifted(vols, shift)
-        if guard and not vols.min() > 0.0:
-            return -np.inf, v
-        return measure.objective(mesh, c, v), v
 
     policy = config.boundary_policy
     fixed = np.flatnonzero(mesh.boundary) if policy is BoundaryPolicy.FIX_BOUNDARY else None
 
-    def field(c, v):
-        f = measure.vertex_field(mesh, c, v)
+    def score(c, vols):
+        return measure.objective(mesh, c, _shifted(vols, shift))
+
+    def field(c, vols):
+        f = measure.vertex_field(mesh, c, _shifted(vols, shift))
         f /= measure.divisor  # a fresh array
         f = _averaged(mesh, f, config.assembly)
         if fixed is not None:
@@ -546,10 +539,10 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
         def constrain(moved):
             return moved
 
-    # a shifted field is not homogeneous: step along the raw field
-    degree = 1.0 if shift else measure.degree
-    v0 = _shifted(vols0, shift)
-    return _Flow(objective, field, degree, constrain), measure.objective(mesh, coords0, v0), v0
+    # a shifted field is not homogeneous: step along the raw field; an unshifted q1 or q2 score guards itself
+    flow = _Flow(lambda c: mesh_mean_volumes(mesh, c), score, field, 1.0 if shift else measure.degree, constrain,
+                 guarded=bool(shift) or not measure.shifted)
+    return flow, vols0
 
 
 def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) -> np.ndarray:
@@ -557,14 +550,17 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
 
     Free policy expects coordinates on the shape sphere (see
     :func:`project_shape`) and returns coordinates on it; a zero step size or
-    a vanishing field returns the input unchanged.
+    a vanishing field returns the input unchanged. ``sigma`` must be finite
+    and >= 0 (``InvalidSpec`` otherwise).
     """
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidSpec(f"sigma must be finite and >= 0, got {sigma!r}")
     coords = np.array(_checked_coords(mesh, coords))
-    flow, _, v = _build_flow(mesh, config, coords)
-    f = flow.field(coords, v)
-    if sigma == 0.0 or not np.any(f):
+    flow, vols = _build_flow(mesh, config, coords)
+    direction, norm = flow.direction(coords, vols)
+    if sigma == 0.0 or norm == 0.0:
         return coords
-    return flow.constrain(coords + sigma * scale_normalize(f, flow.degree))
+    return flow.constrain(coords + sigma * direction)
 
 
 def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tuple[np.ndarray, SmoothingReport]:
@@ -582,8 +578,7 @@ def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tu
     coords0 = np.array(_checked_coords(mesh, coords))
     if config.boundary_policy is BoundaryPolicy.FREE:
         coords0 = project_shape(coords0)
-    flow, q0, v0 = _build_flow(mesh, config, coords0)
-    return _drive(coords0, flow, q0, v0, config)
+    return _drive(coords0, *_build_flow(mesh, config, coords0), config)
 
 
 def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> tuple[np.ndarray, SmoothingReport]:
@@ -600,19 +595,11 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
     coords = project_shape(vertex_array(coords))
     tables, xt = geometry._polyhedron(faces, coords)
 
-    def iq(c, vols):
-        return float(geometry._iq_values(tables, c.T[:, :, None], vols)[0])
-
     def gradient(c, vols):
         xt = c.T[:, :, None]
         return geometry._iq_gradients(tables, xt, vols, geometry._fields(tables, xt).transpose(1, 2, 0))[0]
 
-    v0 = geometry._div_volumes(tables, xt)
-    guard = v0[0] > 0.0  # as for a mesh: an inverted start may pass through volume 0
-
-    def objective(c):
-        vols = geometry._div_volumes(tables, c.T[:, :, None])
-        return (-np.inf if guard and not vols[0] > 0.0 else iq(c, vols)), vols
-
-    flow = _Flow(objective, gradient, _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
-    return _drive(coords, flow, iq(coords, v0), v0, config)
+    flow = _Flow(lambda c: geometry._div_volumes(tables, c.T[:, :, None]),
+                 lambda c, vols: float(geometry._iq_values(tables, c.T[:, :, None], vols)[0]),
+                 gradient, _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
+    return _drive(coords, flow, geometry._div_volumes(tables, xt), config)

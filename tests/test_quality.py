@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from polysmooth import Element, ElementKind, geometry, make_mesh
-from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductUnderflow
+from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductOverflow, ProductUnderflow
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
     _house_mesh,
@@ -535,3 +536,14 @@ def test_q1_product_overflow_is_reported_as_inf_beside_its_finite_log():
     report = mesh_quality(big, spec=QualityMeasureSpec(Measure.PRODUCT_SQUARED))
     assert report.global_value == np.inf
     assert report.log_global == float(2.0 * np.log(mesh_mean_volumes(big)).sum()) > 709.8
+
+
+def test_q1_gradient_of_an_overflowing_product_raises_a_named_error():
+    mesh = tet_grid(2)
+    big = make_mesh(mesh.vertices * 1e20, mesh.elements)
+    spec = QualityMeasureSpec(Measure.PRODUCT_SQUARED)
+    assert mesh_quality(big, spec=spec).log_global > 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf times 0 on the way
+        with pytest.raises(ProductOverflow, match="^the q1 product overflows"):
+            quality_gradient_field(big, spec=spec)

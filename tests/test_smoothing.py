@@ -39,6 +39,7 @@ from polysmooth.quality import (
     QualityMeasureSpec,
     compute_volume_shift,
     mesh_mean_volumes,
+    scatter_element_fields,
 )
 from polysmooth.smoothing import (
     Assembly,
@@ -177,11 +178,15 @@ def test_project_shape_without_vertices_raises_without_warnings():
 # -- homogeneity degree and scale normalization ----------------------------------
 
 
-def _measure_field(mesh, measure):
-    # the free policy leaves the field unmasked
-    config = _config(measure, boundary_policy=BoundaryPolicy.FREE)
-    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
-    return lambda c: flow.field(c, mesh_mean_volumes(mesh, c))
+def _driven(monkeypatch, run):
+    """The ``(coords, flow, vols)`` that ``run()`` hands to the driver, which is not run."""
+    seen = []
+    monkeypatch.setattr(smoothing_module, "_drive", lambda *args: seen.append(args) or (None, None))
+    run()
+    return seen[0][:3]
+
+
+_FIELD_MEASURES = [m for m, entry in quality_module._MEASURES.items() if entry.vertex_field]
 
 
 def test_degree_of_transformation_field_is_two():
@@ -189,16 +194,29 @@ def test_degree_of_transformation_field_is_two():
     assert homogeneity_degree(lambda c: assemble_field(mesh, c), np.array(mesh.vertices)) == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "measure,degree",
-    [(m, entry.degree) for m, entry in quality_module._MEASURES.items() if entry.vertex_field],
-)
-def test_measure_field_degrees(measure, degree):
-    # the driver steps with the table's closed-form degree; the numeric
-    # estimate is the oracle
+@pytest.mark.parametrize("measure", _FIELD_MEASURES)
+def test_measure_field_degrees(measure, monkeypatch):
+    # the flow declares the table's closed-form degree; the numeric estimate of its field's is the oracle
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
-    field = _measure_field(mesh, measure)
-    assert homogeneity_degree(field, np.array(mesh.vertices)) == pytest.approx(degree, abs=1e-8)
+    # the free policy leaves the field unmasked
+    coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, _config(measure, boundary_policy=BoundaryPolicy.FREE)))
+    assert flow.degree == quality_module._MEASURES[measure].degree
+    assert homogeneity_degree(lambda c: flow.field(c, flow.volumes(c)), coords) == pytest.approx(flow.degree, abs=1e-8)
+
+
+@pytest.mark.parametrize("measure", [*_FIELD_MEASURES, "polyhedron"])
+def test_the_driver_steps_along_a_direction_of_degree_one(measure, monkeypatch):
+    # the step commutes with scaling: what the driver steps along has degree 1, for the mesh measures
+    # (no shift; the free policy, as the mean volume's field vanishes with the boundary fixed) and the polyhedron's iq
+    if measure == "polyhedron":
+        coords, faces = icosahedron_polyhedron()
+        start = coords + 0.1 * np.random.default_rng(0).standard_normal(coords.shape)
+        coords, flow, _ = _driven(monkeypatch, lambda: smooth_polyhedron(start, faces))
+    else:
+        mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
+        config = _config(measure, boundary_policy=BoundaryPolicy.FREE)
+        coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, config))
+    assert homogeneity_degree(lambda c: flow.direction(c, flow.volumes(c))[0], coords) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_constant_field_degree_zero():
@@ -334,11 +352,12 @@ def test_shifted_q1_ascends_out_of_inversion():
     # and the automatic volume shift applies: the first step moves along the
     # raw shifted field (degree 1)
     mesh = tet_with_inner_vertex([0.5, 0.29, 0.9])
-    assert mesh_mean_volumes(mesh).min() < 0
-    spec = QualityMeasureSpec(Measure.PRODUCT_SQUARED, Combiner.SUM, compute_volume_shift(mesh))
-    shifted, _, vols = _build_flow(mesh, SmoothingConfig(measure=spec), np.array(mesh.vertices))
+    vols = mesh_mean_volumes(mesh)
+    assert vols.min() < 0
     first, step = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=1))
-    expected = mesh.vertices[4] + step.sigma[0] * shifted.field(np.array(mesh.vertices), vols)[4]
+    # the gradient of 2 sum log(v + shift): the fields scattered over 3 (v + shift)
+    raw = scatter_element_fields(mesh, mesh.vertices, 1.0 / (vols + compute_volume_shift(mesh))) / 3.0
+    expected = mesh.vertices[4] + step.sigma[0] * raw[4]
     assert np.allclose(first[4], expected, rtol=1e-12, atol=0)
     coords, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, max_iterations=200))
     assert report.iterations > 0
@@ -740,7 +759,7 @@ def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, pol
     trials = _trials(report, config)
     assert trials > report.iterations > 0  # backtracking happened
     assert counts["groups_built"] == 1
-    # besides the trials, only the flow set-up, which also gives the initial objective
+    # besides the trials, only the flow set-up, whose pass also gives the initial objective
     assert counts["volume_passes"] == trials + 1
 
 
@@ -758,11 +777,12 @@ def test_iq_smooth_of_a_mixed_mesh_reads_one_volume_pass_per_trial(interleaved_m
 
 def test_iq_field_evaluates_the_field_once_per_kind(interleaved_mesh, counts):
     mesh = perturb_mesh(interleaved_mesh, 0.1, seed=1)
-    flow, _, v = _build_flow(mesh, _config(Measure.ISOPERIMETRIC_QUOTIENT), mesh.vertices)
     counts.clear()
-    flow.field(mesh.vertices, v)
-    assert counts["element_fields"] == len(kind_groups(mesh))
-    assert counts["element_mean_volumes"] == 0
+    smoothing_step(mesh, mesh.vertices, _config(Measure.ISOPERIMETRIC_QUOTIENT), 0.1)
+    kinds = len(kind_groups(mesh))
+    assert counts["element_fields"] == kinds
+    # only the set-up's volume pass: the iq field reads its volumes
+    assert counts["element_mean_volumes"] == kinds
 
 
 def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
@@ -803,20 +823,14 @@ def test_polyhedron_tables_are_built_once_per_face_list():
 @pytest.mark.parametrize("mirror", [1.0, -1.0])
 def test_smooth_polyhedron_is_the_drive_over_the_polyhedron_functions(mirror):
     # the reference flow recomputes the volume for every use and triangulates on every call;
-    # a mirrored start is invalid, so as for a mesh no step is guarded, and its initial objective is its iq
+    # a mirrored start is invalid, so as for a mesh the driver guards no step, and its initial objective is its iq
     coords, faces = icosahedron_polyhedron()
     start = (coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)) * [mirror, 1.0, 1.0]
     config = SmoothingConfig(max_iterations=30, field_tol=1e-10)
     shape = project_shape(start)
-    guard = polyhedron_mean_volume(faces, shape) > 0.0
-
-    def objective(c):
-        if guard and not polyhedron_mean_volume(faces, c) > 0.0:
-            return -np.inf, None
-        return polyhedron_iq(faces, c), None
-
-    flow = _Flow(objective, lambda c, _state: polyhedron_iq_gradient(faces, c), -1.0, project_shape)
-    expected_coords, expected = _drive(shape, flow, polyhedron_iq(faces, shape), None, config)
+    flow = _Flow(lambda c: np.array([polyhedron_mean_volume(faces, c)]), lambda c, _vols: polyhedron_iq(faces, c),
+                 lambda c, _vols: polyhedron_iq_gradient(faces, c), -1.0, project_shape)
+    expected_coords, expected = _drive(shape, flow, flow.volumes(shape), config)
     got_coords, got = smooth_polyhedron(start, faces, config)
     assert got_coords.tobytes() == expected_coords.tobytes()
     assert got.to_json_dict() == expected.to_json_dict()
@@ -886,25 +900,30 @@ def _inner_vertex_above_the_apex(mesh):
     return inverted
 
 
+def _sent_to(flow, target):
+    """``flow`` with every trial moved to ``target`` and scored by its distance from there: finite, and best at it."""
+    return dataclasses.replace(flow, constrain=lambda moved: target.copy(),
+                               score=lambda c, _vols: -float(np.abs(c - target).sum()))
+
+
 @pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM])
 def test_unshifted_q1_and_q2_reject_an_inverting_trial_by_their_objective(measure, monkeypatch):
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
     inverted = _inner_vertex_above_the_apex(mesh)
     config = _config(measure, sigma0=50.0, max_iterations=1)
-    flow, _, v0 = _build_flow(mesh, config, np.array(mesh.vertices))
-    q, v = flow.objective(inverted)
-    assert q == -np.inf == quality_module._MEASURES[measure].objective(mesh, inverted, v)
+    start, flow, vols = _driven(monkeypatch, lambda: smooth(mesh, config))
+    monkeypatch.undo()
+    assert not flow.guarded
+    assert flow.score(inverted, flow.volumes(inverted)) == -np.inf
     # a first trial at sigma0 inverts, so the accepted step is a shorter one
-    direction = scale_normalize(flow.field(np.array(mesh.vertices), v0), flow.degree)
-    assert mesh_mean_volumes(mesh, mesh.vertices + config.sigma0 * direction).min() < 0.0
+    direction, _ = flow.direction(start, vols)
+    assert mesh_mean_volumes(mesh, start + config.sigma0 * direction).min() < 0.0
     coords, report = smooth(mesh, config)
     assert report.iterations == 1 and report.sigma[0] < config.sigma0
     assert mesh_mean_volumes(mesh, coords).min() > 0.0
-    # no other guard: an objective that scores the inversion lets it through
-    finite = dataclasses.replace(quality_module._MEASURES[measure], objective=lambda mesh, c, v: float(v.sum()))
-    monkeypatch.setitem(quality_module._MEASURES, measure, finite)
-    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
-    assert np.isfinite(flow.objective(inverted)[0])
+    # no other guard: a score that rates the inversion best lets it through
+    _, report = _drive(start, _sent_to(flow, inverted), vols, config)
+    assert report.iterations == 1
 
 
 @pytest.mark.parametrize("measure,shift", [
@@ -912,14 +931,37 @@ def test_unshifted_q1_and_q2_reject_an_inverting_trial_by_their_objective(measur
     (Measure.ISOPERIMETRIC_QUOTIENT, None),
     (Measure.PRODUCT_SQUARED, 0.5),
 ])
-def test_guard_rejects_an_inverting_trial_the_objective_would_score(measure, shift):
+def test_guard_rejects_an_inverting_trial_the_objective_would_score(measure, shift, monkeypatch):
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
     inverted = _inner_vertex_above_the_apex(mesh)
-    config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.SUM, shift))
-    flow, _, _ = _build_flow(mesh, config, np.array(mesh.vertices))
-    q, v = flow.objective(inverted)
-    assert np.isfinite(quality_module._MEASURES[measure].objective(mesh, inverted, v))
-    assert q == -np.inf
+    further = inverted.copy()
+    further[4, 2] = 1.0  # the inner vertex higher still: the same three tets inverted
+    # the free policy: with the boundary fixed the mean volume's field vanishes
+    config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.SUM, shift),
+                             boundary_policy=BoundaryPolicy.FREE, max_iterations=1, max_halvings=2)
+    start, flow, vols = _driven(monkeypatch, lambda: smooth(mesh, config))
+    assert flow.guarded and np.isfinite(flow.score(inverted, flow.volumes(inverted)))
+    # from a valid start every trial is the inversion, which the driver rejects though it scores best
+    _, report = _drive(start, _sent_to(flow, inverted), vols, config)
+    assert report.termination is Termination.BACKTRACKING_FAILED and report.iterations == 0
+    # an inverted start is not guarded: a trial that keeps the inversion is accepted
+    assert mesh_mean_volumes(mesh, further).min() < 0.0
+    _, report = _drive(inverted, _sent_to(flow, further), flow.volumes(inverted), config)
+    assert report.iterations == 1
+
+
+def test_polyhedron_guard_rejects_an_inverting_trial_its_iq_would_score(monkeypatch):
+    coords, faces = icosahedron_polyhedron()
+    perturbed = coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)
+    config = SmoothingConfig(max_iterations=1, max_halvings=2)
+    start, flow, vols = _driven(monkeypatch, lambda: smooth_polyhedron(perturbed, faces, config))
+    mirrored = start * [-1.0, 1.0, 1.0]
+    assert vols[0] > 0.0 > flow.volumes(mirrored)[0] and np.isfinite(flow.score(mirrored, flow.volumes(mirrored)))
+    _, report = _drive(start, _sent_to(flow, mirrored), vols, config)
+    assert report.termination is Termination.BACKTRACKING_FAILED and report.iterations == 0
+    # from the mirrored start no trial is guarded: a trial that stays inverted is accepted
+    _, report = _drive(mirrored, _sent_to(flow, 0.9 * mirrored), flow.volumes(mirrored), config)
+    assert report.iterations == 1
 
 
 def test_smoothing_step_makes_one_volume_pass(counts):
@@ -927,6 +969,14 @@ def test_smoothing_step_makes_one_volume_pass(counts):
     smoothing_step(mesh, mesh.vertices, _config(Measure.PRODUCT_SQUARED), 0.1)
     assert counts["groups_built"] == 1
     assert counts["volume_passes"] == 1
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.1])
+def test_smoothing_step_rejects_a_step_size_that_is_not_finite_and_nonnegative(sigma, counts):
+    mesh = perturb_mesh(tet_grid(2), 0.05, seed=1)
+    with pytest.raises(InvalidSpec, match="^sigma must be finite and >= 0"):
+        smoothing_step(mesh, mesh.vertices, _config(Measure.PRODUCT_SQUARED), sigma)
+    assert counts["volume_passes"] == 0  # raised before the set-up
 
 
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
