@@ -8,6 +8,7 @@ package. ``gradient_suite`` bundles the standard checks behind the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,10 +18,13 @@ from .errors import InvalidSpec, OracleDomainError
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], coords, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function of an (n, 3) array."""
+    """Central-difference gradient of a scalar function of an (n, 3) array; a given step ``h`` must be
+    finite and positive."""
     coords = np.asarray(coords, dtype=float)
     if h is None:
         h = 1e-6 * max(1.0, float(np.abs(coords).max()))
+    elif not 0 < h < math.inf:
+        raise InvalidSpec(f"step h must be finite and > 0, got {h}")
     grad = np.zeros_like(coords)
     flat = coords.reshape(-1)
     for k in range(flat.size):
@@ -71,7 +75,7 @@ def check_field(
     """Compare an analytic field against the finite-difference gradient of f
     over sampled configurations."""
     if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise InvalidSpec(f"sample_count must be >= 1, got {sample_count}")
     worst = -1.0
     worst_sample = None
     for i in range(sample_count):

@@ -5,12 +5,16 @@ for each kind: the regular tetrahedron and the cube, and for pyramid and
 prism the aspect ratios at which the transformation field is exactly radial
 (apex height sqrt(5)/2 for a unit base edge, prism height sqrt(2/3) for a
 unit triangle edge). Equal-edge pyramids and prisms are not stationary.
+
+One table maps each name of :func:`generate`, and of the CLI's ``generate
+--spec``, to its builder; :data:`GENERATOR_NAMES` is its keys in order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +85,20 @@ def regular_element(kind: ElementKind) -> Mesh:
 def tet_with_inner_vertex(inner=None) -> Mesh:
     """Regular unit-edge tetrahedron split into four tets by one inner vertex."""
     outer = REGULAR_TETRA.copy()
-    if inner is None:
-        inner = outer.mean(axis=0)
-    pts = np.vstack([outer, np.asarray(inner, dtype=float)])
+    inner = outer.mean(axis=0) if inner is None else np.asarray(inner, dtype=float)
+    if inner.shape != (3,):
+        raise InvalidSpec(f"inner vertex must be one point (x, y, z), got shape {inner.shape}")
+    pts = np.vstack([outer, inner])
     conn = [(0, 1, 2, 4), (0, 3, 1, 4), (0, 2, 3, 4), (1, 3, 2, 4)]
     return make_mesh(pts, [Element(ElementKind.TETRA, c) for c in conn])
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index``; ``InvalidSpec`` names any other value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{what} must be an integer, got {value!r}") from None
 
 
 # Cube corners are numbered x + 2y + 4z. The six tets share the main
@@ -96,6 +109,7 @@ _TETRA_CORNERS = ((0, 1, 3, 7), (0, 5, 1, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 4,
 
 def _grid(k: int, kind: ElementKind, corners) -> Mesh:
     """Unit-cube grid of k^3 cells, x fastest, each split into elements on the cube ``corners``."""
+    k = _integer(k, "grid size")
     if k < 1:
         raise InvalidSpec(f"grid size must be positive, got {k}")
     axis = np.linspace(0.0, 1.0, k + 1)
@@ -152,6 +166,8 @@ def random_displacements(n: int, eps: float, seed: int = 0, frozen=None) -> np.n
     that order from ``np.random.default_rng(seed)``; zero on the vertices ``frozen`` selects."""
     if not 0 <= eps < math.inf:
         raise InvalidSpec(f"perturbation amplitude must be finite and >= 0, got {eps}")
+    if _integer(seed, "seed") < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal((n, 3))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
@@ -247,37 +263,24 @@ class GeneratorSpec:
     inner: tuple[float, float, float] | None = None
 
 
-GENERATOR_NAMES = tuple(
-    [f"unit-{k.value}" for k in ElementKind]
-    + [f"regular-{k.value}" for k in ElementKind]
-    + ["inner-tet", "tet-cube", "hex-cube", "icosahedron"]
-)
+_BUILDERS = {
+    **{f"unit-{k.value}": lambda spec, k=k: unit_element(k) for k in ElementKind},
+    **{f"regular-{k.value}": lambda spec, k=k: regular_element(k) for k in ElementKind},
+    "inner-tet": lambda spec: tet_with_inner_vertex(spec.inner),
+    "tet-cube": lambda spec: tet_grid(spec.size),
+    "hex-cube": lambda spec: hex_grid(spec.size),
+    "icosahedron": lambda spec: icosahedron_mesh(),
+}
+
+GENERATOR_NAMES = tuple(_BUILDERS)
 
 
 def generate(spec: GeneratorSpec) -> Mesh:
     """Build the mesh named by ``spec``, applying any requested perturbation."""
-    name = spec.name
-    if name.startswith("unit-"):
-        mesh = unit_element(_kind_from(name.removeprefix("unit-")))
-    elif name.startswith("regular-"):
-        mesh = regular_element(_kind_from(name.removeprefix("regular-")))
-    elif name == "inner-tet":
-        mesh = tet_with_inner_vertex(spec.inner)
-    elif name == "tet-cube":
-        mesh = tet_grid(spec.size)
-    elif name == "hex-cube":
-        mesh = hex_grid(spec.size)
-    elif name == "icosahedron":
-        mesh = icosahedron_mesh()
-    else:
-        raise InvalidSpec(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
+    build = _BUILDERS.get(spec.name)
+    if build is None:
+        raise InvalidSpec(f"unknown generator {spec.name!r}; expected one of {GENERATOR_NAMES}")
+    mesh = build(spec)
     if spec.perturb:
         mesh = perturb_mesh(mesh, spec.perturb, seed=spec.seed, fix_boundary=spec.fix_boundary)
     return mesh
-
-
-def _kind_from(token: str) -> ElementKind:
-    for kind in ElementKind:
-        if kind.value == token:
-            return kind
-    raise InvalidSpec(f"unknown element kind {token!r}")

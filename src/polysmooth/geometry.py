@@ -1,7 +1,8 @@
 """Geometric kernel: generalized face normals, mean volumes, per-element fields.
 
 Everything is pure and double precision. Batched variants operate on arrays
-of shape (m, n_e, 3); single-element wrappers take (n_e, 3).
+of shape (m, n_e, 3); single-element wrappers take (n_e, 3). Coordinates of
+any other shape raise ``InvalidSpec``.
 
 The mean volume is the divergence-theorem volume of the boundary, each
 quadrilateral face averaged over its two diagonal splits. Relative to vertex 0
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateElement, InvalidPolygon
+from .errors import DegenerateElement, InvalidPolygon, InvalidSpec
 from .mesh import FACES, ElementKind, vertex_array
 
 _SIX_SQRT_PI = 6.0 * math.sqrt(math.pi)
@@ -49,12 +50,19 @@ REGULAR_TETRA = np.array(
 
 
 def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
+    """A batch of elements of ``n`` vertices, shape (m, n, 3); ``InvalidSpec`` names any other shape."""
     x = np.asarray(x, dtype=float)
-    if x.shape == (n, 3):
-        return x[None]
-    if x.ndim == 3 and x.shape[1:] == (n, 3):
-        return x
-    raise ValueError(f"expected coordinates of shape ({n}, 3) or (m, {n}, 3), got {x.shape}")
+    if x.ndim != 3 or x.shape[1:] != (n, 3):
+        raise InvalidSpec(f"expected coordinates of shape (m, {n}, 3), got {x.shape}")
+    return x
+
+
+def _as_single(x, n: int) -> np.ndarray:
+    """One element of ``n`` vertices, shape (n, 3), as a batch (1, n, 3); ``InvalidSpec`` names any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n, 3):
+        raise InvalidSpec(f"expected coordinates of shape ({n}, 3), got {x.shape}")
+    return x[None]
 
 
 def _cross_cm(u: np.ndarray, v: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
@@ -263,7 +271,7 @@ def tet_signed_volumes(x) -> np.ndarray:
 
 def tet_signed_volume(x) -> float:
     """Signed volume of one tetrahedron; the sign encodes orientation."""
-    return float(tet_signed_volumes(np.asarray(x, dtype=float)[None])[0])
+    return float(tet_signed_volumes(_as_single(x, 4))[0])
 
 
 def element_fields(kind: ElementKind, x) -> np.ndarray:
@@ -278,7 +286,7 @@ def element_fields(kind: ElementKind, x) -> np.ndarray:
 
 def element_field(kind: ElementKind, x) -> np.ndarray:
     """Transformation field of a single element, shape (n_e, 3)."""
-    return element_fields(kind, np.asarray(x, dtype=float)[None])[0]
+    return element_fields(kind, _as_single(x, kind.vertex_count))[0]
 
 
 def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
@@ -292,7 +300,7 @@ def element_mean_volumes(kind: ElementKind, x) -> np.ndarray:
 
 def element_mean_volume(kind: ElementKind, x) -> float:
     """Mean volume of a single element."""
-    return float(element_mean_volumes(kind, np.asarray(x, dtype=float)[None])[0])
+    return float(element_mean_volumes(kind, _as_single(x, kind.vertex_count))[0])
 
 
 def _tiny(xt: np.ndarray) -> np.ndarray:
@@ -343,7 +351,7 @@ def element_mean_boundary_area(kind: ElementKind, x) -> float:
     Triangle faces contribute their exact area; quadrilateral faces the mean
     area over their two diagonal triangulations.
     """
-    return float(element_mean_boundary_areas(kind, np.asarray(x, dtype=float)[None])[0])
+    return float(element_mean_boundary_areas(kind, _as_single(x, kind.vertex_count))[0])
 
 
 def element_iqs(kind: ElementKind, x, vols=None) -> np.ndarray:
@@ -358,7 +366,7 @@ def element_iq(kind: ElementKind, x) -> float:
     Scale invariant, 1 in the sphere limit, below 1 for every polyhedron;
     the sign follows the signed mean volume.
     """
-    return float(element_iqs(kind, np.asarray(x, dtype=float)[None])[0])
+    return float(element_iqs(kind, _as_single(x, kind.vertex_count))[0])
 
 
 def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
@@ -371,7 +379,7 @@ def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
 
 def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
     """Analytic gradient of :func:`element_iq` with respect to all coordinates."""
-    return element_iq_gradients(kind, np.asarray(x, dtype=float)[None])[0]
+    return element_iq_gradients(kind, _as_single(x, kind.vertex_count))[0]
 
 
 # -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------

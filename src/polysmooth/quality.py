@@ -114,14 +114,13 @@ def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
 
     Invalid orientations (nonpositive determinant) map to 0 by convention.
     """
-    x = np.asarray(x, dtype=float)
-    return float(_mean_ratios(x[None], reference=reference or _DEFAULT_FRAME)[0])
+    return float(_mean_ratios(geometry._as_single(x, 4), reference=reference or _DEFAULT_FRAME)[0])
 
 
 def mean_ratio_volume_equivalence(x, reference: ReferenceFrame | None = None) -> tuple[float, float]:
     """Return ``(q^(3/2), vol(x / |S|_F))``; their ratio depends only on the frame."""
     ref = reference or _DEFAULT_FRAME
-    x = np.asarray(x, dtype=float)
+    x = geometry._as_single(x, 4)[0]
     s = _difference_matrix(x) @ ref.inverse
     frob = math.sqrt(np.sum(s * s))
     lhs = mean_ratio(x, ref) ** 1.5

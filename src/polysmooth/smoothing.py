@@ -38,6 +38,7 @@ are bit-reproducible run to run.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
@@ -207,10 +208,11 @@ def homogeneity_degree(field_fn: Callable[[np.ndarray], np.ndarray], coords) -> 
 def scale_normalize(field, degree: float) -> np.ndarray:
     """Rescale a degree-d homogeneous field to homogeneity degree 1.
 
-    Multiplies by ``|field|^((1-d)/d)``; the zero field maps to zero.
+    Multiplies by ``|field|^((1-d)/d)``; the zero field maps to zero. A degree within 1e-9 of 0,
+    or not finite, raises ``InvalidDegree``.
     """
-    if abs(degree) < 1e-9:
-        raise InvalidDegree("scale normalization undefined for degree 0")
+    if not 1e-9 <= abs(degree) < math.inf:
+        raise InvalidDegree(f"scale normalization needs a finite nonzero degree, got {degree}")
     field = np.asarray(field, dtype=float)
     return _normalized(field, float(np.linalg.norm(field)), degree)
 

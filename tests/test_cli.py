@@ -9,6 +9,8 @@ from polysmooth.cli import _report_json, main
 from polysmooth.quality import mesh_mean_volumes
 from polysmooth.vtkio import read_mesh
 
+GOLDEN = Path(__file__).parent / "golden" / "cube_regression.json"
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -113,6 +115,31 @@ def test_smooth_deterministic_bytes(tmp_path, capsys, boundary):
         runs.append((code, stdout, out.read_bytes(), rep.read_bytes()))
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
+
+
+def test_structured_cube_pipeline_reproduces_the_golden_file(tmp_path, capsys):
+    """The structured-cube regression of acceptance criterion 10, run as the README's commands."""
+    src, dst, rep = (str(tmp_path / name) for name in ("bumpy.vtk", "smooth.vtk", "history.json"))
+
+    def min_mean_ratio(path):
+        code, out, _ = _run(capsys, "quality", "--in", path, "--measure", "mean-ratio", "--combiner", "min")
+        assert code == 0
+        return json.loads(out)["global"]
+
+    assert main(["generate", "--spec", "tet-cube", "--size", "4", "--perturb", "0.075", "--seed", "0",
+                 "--out", src]) == 0
+    before = min_mean_ratio(src)
+    code, _, _ = _run(capsys, "smooth", "--in", src, "--out", dst, "--measure", "q1", "--boundary", "fix",
+                      "--max-iter", "200", "--report", rep)
+    assert code == 0
+    after = min_mean_ratio(dst)
+    history = json.loads(Path(rep).read_text())
+    golden = json.loads(GOLDEN.read_text())
+    assert history["iterations"] == golden["iterations"]
+    assert history["termination"] == golden["termination"]
+    assert before == pytest.approx(golden["initial_min_mean_ratio"], rel=1e-9)
+    assert after == pytest.approx(golden["final_min_mean_ratio"], rel=1e-9)
+    assert history["quality"][-1] == pytest.approx(golden["final_objective"], rel=1e-9)
 
 
 def test_unknown_spec_is_usage_error(tmp_path):

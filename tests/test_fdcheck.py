@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polysmooth import ElementKind
-from polysmooth.errors import OracleDomainError
+from polysmooth.errors import InvalidSpec, OracleDomainError
 from polysmooth.fdcheck import check_field, fd_gradient, gradient_suite, relative_error
 from polysmooth.generators import random_element_coords
 from polysmooth.geometry import element_field, element_mean_volume
@@ -29,6 +29,21 @@ def test_fd_domain_error():
     x = np.ones((2, 3))
     with pytest.raises(OracleDomainError):
         fd_gradient(lambda c: float("nan"), x)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
+def test_fd_step_must_be_finite_and_positive(h):
+    with pytest.raises(InvalidSpec, match=f"step h must be finite and > 0, got {h}"):
+        fd_gradient(lambda c: float(np.sum(c * c)), np.ones((2, 3)), h=h)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_check_field_needs_a_sample(count):
+    def never(_):
+        raise AssertionError("no sample may be drawn")
+
+    with pytest.raises(InvalidSpec, match=f"sample_count must be >= 1, got {count}"):
+        check_field(never, never, never, sample_count=count, tol=1e-6)
 
 
 def test_check_field_passes_for_true_gradient(rng):

@@ -10,6 +10,7 @@ from polysmooth.generators import (
     icosahedron_mesh,
     icosahedron_polyhedron,
     perturb_mesh,
+    random_displacements,
     regular_element,
     tet_grid,
     tet_with_inner_vertex,
@@ -79,9 +80,34 @@ def test_grid_size_must_be_positive():
         generate(GeneratorSpec("hex-cube", size=-1))
 
 
-def test_unknown_generator_name():
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("moebius"))
+@pytest.mark.parametrize("name", ["moebius", "unit-foo", "regular-"])
+def test_unknown_generator_name(name):
+    with pytest.raises(InvalidSpec, match=f"unknown generator '{name}'; expected one of"):
+        generate(GeneratorSpec(name))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: perturb_mesh(tet_grid(2), 0.01, seed=-3), "seed must be >= 0, got -3"),
+    (lambda: perturb_mesh(tet_grid(2), 0.01, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: random_displacements(4, 0.1, seed="0"), "seed must be an integer, got '0'"),
+    (lambda: generate(GeneratorSpec("tet-cube", size=2.5)), "grid size must be an integer, got 2.5"),
+    (lambda: generate(GeneratorSpec("hex-cube", size=None)), "grid size must be an integer, got None"),
+    (lambda: generate(GeneratorSpec("tet-cube", perturb=0.01, seed=-1)), "seed must be >= 0, got -1"),
+    (lambda: generate(GeneratorSpec("inner-tet", inner=(0, 0))), r"one point \(x, y, z\), got shape \(2,\)"),
+    (lambda: tet_with_inner_vertex([[0.5, 0.3, 0.2]]), r"got shape \(1, 3\)"),
+])
+def test_generator_inputs_are_checked_where_they_are_used(build, match):
+    with pytest.raises(InvalidSpec, match=match):
+        build()
+
+
+def test_values_a_generator_does_not_use_are_not_checked():
+    assert generate(GeneratorSpec("icosahedron", size=2.5, seed=-1)).n_elements == 20
+    assert perturb_mesh(tet_grid(2), 0.0, seed=-1).n_vertices == 27
+    # integer-like seeds and sizes are taken as they are
+    a = generate(GeneratorSpec("tet-cube", size=np.int64(2), perturb=0.05, seed=np.uint8(3)))
+    b = generate(GeneratorSpec("tet-cube", size=2, perturb=0.05, seed=3))
+    assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_perturb_zero_is_identity():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysmooth import ElementKind
+from polysmooth import ElementKind, geometry, quality
 from polysmooth.errors import DegenerateElement, InvalidPolygon, InvalidSpec
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
@@ -435,6 +435,33 @@ def test_polyhedron_functions_reject_bad_coordinates(fn, bad):
         coords[3, 1] = float(bad)
     with pytest.raises(InvalidSpec):
         fn(faces, coords)
+
+
+_TETRA, _HEXA = ElementKind.TETRA, ElementKind.HEXA
+
+
+@pytest.mark.parametrize("fn, args, expected", [
+    (geometry.element_mean_volume, (_TETRA, np.zeros((3, 3))), "(4, 3)"),
+    (geometry.element_mean_volume, (_HEXA, np.zeros((1, 8, 3))), "(8, 3)"),
+    (geometry.element_field, (ElementKind.PRISM, np.zeros(18)), "(6, 3)"),
+    (geometry.element_mean_boundary_area, (ElementKind.PYRAMID, np.zeros((5, 2))), "(5, 3)"),
+    (geometry.element_iq, (_HEXA, np.zeros((4, 3))), "(8, 3)"),
+    (geometry.element_iq_gradient, (_TETRA, np.zeros((3, 4))), "(4, 3)"),
+    (geometry.tet_signed_volume, (np.zeros((3, 3)),), "(4, 3)"),
+    (quality.mean_ratio, (np.zeros((5, 3)),), "(4, 3)"),
+    (quality.mean_ratio_volume_equivalence, (np.zeros((3, 3)),), "(4, 3)"),
+    (geometry.element_mean_volumes, (_TETRA, np.zeros((4, 3))), "(m, 4, 3)"),
+    (geometry.element_fields, (_HEXA, np.zeros((2, 4, 3))), "(m, 8, 3)"),
+    (geometry.element_mean_boundary_areas, (_TETRA, np.zeros((2, 4, 2))), "(m, 4, 3)"),
+    (geometry.element_iqs, (_TETRA, np.zeros((2, 2, 4, 3))), "(m, 4, 3)"),
+    (geometry.element_iq_gradients, (_HEXA, np.zeros((8, 3))), "(m, 8, 3)"),
+    (geometry.tet_signed_volumes, (np.zeros(12),), "(m, 4, 3)"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_element_kernels_name_the_callers_shape(fn, args, expected):
+    shape = np.shape(args[-1])
+    with pytest.raises(InvalidSpec) as err:
+        fn(*args)
+    assert str(err.value) == f"expected coordinates of shape {expected}, got {shape}"
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

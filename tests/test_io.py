@@ -306,6 +306,25 @@ def test_negative_count_or_huge_index_is_malformed_with_its_line(tmp_path, capsy
     assert main(["quality", "--in", str(path), "--measure", "iq"]) == 3
 
 
+@pytest.mark.parametrize(
+    "line,text,message",
+    [
+        (10, "CELLZ 1 5", "expected CELLS section"),
+        (12, "CELL_TYPES 2", "CELL_TYPES count differs from CELLS count"),
+        (14, "POINT_DATA 3", "POINT_DATA count differs from point count"),
+        (14, "CELL_DATA 4", "CELL_DATA count differs from cell count"),
+        (14, "FIELD_DATA 4", "unexpected section 'FIELD_DATA'"),
+        (16, "LOOKUP default", "expected LOOKUP_TABLE after SCALARS"),
+    ],
+)
+def test_section_errors_name_their_line(tmp_path, line, text, message):
+    path = _write_lines(tmp_path / "bad.vtk", _TET_WITH_DATA, {line: text})
+    with pytest.raises(MalformedFile) as err:
+        read_document(path)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_unmatched_number_is_malformed_under_numpy_1_warnings(tmp_path, monkeypatch):
     # numpy 1.x's fromstring does not raise on unmatched data: it warns and returns the numbers before it
     def fromstring_1x(text, dtype, sep):

@@ -10,7 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_ARGS = {
-    "cube_smoothing_regression.py": ["--size", "2", "--max-iter", "3"],
     "inner_vertex_flow.py": ["--max-iter", "3"],
 }
 

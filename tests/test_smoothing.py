@@ -247,6 +247,12 @@ def test_scale_normalize_examples():
         scale_normalize(x, 0.0)
 
 
+@pytest.mark.parametrize("degree", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+def test_scale_normalize_needs_a_finite_nonzero_degree(degree):
+    with pytest.raises(InvalidDegree, match=f"finite nonzero degree, got {degree}"):
+        scale_normalize(np.ones((2, 3)), degree)
+
+
 def test_scale_normalize_output_degree_one():
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
     coords = np.array(mesh.vertices)
