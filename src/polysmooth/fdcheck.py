@@ -110,7 +110,7 @@ def gradient_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> list[
     if not tol >= 0:
         raise InvalidSpec(f"tol must be >= 0, got {tol}")
     reports = []
-    rng = np.random.default_rng(seed)
+    rng = generators._seeded_rng(seed)
 
     for kind in ElementKind:
         def sampler(_i, kind=kind):

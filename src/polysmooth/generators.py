@@ -101,6 +101,13 @@ def _integer(value, what: str) -> int:
         raise InvalidSpec(f"{what} must be an integer, got {value!r}") from None
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an integer ``seed`` >= 0; any other seed raises ``InvalidSpec``."""
+    if _integer(seed, "seed") < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 # Cube corners are numbered x + 2y + 4z. The six tets share the main
 # diagonal 0-7 and are positively oriented.
 _HEXA_CORNERS = ((0, 1, 3, 2, 4, 5, 7, 6),)
@@ -166,9 +173,7 @@ def random_displacements(n: int, eps: float, seed: int = 0, frozen=None) -> np.n
     that order from ``np.random.default_rng(seed)``; zero on the vertices ``frozen`` selects."""
     if not 0 <= eps < math.inf:
         raise InvalidSpec(f"perturbation amplitude must be finite and >= 0, got {eps}")
-    if _integer(seed, "seed") < 0:
-        raise InvalidSpec(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     direction = rng.standard_normal((n, 3))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     norms[norms < 1e-300] = 1.0
@@ -194,7 +199,10 @@ def random_element_coords(
     transform: bool = True,
 ) -> np.ndarray:
     """Random valid element coordinates: jittered regular shape, optionally
-    rotated, scaled and translated. Resamples until comfortably non-degenerate."""
+    rotated, scaled and translated. Resamples until comfortably non-degenerate.
+    ``jitter`` must be finite and >= 0."""
+    if not 0 <= jitter < math.inf:
+        raise InvalidSpec(f"jitter must be finite and >= 0, got {jitter}")
     base = regular_element_coords(kind)
     vol0 = geometry.element_mean_volume(kind, base)
     while True:

@@ -12,11 +12,16 @@ numbers. The integer sections, CELLS and CELL_TYPES, are gathered from a
 digit table that spells each number up to the largest once, so they cost
 array operations, not one Python object per integer.
 
-The reader accepts any whitespace layout. It parses the POINTS, CELLS,
-CELL_TYPES and scalar sections with numpy, which reads each number as
-``float``/``int`` would, and keeps the cells in the CSR form of
-:class:`~polysmooth.mesh.Connectivity`. Every format violation, including a
-negative count or a non-ASCII byte, raises
+The reader accepts any whitespace layout and keeps one offset per token,
+where the token starts. It parses the POINTS, CELLS, CELL_TYPES and scalar
+sections with numpy, which reads each number as ``float``/``int`` would.
+Each cell's type fixes its vertex count, so the types place every cell in
+the CELLS list in one pass, and the cells become the checked CSR
+:class:`~polysmooth.mesh.Connectivity`. The first bad cell in file order
+raises: :class:`~polysmooth.errors.UnsupportedCellType` for an unknown type,
+:class:`~polysmooth.errors.InvalidElement` for a repeated vertex. Every
+format violation, including a negative count, a cell listed with another
+vertex count than its type's, or a non-ASCII byte, raises
 :class:`~polysmooth.errors.MalformedFile` with the line where it was found.
 """
 
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec, MalformedFile, UnsupportedCellType
-from .mesh import KIND_CODES, Connectivity, ElementKind, Mesh, _checked_coords, make_mesh
+from .mesh import _ARITY, KIND_CODES, Connectivity, ElementKind, Mesh, _checked_coords, make_mesh
 
 CELL_TYPE_BY_KIND = {
     ElementKind.TETRA: 10,
@@ -41,17 +46,10 @@ KIND_BY_CELL_TYPE = {code: kind for kind, code in CELL_TYPE_BY_KIND.items()}
 
 @dataclass
 class MeshDocument:
-    """Parsed file content before mesh assembly.
-
-    Cell i lists the vertices ``connectivity[offsets[i]:offsets[i + 1]]``;
-    its entry in the CELLS section starts on line ``cell_lines[i]``.
-    """
+    """Parsed file content: the points, the checked cells, and the scalar arrays by name."""
 
     points: np.ndarray
-    cell_types: np.ndarray
-    offsets: np.ndarray
-    connectivity: np.ndarray
-    cell_lines: np.ndarray
+    cells: Connectivity
     point_data: dict[str, np.ndarray] = field(default_factory=dict)
     cell_data: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -62,38 +60,29 @@ class _Tokens:
     The tokens are those of ``str.split()``. Its ASCII whitespace, bytes 9 to
     13 and 28 to 32, is found by byte comparisons: a byte is whitespace when
     its uint8 difference from 9 or from 28, which wraps below 0, is at most 4.
-    The offsets where whitespace and token bytes meet alternate between token
-    starts and token ends, so one ``flatnonzero`` of those flips gives both;
-    only the offsets are kept. Lines are counted at LF bytes. Bulk sections
-    are parsed by numpy, and a section numpy rejects is re-read token by token
-    so that the error names the offending token and its line.
+    A token starts at a byte that is no whitespace after one that is, and
+    only those offsets are kept, followed by the text's length: a token is
+    its text up to the next start, right-stripped (``str.isspace`` is the
+    same whitespace). Lines are counted at LF bytes. Bulk sections are parsed
+    by numpy, and a section numpy rejects is re-read token by token so that
+    the error names the offending token and its line.
     """
 
     def __init__(self, data: memoryview, first_line: int):
         self.text = str(data, "ascii")
         raw = np.frombuffer(data, dtype=np.uint8)
+        self.newlines = np.flatnonzero(raw == ord("\n"))  # first: its mask and the whitespace masks are never held at once
         space = raw - np.uint8(9)
         np.minimum(space, raw - np.uint8(28), out=space)
         space = space <= 4
-        flips = np.empty(len(raw) + 1, dtype=bool)  # flips[i]: bytes i - 1 and i differ, whitespace beyond both ends
-        np.not_equal(space[1:], space[:-1], out=flips[1:-1])
-        flips[0], flips[-1] = (not space[0], not space[-1]) if len(raw) else (False, False)
-        flips = np.flatnonzero(flips)
-        self.starts, self.ends = flips[0::2], flips[1::2]
-        self.newlines = np.flatnonzero(raw == ord("\n"))
+        begins = np.empty(len(raw) + 1, dtype=bool)
+        np.greater(space[:-1], space[1:], out=begins[1:-1])  # whitespace, then a token byte
+        begins[0] = len(raw) and not space[0]
+        begins[-1] = True
+        self.starts = np.flatnonzero(begins)
         self.first_line = first_line
         self.pos = 0
         self.last_line = first_line
-
-    def line_starts(self, first: int, count: int) -> np.ndarray:
-        """Which of the ``count`` tokens from ``first`` follow a newline directly, counted from ``first``."""
-        if count == 0:
-            return np.zeros(0, dtype=np.intp)
-        lo = np.searchsorted(self.newlines, self.starts[first] - 1)
-        hi = np.searchsorted(self.newlines, self.starts[first + count - 1] - 1, side="right")
-        after = self.newlines[lo:hi] + 1
-        tokens = np.searchsorted(self.starts, after)
-        return tokens[self.starts[tokens] == after] - first
 
     def lines(self, indices):
         """Line numbers of the tokens at ``indices``."""
@@ -101,8 +90,8 @@ class _Tokens:
 
     def peek(self) -> str | None:
         """The next token, or None at the end."""
-        if self.pos < len(self.starts):
-            return self.text[self.starts[self.pos]:self.ends[self.pos]]
+        if self.pos < len(self.starts) - 1:
+            return self.text[self.starts[self.pos]:self.starts[self.pos + 1]].rstrip()
         return None
 
     def next(self, what: str) -> str:
@@ -132,12 +121,12 @@ class _Tokens:
     def array(self, count: int, dtype, what: str) -> np.ndarray:
         """The next ``count`` tokens as integers or floats."""
         first, stop = self.pos, self.pos + count
-        if count and stop <= len(self.starts):
+        if count and stop < len(self.starts):
             # numpy 1.x warns on unmatched data and returns the numbers before it; numpy 2 raises
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
                 try:
-                    values = np.fromstring(self.text[self.starts[first]:self.ends[stop - 1]], dtype=dtype, sep=" ")
+                    values = np.fromstring(self.text[self.starts[first]:self.starts[stop]], dtype=dtype, sep=" ")
                 except (ValueError, DeprecationWarning):
                     values = None
             if values is not None and values.size == count:
@@ -152,34 +141,39 @@ class _Tokens:
             raise MalformedFile(f"{what} out of range", self.last_line) from None
 
 
-def _cell_starts(flat: np.ndarray, n_cells: int, guess: np.ndarray, fail) -> np.ndarray:
-    """Where each of ``n_cells`` cells starts in the CELLS list ``flat``: the walk from 0 that steps
-    over a cell's arity and its vertices. ``guess`` (one cell per line, as files are written) is
-    taken when it is that walk; otherwise the walk is found by doubling its steps, 2**k cells at a
-    time, and ``fail`` gets the first cell it cannot take."""
-    total = len(flat)
-    if len(guess) == n_cells and (total == 0 if n_cells == 0 else guess[0] == 0):
-        if np.array_equal(guess + 1 + flat[guess], np.append(guess[1:], total)):
-            return guess
-    pos = np.arange(total)
-    bad = (flat < 0) | (flat > total - 1 - pos)  # an arity beyond the list: the walk stops there
-    step = np.append(pos + 1 + np.where(bad, -1, flat), total)
-    path, jump = np.zeros(1, dtype=np.intp), step
-    while len(path) <= min(n_cells, total):
-        path, jump = np.concatenate([path, jump[path]]), jump[jump]
-    stuck = np.flatnonzero(np.append(bad, True)[path[:n_cells]])
-    if stuck.size:
-        i, at = int(stuck[0]), int(path[stuck[0]])
-        if at == total:
-            fail(f"CELLS advertised {total} integers, too few for {n_cells} cells")
-        fail(f"cell {i} has arity {flat[at]} beyond the {total} advertised integers")
-    if path[n_cells] != total:
-        fail(f"CELLS advertised {total} integers but contained {path[n_cells]}")
-    return path[:n_cells]
+def _place_cells(flat: np.ndarray, types: np.ndarray, line_of) -> Connectivity:
+    """The cells of the CELLS list ``flat``: cell i is listed as the vertex count its type
+    ``types[i]`` fixes, then its vertices, so the types place every cell. The first cell of an
+    unknown type, another count, or vertices past the list's end raises, after the cells ahead
+    of it are checked for a repeated vertex; ``line_of(j)`` is the line of the list's entry j."""
+    total, n = len(flat), len(types)
+    codes = np.full(n, -1, dtype=np.int8)
+    for cell_type, kind in KIND_BY_CELL_TYPE.items():
+        codes[types == cell_type] = KIND_CODES[kind]
+    counts = _ARITY[codes]  # code -1 reads some count: cells past a bad one are never taken
+    bounds = np.concatenate([[0], np.cumsum(counts + 1)])  # where each cell starts, then the last end
+    starts = bounds[:-1]
+    listed = int(np.searchsorted(starts, total))  # the cells whose count is in the list
+    bad = (codes < 0) | (bounds[1:] > total)
+    bad[:listed] |= flat[starts[:listed]] != counts[:listed]
+    i = int(np.argmax(bad)) if bad.any() else n
+    cells = Connectivity(codes[:i], np.delete(flat[:bounds[i]], starts[:i]))  # raises at a repeated vertex
+    if i < n:
+        if codes[i] < 0:
+            raise UnsupportedCellType(f"cell {i} has unsupported type {types[i]}")
+        at = starts[i]
+        if at < total and flat[at] != counts[i]:
+            raise MalformedFile(f"cell {i} of type {types[i]} has {flat[at]} vertices", line_of(at))
+        raise MalformedFile(f"cell {i} of type {types[i]} runs past the {total} advertised integers",
+                            line_of(min(at, total - 1)))
+    if bounds[n] != total:
+        raise MalformedFile(f"CELLS advertised {total} integers, but its {n} cells take {bounds[n]}",
+                            line_of(total - 1))
+    return cells
 
 
 def read_document(path) -> MeshDocument:
-    """Parse a file into points, cells, cell types and scalar data arrays."""
+    """Parse a file into points, checked cells and scalar data arrays."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
@@ -196,6 +190,7 @@ def read_document(path) -> MeshDocument:
         raise MalformedFile("missing title line", 2)
     end = data.find(b"\n", title)
     body = _Tokens(memoryview(data)[len(data) if end < 0 else end + 1 :], first_line=3)  # a view, not a copy
+    del data, raw  # the tokens keep the decoded text
 
     def fail(msg: str):
         raise MalformedFile(msg, body.last_line)
@@ -219,16 +214,14 @@ def read_document(path) -> MeshDocument:
     total = body.next_count("cell list size")
     first_token = body.pos
     flat = body.array(total, int, "cell list entry")
-    starts = _cell_starts(flat, n_cells, body.line_starts(first_token, total), fail)
-    offsets = np.concatenate([[0], np.cumsum(flat[starts])])
 
     if body.next("CELL_TYPES keyword") != "CELL_TYPES":
         fail("expected CELL_TYPES section")
     if body.next_count("cell type count") != n_cells:
         fail("CELL_TYPES count differs from CELLS count")
-    cell_types = body.array(n_cells, int, "cell type")
+    cells = _place_cells(flat, body.array(n_cells, int, "cell type"), lambda j: int(body.lines(first_token + j)))
 
-    doc = MeshDocument(points, cell_types, offsets, np.delete(flat, starts), body.lines(first_token + starts))
+    doc = MeshDocument(points, cells)
     while body.peek() is not None:
         section = body.next("data section")
         if section == "POINT_DATA":
@@ -257,30 +250,10 @@ def read_document(path) -> MeshDocument:
     return doc
 
 
-def mesh_from_document(doc: MeshDocument) -> Mesh:
-    """Assemble the mesh; the first bad cell in file order raises, checked
-    for its type, then its vertex count, then a repeated vertex."""
-    types, offsets, conn = doc.cell_types, doc.offsets, doc.connectivity
-    counts = np.diff(offsets)
-    codes = np.full(len(types), -1, dtype=np.int8)
-    ok = np.zeros(len(types), dtype=bool)
-    for cell_type, kind in KIND_BY_CELL_TYPE.items():
-        codes[types == cell_type] = KIND_CODES[kind]
-        ok |= (types == cell_type) & (counts == kind.vertex_count)
-    i = int(np.argmin(ok)) if not ok.all() else len(types)
-    # the cells before the first of a bad type or count; raises InvalidElement at a repeated vertex
-    cells = Connectivity(codes[:i], conn[:offsets[i]])
-    if i < len(types):
-        kind = KIND_BY_CELL_TYPE.get(int(types[i]))
-        if kind is None:
-            raise UnsupportedCellType(f"cell {i} has unsupported type {types[i]}")
-        raise MalformedFile(f"cell {i} of type {types[i]} has {counts[i]} vertices", int(doc.cell_lines[i]))
-    return make_mesh(doc.points, cells)
-
-
 def read_mesh(path) -> Mesh:
     """Read a mesh, converting file cells to canonical elements."""
-    return mesh_from_document(read_document(path))
+    doc = read_document(path)
+    return make_mesh(doc.points, doc.cells)
 
 
 _CELL_TYPES = np.array([CELL_TYPE_BY_KIND[kind] for kind in KIND_CODES])

@@ -142,6 +142,26 @@ def test_structured_cube_pipeline_reproduces_the_golden_file(tmp_path, capsys):
     assert history["quality"][-1] == pytest.approx(golden["final_objective"], rel=1e-9)
 
 
+@pytest.mark.parametrize("measure, code, ending", [
+    ("mean-volume", 0, "iterations=0 termination=field_below_tol "),
+    # stationary to rounding, yet reported as a numerical failure: ROADMAP item 6's open case
+    ("q1", 4, "iterations=17 termination=backtracking_failed "),
+])
+def test_inner_vertex_flows(tmp_path, capsys, measure, code, ending):
+    """The raw mean-volume field leaves the inner vertex where it is (its four incident face normals
+    cancel), while the product measure pulls it to the centroid of the outer tetrahedron."""
+    src, dst = str(tmp_path / "in.vtk"), str(tmp_path / "out.vtk")
+    assert main(["generate", "--spec", "inner-tet", "--inner", "0.5,0.35,0.30", "--out", src]) == 0
+    got, out, _ = _run(capsys, "smooth", "--in", src, "--out", dst, "--measure", measure)
+    assert (got, out[:len(ending)]) == (code, ending)
+    before, after = read_mesh(src).vertices, read_mesh(dst).vertices
+    assert np.array_equal(after[:4], before[:4])
+    if measure == "mean-volume":
+        assert np.array_equal(after[4], [0.5, 0.35, 0.30])
+    else:
+        assert np.linalg.norm(after[4] - before[:4].mean(axis=0)) < 1e-7
+
+
 def test_unknown_spec_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--spec", "dodecahedron", "--out", str(tmp_path / "x.vtk")])

@@ -79,3 +79,9 @@ def test_gradient_suite_all_pass():
     assert len(reports) >= 12
     for rep in reports:
         assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("seed, match", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")])
+def test_gradient_suite_seed_is_checked(seed, match):
+    with pytest.raises(InvalidSpec, match=match):
+        gradient_suite(samples=1, seed=seed)

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from polysmooth import Element, ElementKind, GeneratorSpec, generate, make_mesh
 from polysmooth.cli import main
-from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, UnsupportedCellType
+from polysmooth.errors import InvalidElement, InvalidSpec, MalformedFile, PolysmoothError, UnsupportedCellType
 from polysmooth.generators import GENERATOR_NAMES, perturb_mesh, tet_grid, unit_element
 from polysmooth.mesh import KIND_CODES, _checked_coords
 from polysmooth.quality import mesh_mean_volumes
-from polysmooth.vtkio import CELL_TYPE_BY_KIND, _cell_starts, _Tokens, read_document, read_mesh, write_mesh
+from polysmooth.vtkio import (
+    CELL_TYPE_BY_KIND, KIND_BY_CELL_TYPE, _place_cells, _Tokens, read_document, read_mesh, write_mesh,
+)
 
 
 def _roundtrip(mesh, tmp_path, name="m.vtk", **kw):
@@ -238,7 +240,7 @@ def test_crlf_and_cr_line_endings(tmp_path, newline):
     path = tmp_path / "ends.vtk"
     path.write_bytes(newline.join(_TET_WITH_DATA).encode("ascii"))
     doc = read_document(path)
-    assert doc.connectivity.tolist() == [0, 1, 2, 3] and doc.offsets.tolist() == [0, 4]
+    assert doc.cells.flat.tolist() == [0, 1, 2, 3] and doc.cells.offsets.tolist() == [0, 4]
     assert doc.point_data["flag"].tolist() == [0, 1, 0, 1]
     lines = list(_TET_WITH_DATA)
     lines[12] = "x"
@@ -278,8 +280,9 @@ def test_vertical_tab_and_file_separators_read_as_spaces(tmp_path):
     (tmp_path / "twin.vtk").write_text("\n".join(twin))
     a, b = read_document(path), read_document(tmp_path / "twin.vtk")
     assert "\x1c" in (tmp_path / "twin.vtk").read_text()
-    for name in ("points", "cell_types", "offsets", "connectivity", "cell_lines"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.points.tobytes() == b.points.tobytes()
+    for name in ("codes", "flat", "offsets"):
+        assert getattr(a.cells, name).tobytes() == getattr(b.cells, name).tobytes(), name
     for name in ("point_data", "cell_data"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.keys() == y.keys() and all(x[k].tobytes() == y[k].tobytes() for k in x)
@@ -375,43 +378,66 @@ def test_wrong_vertex_count_reports_the_line_of_its_cell(tmp_path, capsys):
     assert err.value.line == 12
 
 
-def _walk_cells(flat, n_cells):
-    """The loop the CELLS scan replaced: cell starts, or the message of the first cell it cannot take."""
-    total, values, starts, consumed = len(flat), memoryview(flat), [], 0
-    for i in range(n_cells):
-        if consumed >= total:
-            return f"CELLS advertised {total} integers, too few for {n_cells} cells"
-        arity = values[consumed]
-        end = consumed + 1 + arity
-        if arity < 0 or end > total:
-            return f"cell {i} has arity {arity} beyond the {total} advertised integers"
-        starts.append(consumed)
-        consumed = end
-    if consumed != total:
-        return f"CELLS advertised {total} integers but contained {consumed}"
-    return starts
+def _loop_cells(flat, types):
+    """Cell by cell: the offsets and vertex list, or the error class, message and
+    CELLS entry (for the line) of the first cell that cannot be taken."""
+    total, at, offsets, vertices = len(flat), 0, [0], []
+    for i, cell_type in enumerate(types):
+        kind = KIND_BY_CELL_TYPE.get(cell_type)
+        if kind is None:
+            return UnsupportedCellType, f"cell {i} has unsupported type {cell_type}", None
+        count = kind.vertex_count
+        if at < total and flat[at] != count:
+            return MalformedFile, f"cell {i} of type {cell_type} has {flat[at]} vertices", at
+        if at + 1 + count > total:
+            message = f"cell {i} of type {cell_type} runs past the {total} advertised integers"
+            return MalformedFile, message, min(at, total - 1)
+        try:
+            vertices += Element(kind, flat[at + 1 : at + 1 + count]).vertices
+        except InvalidElement as err:
+            return InvalidElement, str(err), None
+        offsets.append(len(vertices))
+        at += 1 + count
+    if at != total:
+        return MalformedFile, f"CELLS advertised {total} integers, but its {len(types)} cells take {at}", total - 1
+    return offsets, vertices
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-2, 6), max_size=40), st.integers(0, 45), st.sampled_from(["walk", "lines", "none"]))
-def test_cell_scan_is_the_walk_for_any_guess(values, n_cells, guess):
-    """Whether or not the one-cell-per-line guess holds, the scan finds the walk or its first error."""
-    flat = np.array(values, dtype=np.int64)
-    expected = _walk_cells(flat, n_cells)
-    if guess == "walk" and isinstance(expected, list):
-        guess = np.array(expected, dtype=np.intp)
-    elif guess == "lines":  # a line per four integers, as a writer that wraps lines might
-        guess = np.arange(0, len(flat), 4)
-    else:
-        guess = np.zeros(0, dtype=np.intp)
+@st.composite
+def _cell_lists(draw):
+    """Cell types and a CELLS list that mostly agree: now and then a type is unknown, a cell is listed
+    with one vertex too few or too many or repeats a vertex, entries are cut or added, or a type is
+    dropped or added."""
+    types = draw(st.lists(st.sampled_from([*KIND_BY_CELL_TYPE] * 8 + [5, -1]), max_size=6))
+    flat = []
+    for cell_type in types:
+        count = KIND_BY_CELL_TYPE.get(cell_type, ElementKind.TETRA).vertex_count
+        count += draw(st.sampled_from([0] * 18 + [-1, 1]))
+        distinct = draw(st.sampled_from([True] * 3 + [False]))
+        flat += [count, *draw(st.lists(st.integers(-1, 30), min_size=count, max_size=count, unique=distinct))]
+    cut = draw(st.sampled_from([0] * 12 + [-3, -2, -1, 1, 2]))
+    flat = flat[:len(flat) + cut] if cut < 0 else flat + draw(st.lists(st.integers(-2, 9), min_size=cut, max_size=cut))
+    edit = draw(st.sampled_from([None] * 12 + [-1, 10, 99]))
+    return flat, types[:-1] if edit == -1 else types if edit is None else types + [edit]
 
-    def fail(message):
-        raise MalformedFile(message, 7)
 
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_cell_lists(), st.tuples(st.lists(st.integers(-2, 9), max_size=30),
+                                          st.lists(st.sampled_from([10, 12, 13, 14, 5]), max_size=6))))
+def test_cells_are_placed_by_their_types_as_a_loop_would(cells):
+    """The one pass over the CELLS list takes the cells a loop takes, or raises where the loop stops."""
+    flat, types = cells
+    expected = _loop_cells(flat, types)
+    if len(expected) == 3:  # an error, and for a MalformedFile the line of its entry
+        error, message, entry = expected
+        expected = (error, message, None) if entry is None else (error, f"line {100 + entry}: {message}", 100 + entry)
     try:
-        got = _cell_starts(flat, n_cells, guess, fail).tolist()
-    except MalformedFile as err:
-        got = str(err).removeprefix("line 7: ")
+        cells = _place_cells(np.array(flat, dtype=np.int64), np.array(types, dtype=np.int64), lambda j: 100 + j)
+    except PolysmoothError as err:
+        got = type(err), str(err), getattr(err, "line", None)
+    else:
+        assert cells.codes.tolist() == [KIND_CODES[KIND_BY_CELL_TYPE[t]] for t in types]
+        got = cells.offsets.tolist(), cells.flat.tolist()
     assert got == expected
 
 
@@ -431,8 +457,9 @@ def test_cells_of_mixed_arity_in_any_layout_read_the_same(tmp_path):
     lines[at + 1 : at + 5] = [" ".join(wrapped[i : i + 7]) for i in range(0, len(wrapped), 7)]  # 7 integers a line
     (tmp_path / "wrapped.vtk").write_text("\n".join(lines))
     for read in (read_document(path), read_document(tmp_path / "wrapped.vtk")):
-        assert read.offsets.tolist() == [0, 4, 12, 17, 23]
-        assert read.connectivity.tolist() == mesh.elements.flat.tolist()
+        assert read.cells.offsets.tolist() == [0, 4, 12, 17, 23]
+        assert read.cells.flat.tolist() == mesh.elements.flat.tolist()
+        assert read.cells.codes.tolist() == mesh.elements.codes.tolist()
 
 
 def test_first_bad_cell_in_file_order_decides_the_error(tmp_path):
@@ -645,5 +672,5 @@ def test_read_memory_of_a_20_cube(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a copy of the file body after the title peaked at 16.9 MB here
-    assert peak < 16.0e6
+    # 15.2 MB with two offsets per token and the cells placed by a walk; 11.0 MB with token starts only
+    assert peak < 11.5e6
