@@ -237,7 +237,7 @@ GATHERED_ROWS = {kind: max(t.terms.size, t.ends[0, 0].size) for kind, t in _KIND
 IQ_ROWS = {kind: max(GATHERED_ROWS[kind], 3 * t.tris.shape[1] + 1, t.corners.size) for kind, t in _KIND_TABLES.items()}
 
 
-def element_batch(kind: ElementKind, coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
+def element_batch(coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """``coords[conn]``, shape (m, n_e, 3): the transposed view of one component-major (3, n_e, m) gather."""
     return coords.T.take(conn.T, axis=1).T
 

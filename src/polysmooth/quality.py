@@ -227,7 +227,7 @@ def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) 
     plan = _blocks(mesh, rows)
     values = None if len(plan) == 1 else np.empty(mesh.n_elements)
     for kind, sel, conn in plan:
-        block = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[sel] for a in arrays))
+        block = kernel(kind, geometry.element_batch(coords, conn), *(a[sel] for a in arrays))
         if values is None:  # the one block is the whole mesh in element order
             return block
         values[sel] = block
@@ -259,7 +259,7 @@ def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None, rows=geometry.GATH
     kind in element order, so no bit depends on the block size."""
     out = np.zeros((len(coords), 3))
     for kind, sel, conn in _blocks(mesh, rows):
-        w = kernel(kind, geometry.element_batch(kind, coords, conn), *(a[sel] for a in arrays)).transpose(2, 0, 1)
+        w = kernel(kind, geometry.element_batch(coords, conn), *(a[sel] for a in arrays)).transpose(2, 0, 1)
         if scale is not None:
             w *= scale[sel][:, None]
         for k in range(3):

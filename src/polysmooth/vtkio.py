@@ -13,8 +13,9 @@ digit table that spells each number up to the largest once, so they cost
 array operations, not one Python object per integer.
 
 The reader accepts any whitespace layout and keeps one offset per token,
-where the token starts. It parses the POINTS, CELLS, CELL_TYPES and scalar
-sections with numpy, which reads each number as ``float``/``int`` would.
+where the token starts. Bytes 28 to 31, whitespace to ``str.split()`` but
+not to numpy, are read as spaces, so numpy parses the POINTS, CELLS,
+CELL_TYPES and scalar sections, reading each number as ``float``/``int`` would.
 Each cell's type fixes its vertex count, so the types place every cell in
 the CELLS list in one pass, and the cells become the checked CSR
 :class:`~polysmooth.mesh.Connectivity`. The first bad cell in file order
@@ -42,6 +43,8 @@ CELL_TYPE_BY_KIND = {
     ElementKind.PYRAMID: 14,
 }
 KIND_BY_CELL_TYPE = {code: kind for kind, code in CELL_TYPE_BY_KIND.items()}
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+_TO_SPACES = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
 
 
 @dataclass
@@ -101,6 +104,11 @@ class _Tokens:
         self.last_line = int(self.lines(self.pos))
         self.pos += 1
         return tok
+
+    def expect(self, keyword: str, what: str, message: str) -> None:
+        """Take the next token, which must be ``keyword``; any other raises ``message``."""
+        if self.next(what) != keyword:
+            raise MalformedFile(message, self.last_line)
 
     def _parse(self, convert, kind: str, what: str):
         tok = self.next(what)
@@ -189,62 +197,53 @@ def read_document(path) -> MeshDocument:
     if title in (0, len(data)):
         raise MalformedFile("missing title line", 2)
     end = data.find(b"\n", title)
+    if any(sep in data for sep in _SEPARATORS):  # numpy splits numbers at spaces, str.split() at these too
+        data = data.translate(_TO_SPACES)
     body = _Tokens(memoryview(data)[len(data) if end < 0 else end + 1 :], first_line=3)  # a view, not a copy
     del data, raw  # the tokens keep the decoded text
 
     def fail(msg: str):
         raise MalformedFile(msg, body.last_line)
 
-    if body.next("format") != "ASCII":
-        fail("only ASCII files are supported")
-    if body.next("DATASET keyword") != "DATASET" or body.next("dataset type") != "UNSTRUCTURED_GRID":
-        fail("expected DATASET UNSTRUCTURED_GRID")
+    body.expect("ASCII", "format", "only ASCII files are supported")
+    body.expect("DATASET", "DATASET keyword", "expected DATASET UNSTRUCTURED_GRID")
+    body.expect("UNSTRUCTURED_GRID", "dataset type", "expected DATASET UNSTRUCTURED_GRID")
 
-    if body.next("POINTS keyword") != "POINTS":
-        fail("expected POINTS section")
+    body.expect("POINTS", "POINTS keyword", "expected POINTS section")
     n_points = body.next_count("point count")
     dtype = body.next("point data type")
     if dtype not in ("float", "double"):
         fail(f"unsupported point type {dtype!r}")
     points = body.array(3 * n_points, float, "point coordinate").reshape(n_points, 3)
 
-    if body.next("CELLS keyword") != "CELLS":
-        fail("expected CELLS section")
+    body.expect("CELLS", "CELLS keyword", "expected CELLS section")
     n_cells = body.next_count("cell count")
     total = body.next_count("cell list size")
     first_token = body.pos
     flat = body.array(total, int, "cell list entry")
 
-    if body.next("CELL_TYPES keyword") != "CELL_TYPES":
-        fail("expected CELL_TYPES section")
+    body.expect("CELL_TYPES", "CELL_TYPES keyword", "expected CELL_TYPES section")
     if body.next_count("cell type count") != n_cells:
         fail("CELL_TYPES count differs from CELLS count")
     cells = _place_cells(flat, body.array(n_cells, int, "cell type"), lambda j: int(body.lines(first_token + j)))
 
     doc = MeshDocument(points, cells)
+    sections = {"POINT_DATA": ("point", n_points, doc.point_data), "CELL_DATA": ("cell", n_cells, doc.cell_data)}
     while body.peek() is not None:
         section = body.next("data section")
-        if section == "POINT_DATA":
-            count, store = body.next_count("point data count"), doc.point_data
-            if count != n_points:
-                fail("POINT_DATA count differs from point count")
-        elif section == "CELL_DATA":
-            count, store = body.next_count("cell data count"), doc.cell_data
-            if count != n_cells:
-                fail("CELL_DATA count differs from cell count")
-        else:
+        if section not in sections:
             fail(f"unexpected section {section!r}")
-        while body.peek() not in (None, "POINT_DATA", "CELL_DATA"):
-            if body.next("SCALARS keyword") != "SCALARS":
-                fail("only SCALARS data arrays are supported")
+        noun, expected, store = sections[section]
+        count = body.next_count(f"{noun} data count")
+        if count != expected:
+            fail(f"{section} count differs from {noun} count")
+        while body.peek() not in (None, *sections):
+            body.expect("SCALARS", "SCALARS keyword", "only SCALARS data arrays are supported")
             name = body.next("array name")
             body.next("array type")
-            comps_or_table = body.next("components or LOOKUP_TABLE")
-            if comps_or_table != "LOOKUP_TABLE":
-                if comps_or_table != "1":
-                    fail("only single-component scalars are supported")
-                if body.next("LOOKUP_TABLE keyword") != "LOOKUP_TABLE":
-                    fail("expected LOOKUP_TABLE after SCALARS")
+            if body.peek() != "LOOKUP_TABLE":  # the component count is optional and must be 1
+                body.expect("1", "components or LOOKUP_TABLE", "only single-component scalars are supported")
+            body.expect("LOOKUP_TABLE", "LOOKUP_TABLE keyword", "expected LOOKUP_TABLE after SCALARS")
             body.next("lookup table name")
             store[name] = body.array(count, float, "scalar value")
     return doc
@@ -322,4 +321,4 @@ def write_mesh(mesh: Mesh, path, coords=None, point_data=None, cell_data=None) -
             out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             out.append("%.17g\n" * count % tuple(values.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(out))
+        fh.writelines(out)

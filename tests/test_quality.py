@@ -174,6 +174,11 @@ def test_degenerate_reference_rejected():
         ReferenceFrame(np.zeros((3, 3)))
 
 
+def test_reference_of_another_shape_rejected():
+    with pytest.raises(InvalidSpec, match=r"reference matrix must be 3x3, got \(2, 2\)"):
+        ReferenceFrame(np.eye(2))
+
+
 # -- mesh quality ----------------------------------------------------------------
 
 

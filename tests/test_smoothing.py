@@ -353,6 +353,15 @@ def test_zero_field_with_zero_tolerance_stops_at_once():
     assert np.array_equal(coords, mesh.vertices)
 
 
+def test_mesh_without_elements_has_no_shift_and_stops_at_once():
+    mesh = make_mesh(np.zeros((3, 3)), [])
+    assert compute_volume_shift(mesh) == 0.0
+    coords, report = smooth(mesh, SmoothingConfig(measure=QualityMeasureSpec(Measure.PRODUCT_SQUARED)))
+    assert report.termination is Termination.FIELD_BELOW_TOL
+    assert report.iterations == 0
+    assert np.array_equal(coords, mesh.vertices)
+
+
 def test_shifted_q1_ascends_out_of_inversion():
     # the inner vertex lies above the apex, so some elements start inverted
     # and the automatic volume shift applies: the first step moves along the
