@@ -65,6 +65,10 @@ class InvalidDegree(PolysmoothError):
     """Scale normalization is undefined for homogeneity degree zero."""
 
 
+class NoValidDraw(PolysmoothError):
+    """Every random draw of a test mesh inverted an element."""
+
+
 class OracleDomainError(PolysmoothError):
     """Finite-difference probe left the domain of the function under test."""
 

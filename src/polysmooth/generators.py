@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, quality
-from .errors import InvalidSpec
+from .errors import InvalidSpec, NoValidDraw
 from .geometry import REGULAR_TETRA
-from .mesh import KIND_CODES, Connectivity, Element, ElementKind, Mesh, _freeze, make_mesh, vertex_array
+from .mesh import (_MAX_KEYED_VERTICES, KIND_CODES, Connectivity, Element, ElementKind, Mesh, _freeze, make_mesh,
+                   vertex_array)
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -115,10 +116,13 @@ _TETRA_CORNERS = ((0, 1, 3, 7), (0, 5, 1, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 4,
 
 
 def _grid(k: int, kind: ElementKind, corners) -> Mesh:
-    """Unit-cube grid of k^3 cells, x fastest, each split into elements on the cube ``corners``."""
+    """Unit-cube grid of k^3 cells, x fastest, each split into elements on the cube ``corners``; ``InvalidSpec``
+    before any allocation for more vertices, (k + 1)^3, than :func:`make_mesh` can match faces over."""
     k = _integer(k, "grid size")
     if k < 1:
         raise InvalidSpec(f"grid size must be positive, got {k}")
+    if (k + 1) ** 3 > _MAX_KEYED_VERTICES:
+        raise InvalidSpec(f"grid size {k} needs {(k + 1) ** 3} vertices; face matching allows {_MAX_KEYED_VERTICES}")
     axis = np.linspace(0.0, 1.0, k + 1)
     zz, yy, xx = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
@@ -171,6 +175,8 @@ def perturb_mesh(mesh: Mesh, eps: float, seed: int = 0, fix_boundary: bool = Tru
 def random_displacements(n: int, eps: float, seed: int = 0, frozen=None) -> np.ndarray:
     """Displacements (n, 3): normalized Gaussian directions times lengths uniform in [0, eps), drawn in
     that order from ``np.random.default_rng(seed)``; zero on the vertices ``frozen`` selects."""
+    if _integer(n, "vertex count") < 0:
+        raise InvalidSpec(f"vertex count must be >= 0, got {n}")
     if not 0 <= eps < math.inf:
         raise InvalidSpec(f"perturbation amplitude must be finite and >= 0, got {eps}")
     rng = _seeded_rng(seed)
@@ -252,7 +258,7 @@ def random_valid_mesh(rng: np.random.Generator) -> Mesh:
         mesh = perturb_mesh(base, eps, seed=int(rng.integers(2**31)), fix_boundary=False)
         if np.all(quality.mesh_mean_volumes(mesh) > 0):
             return mesh
-    raise RuntimeError("could not draw a valid random mesh")  # pragma: no cover
+    raise NoValidDraw(f"no valid mesh in 100 perturbed draws of amplitude {eps}")
 
 
 @dataclass(frozen=True)

@@ -101,16 +101,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
 
 
-def _sum_rows(terms: np.ndarray, coef: float | np.ndarray = 1.0) -> np.ndarray:
-    """``sum_k coef[k] * terms[k]`` of a fresh array, row after row into its first row (a reduction may
-    go pairwise when the other axes have length 1). A common coefficient, a power of 2, scales the sum
-    once, which is exactly scaling each term."""
-    if not isinstance(coef, float):
+def _sum_rows(terms: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """``sum_k coef[k] * terms[k]`` of a fresh array, its terms scaled in place unless ``coef`` is None
+    (every coefficient 1), then added row after row into its first row (a reduction may go pairwise when
+    the other axes have length 1)."""
+    if coef is not None:
         terms *= coef
     acc = terms[0]
     for row in terms[1:]:
         acc += row
-    return acc * coef if isinstance(coef, float) and coef != 1.0 else acc
+    return acc
 
 
 def polygon_normal(points) -> np.ndarray:
@@ -148,10 +148,9 @@ def _face_triangles(faces) -> tuple[np.ndarray, np.ndarray]:
     return np.array(tris, dtype=np.intp).reshape(-1, 3), np.array(weights)
 
 
-def _common(coef: np.ndarray) -> float | np.ndarray:
-    """The common value of coefficients that are all one power of 2, else the coefficients."""
-    c = float(coef.flat[0])
-    return c if np.all(coef == c) and math.frexp(c)[0] == 0.5 else coef
+def _unless_ones(coef: np.ndarray) -> np.ndarray | None:
+    """The coefficients, or None when every one is 1."""
+    return None if np.all(coef == 1.0) else coef
 
 
 def _padded(rows: list[list], pad: list) -> list[list]:
@@ -163,12 +162,11 @@ class _Tables(NamedTuple):
     """Index tables of one closed surface over n vertices (see :func:`_tables`)."""
 
     terms: np.ndarray  # (3, T): the i, j, k of each volume term
-    weights: float | np.ndarray  # (T, 1): their weights in units of 1/6, or the common weight
+    weights: np.ndarray | None  # (T, 1): their weights in units of 1/6, None when all are 1
     ends: np.ndarray  # (2, J, K, n): p and q of each row's k-th cross product
-    coef: float | np.ndarray  # (K, 1, n, 1): their coefficients, or the common coefficient
-    tris: np.ndarray  # (3, F): base, p, q of each boundary triangle
+    coef: np.ndarray | None  # (K, 1, n, 1): their coefficients, None when all are 1
+    tris: np.ndarray  # (3, F): base, p, q of each triangle of the faces' mean triangulation
     areas: np.ndarray  # (F, 1): their weights on |nu|
-    faces_are_rows: bool  # a tetrahedron: the field's rows are its faces' normals
     corners: np.ndarray  # (K, n): area gradient rows over the e_q x u, u x e_p, (e_p - e_q) x u and a zero
 
 
@@ -185,7 +183,7 @@ def _tables(faces, n: int) -> _Tables:
     """
     tris, w = _face_triangles(faces)
     off0 = ~np.any(tris == 0, axis=1)
-    terms, weights = tris[off0].T, _common(2.0 * w[off0, None])
+    terms, weights = tris[off0].T, _unless_ones(2.0 * w[off0, None])
     base = [n - 1] * (n - 1) + [0]
     field = [[] for _ in base]
     for r, b in enumerate(base):
@@ -202,17 +200,14 @@ def _tables(faces, n: int) -> _Tables:
     ends = np.array([[[(v + [b] * depth)[:depth] for v in (p, q)] for (p, q, _), b in zip(line, base)]
                      for line in grid]).transpose(2, 3, 0, 1)
     coef = np.array([[[[c] for _, _, c in line]] for line in grid])
-    faces_are_rows = ends.shape[1:3] == (1, 1) and bool(np.all(coef == 1.0))
-    if faces_are_rows:
-        tris, w = np.array([base, *ends[:, 0, 0]]).T, np.full(n, 0.5)
     f = len(tris)
     corners = [[] for _ in base]
     for t, (b, p, q) in enumerate(tris.tolist()):
         corners[b].append(2 * f + t)
         corners[p].append(t)
         corners[q].append(f + t)
-    return _Tables(terms, weights, ends, _common(coef), tris.T, w[:, None], faces_are_rows,
-                   np.array(_padded(corners, [3 * f] * n)))
+    corners = np.array(_padded(corners, [3 * f] * n))
+    return _Tables(terms, weights, ends, _unless_ones(coef), tris.T, w[:, None], corners)
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,7 +252,7 @@ def _fields(tab: _Tables, xt: np.ndarray) -> np.ndarray:
     coefficients, added in table order into zeros."""
     out = np.zeros((3, xt.shape[2], xt.shape[1]))
     rows = out.transpose(0, 2, 1)
-    if tab.faces_are_rows:  # one cross product a row at coefficient 1: straight into the rows
+    if tab.ends.shape[1:3] == (1, 1):  # a tetrahedron: one cross product a row, at coefficient 1, into the rows
         _cross_cm(*_edges(xt, tab.ends), into=rows[:, None])
     else:
         rows += _sum_rows(_cross_cm(*_edges(xt, tab.ends)).transpose(1, 0, 2, 3), tab.coef)
@@ -326,7 +321,7 @@ def _iq_values(tab: _Tables, xt: np.ndarray, vols: np.ndarray) -> np.ndarray:
 def _iq_gradients(tab: _Tables, xt: np.ndarray, vols: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Gradients (m, n, 3) of the iq of a batch (3, n, m), given its volumes and fields (m, n, 3)."""
     ep, eq = _edges(xt, tab.tris[1:, None], tab.tris[0])
-    nu = field.T if tab.faces_are_rows else _cross_cm(ep, eq)
+    nu = _cross_cm(ep, eq)
     nn = _norms(nu)
     tiny = _tiny(xt)
     if np.any(nn <= tiny):
@@ -371,7 +366,7 @@ def element_iq(kind: ElementKind, x) -> float:
 
 def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
     """Gradients of :func:`element_iqs`, ``vols`` as there; given them, one field evaluation and no volume
-    pass. A tetrahedron's boundary normals are its field's rows, so they are not computed again."""
+    pass."""
     x = _as_batch(x, kind.vertex_count)
     vols = element_mean_volumes(kind, x) if vols is None else vols
     return _iq_gradients(_KIND_TABLES[kind], x.T, vols, element_fields(kind, x))

@@ -244,8 +244,10 @@ def test_console_entry_point():
     ["demo-icosahedron", "--perturb", "inf"],
     ["demo-icosahedron", "--perturb", "nan"],
     ["demo-icosahedron", "--perturb", "-0.05"],
-    # 7 PiB: numpy refuses the allocation without touching memory
+    # more vertices than face matching can key: refused before any allocation
     ["generate", "--spec", "tet-cube", "--size", "100000", "--out", "{tmp}/x.vtk"],
+    ["generate", "--spec", "tet-cube", "--size", "10000000", "--out", "{tmp}/x.vtk"],
+    ["generate", "--spec", "hex-cube", "--size", "100000000000000000000", "--out", "{tmp}/x.vtk"],
     # finite, but twice it, the amplitude in edge lengths of 2, is not
     ["demo-icosahedron", "--perturb", "1e308"],
 ])

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from polysmooth import ElementKind, GeneratorSpec, generate
-from polysmooth.errors import InvalidSpec
+from polysmooth import ElementKind, GeneratorSpec, generate, generators
+from polysmooth.errors import InvalidSpec, NoValidDraw
 from polysmooth.generators import (
     REGULAR_TETRA,
     icosahedron_mesh,
@@ -12,6 +13,7 @@ from polysmooth.generators import (
     perturb_mesh,
     random_displacements,
     random_element_coords,
+    random_valid_mesh,
     regular_element,
     tet_grid,
     tet_with_inner_vertex,
@@ -91,6 +93,11 @@ def test_unknown_generator_name(name):
     (lambda: perturb_mesh(tet_grid(2), 0.01, seed=-3), "seed must be >= 0, got -3"),
     (lambda: perturb_mesh(tet_grid(2), 0.01, seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: random_displacements(4, 0.1, seed="0"), "seed must be an integer, got '0'"),
+    (lambda: random_displacements(-1, 0.1), "vertex count must be >= 0, got -1"),
+    (lambda: random_displacements(2.5, 0.1), "vertex count must be an integer, got 2.5"),
+    # (k + 1)^3 vertices above the face-matching limit, refused before any allocation
+    (lambda: tet_grid(1448), "grid size 1448 needs 3042321849 vertices"),
+    (lambda: generate(GeneratorSpec("hex-cube", size=10**20)), f"grid size {10**20} needs"),
     (lambda: generate(GeneratorSpec("tet-cube", size=2.5)), "grid size must be an integer, got 2.5"),
     (lambda: generate(GeneratorSpec("hex-cube", size=None)), "grid size must be an integer, got None"),
     (lambda: generate(GeneratorSpec("tet-cube", perturb=0.01, seed=-1)), "seed must be >= 0, got -1"),
@@ -106,6 +113,16 @@ def test_unknown_generator_name(name):
 def test_generator_inputs_are_checked_where_they_are_used(build, match):
     with pytest.raises(InvalidSpec, match=match):
         build()
+
+
+@pytest.mark.parametrize("seed", [12, 4, 0, 7])  # the first draws of these seeds pick each perturbed mesh
+def test_random_valid_mesh_raises_a_package_error_when_every_draw_is_invalid(seed, monkeypatch):
+    assert np.random.default_rng(seed).integers(0, 8) >= 4
+    # mirrored, every element of a draw is inverted
+    monkeypatch.setattr(generators, "perturb_mesh", lambda mesh, *args, **kwargs: dataclasses.replace(
+        mesh, vertices=-mesh.vertices))
+    with pytest.raises(NoValidDraw, match="no valid mesh in 100 perturbed draws"):
+        random_valid_mesh(np.random.default_rng(seed))
 
 
 def test_values_a_generator_does_not_use_are_not_checked():

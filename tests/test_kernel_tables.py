@@ -23,9 +23,12 @@ block walk of ``quality`` is checked against each kernel on whole kind
 groups, on the bytes, at and around the tet block size and on a mixed mesh
 whose every kind spans blocks. Two tests check the new kernels against
 independent references: Gauss quadrature of the trilinear hexahedron, and
-central differences of the volume. The last tests hold the memory peak of
-every kernel on a full block under the free heap that ``quality`` keeps
-mapped, and count the page faults of repeated smooths in a fresh process.
+central differences of the volume. One test holds every kind's tables to
+one layout: the area table is the faces' triangulation, and a coefficient
+table is an array, or None when every coefficient is 1. The last tests hold
+the memory peak of every kernel on a full block under the free heap that
+``quality`` keeps mapped, and count the page faults of repeated smooths in a
+fresh process.
 """
 
 import itertools
@@ -315,6 +318,17 @@ def test_batched_kernels_equal_single_calls(kind, rng):
         batched = getattr(geometry, name)(kind, x)
         single = np.array([getattr(geometry, name)(kind, xi[None])[0] for xi in x])
         assert _same_bits(batched, single), name
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_kind_has_one_table_layout(kind):
+    # the area table is the faces' mean triangulation, and a coefficient table an array, or None when all are 1
+    tab = geometry._KIND_TABLES[kind]
+    tris, weights = geometry._face_triangles(FACES[kind])
+    assert np.array_equal(tab.tris, tris.T) and np.array_equal(tab.areas[:, 0], weights)
+    for coef in (tab.weights, tab.coef):
+        assert coef is None or isinstance(coef, np.ndarray)
+        assert coef is None or np.any(coef != 1.0)
 
 
 def _polyhedron_cases(rng):
