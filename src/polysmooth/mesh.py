@@ -290,12 +290,12 @@ def vertex_array(points) -> np.ndarray:
     return pts
 
 
-def _shaped_coords(mesh: Mesh, coords) -> np.ndarray:
-    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats of the same shape (an O(1) check)."""
+def _shaped_coords(mesh: Mesh, coords, stack: bool = False) -> np.ndarray:
+    """``mesh.vertices`` if ``coords`` is None, else ``coords`` as floats of its shape, or with ``stack`` (k, n, 3)."""
     if coords is None:
         return mesh.vertices
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != mesh.vertices.shape:
+    if (coords.shape[1:] if stack and coords.ndim == 3 else coords.shape) != mesh.vertices.shape:
         raise InvalidSpec(f"coords must be of shape {mesh.vertices.shape}; got shape {coords.shape}")
     return coords
 

@@ -4,9 +4,10 @@ Every :class:`Measure` is defined once, in the table ``_MEASURES``, which
 :func:`mesh_quality`, :func:`quality_gradient_field` and the smoothing driver
 all read. Its functions take ``(mesh, coords, v)``, ``v`` the shifted mean
 volumes, and reach the per-kind groups of :func:`kind_groups` through two
-helpers only: one maps a kernel over the elements, one scatters per-element
-vectors onto the vertices. Both loop over one block plan, cached with the
-groups, which cuts each kind into blocks whose kernel temporaries hold at most
+helpers only: one maps a kernel over the elements, of one configuration or a
+stack of k (the driver's trials), one scatters per-element vectors onto the
+vertices. Both loop over a block plan, cached with the groups for each k,
+which cuts each kind into blocks whose kernel temporaries hold at most
 ``_ROWS`` (3, m) rows each, and evaluate one block at a time, so every
 temporary stays under 768 KiB and a block's temporaries together under twice
 ``_HEAP`` (a tier-1 test holds each kernel to it). The chunk of ``_HEAP``
@@ -24,6 +25,7 @@ block size and repeated runs are bit-reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -198,12 +200,16 @@ _HEAP = _ROWS * 128  # bytes, 4 MiB: above any one block temporary, and twice it
 np.empty(_HEAP // 8)
 
 
-def _block_plan(groups, rows) -> tuple:
+def _block_plan(groups, rows, copies: int, n: int) -> tuple:
     """``(kind, sel, conn)`` for blocks of at most ``_ROWS`` rows of ``rows[kind]`` per element, kind by
-    kind in element order: ``sel`` picks the block's elements, a slice when their ids run in one stretch
-    (as in a one-kind or kind-sorted mesh) or else the ids, and ``conn`` is a view of their rows."""
-    plan = []
+    kind in element order, of ``copies`` copies of a mesh of ``n`` vertices, copy i's element e numbered
+    i * M + e and vertex v i * n + v: ``sel`` picks the block's elements, a slice when their ids run in one
+    stretch (as in a one-kind or kind-sorted mesh) or else the ids, and ``conn`` holds their rows."""
+    plan, total = [], sum(len(ids) for ids, _ in groups.values())
     for kind, (ids, conn) in groups.items():
+        if copies != 1:  # no copies too, for a round the guard wholly rejects; conn.T C-ordered, to gather by
+            ids = (ids + total * np.arange(copies)[:, None]).ravel()
+            conn = np.asfortranarray((conn + n * np.arange(copies)[:, None, None]).reshape(-1, conn.shape[1]))
         step = _ROWS // rows[kind]
         for i in range(0, len(ids), step):
             sel = ids[i : i + step]
@@ -213,34 +219,43 @@ def _block_plan(groups, rows) -> tuple:
     return tuple(plan)
 
 
-def _blocks(mesh: Mesh, rows) -> tuple:
-    """The :func:`_block_plan` for the row table ``rows`` (a module constant), cached per connectivity."""
-    groups, plans = kind_groups(mesh), mesh.elements.plans
-    if id(rows) not in plans:
-        plans[id(rows)] = _block_plan(groups, rows)
-    return plans[id(rows)]
+def _blocks(mesh: Mesh, rows, copies: int = 1) -> tuple:
+    """The :func:`_block_plan` for ``rows`` (a module constant) and ``copies``, cached per connectivity."""
+    plans, key = mesh.elements.plans, (id(rows), copies, mesh.n_vertices)
+    if key not in plans:
+        plans[key] = _block_plan(kind_groups(mesh), rows, copies, mesh.n_vertices)
+    return plans[key]
+
+
+def _stack_limit(mesh: Mesh, cap: int, *tables) -> int:
+    """The most copies, at most ``cap``, whose block plans for the row ``tables`` have no more blocks than one's."""
+    blocks = [[sum(-(-k * len(ids) // (_ROWS // rows[kind])) for kind, (ids, _) in kind_groups(mesh).items())
+               for rows in tables] for k in range(1, cap + 1)]
+    return max(k for k, counts in enumerate(blocks, 1) if all(map(operator.le, counts, blocks[0])))
 
 
 def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:
-    """``kernel(kind, x, *(a[sel] for a in arrays))`` of every element, in element order (for one block,
-    the kernel's own array); ``rows``: its rows per element, :data:`geometry.GATHERED_ROWS` or ``IQ_ROWS``."""
-    plan = _blocks(mesh, rows)
-    values = None if len(plan) == 1 else np.empty(mesh.n_elements)
+    """``kernel(kind, x, *(a[sel] for a in arrays))`` of every element in element order, (M,) or (k, M) for a
+    stack (k, n, 3) (for one block, the kernel's own array); ``rows``: :data:`geometry.GATHERED_ROWS` or ``IQ_ROWS``."""
+    lead = coords.shape[:-2]
+    plan = _blocks(mesh, rows, math.prod(lead))
+    flat, arrays = coords.reshape(-1, 3), [a.reshape(-1) for a in arrays]
+    values = None if len(plan) == 1 else np.empty(math.prod(lead) * mesh.n_elements)
     for kind, sel, conn in plan:
-        block = kernel(kind, geometry.element_batch(coords, conn), *(a[sel] for a in arrays))
-        if values is None:  # the one block is the whole mesh in element order
-            return block
+        block = kernel(kind, geometry.element_batch(flat, conn), *(a[sel] for a in arrays))
+        if values is None:  # the one block is the whole stack in element order
+            return block.reshape(*lead, -1) if lead else block
         values[sel] = block
-    return values
+    return values.reshape(*lead, mesh.n_elements)
 
 
 def mesh_mean_volumes(mesh: Mesh, coords=None) -> np.ndarray:
-    """Mean volume of every element, in element order.
+    """Mean volume of every element, in element order: (M,), or (k, M) for a stack (k, n, 3).
 
-    ``coords`` must have the shape of ``mesh.vertices`` (``InvalidSpec``
-    otherwise); its values are not scanned.
+    ``coords`` must have the shape of ``mesh.vertices``, or be a stack of
+    such (``InvalidSpec`` otherwise); its values are not scanned.
     """
-    coords = _shaped_coords(mesh, coords)
+    coords = _shaped_coords(mesh, coords, stack=True)
     return _per_kind(geometry.element_mean_volumes, mesh, coords)
 
 
@@ -293,11 +308,11 @@ class _MeasureDef:
     """One measure. Its functions take ``(mesh, coords, v)``, with ``v`` the
     element mean volumes plus any volume shift.
 
-    ``values`` are the per-element values, ``objective`` the sum or log
-    objective the driver ascends. ``vertex_field`` scatters the weighted
-    per-element fields; over ``divisor`` it is the objective's gradient, of
-    scaling degree ``degree`` when there is no shift. ``product``: the global
-    value, the values' product, is the exp of the objective; ``shifted``: the measure takes a shift.
+    ``values`` are the per-element values, ``objective`` the sum or log objective the driver ascends,
+    one per row of a stack (k, n, 3) and (k, M). ``vertex_field`` scatters the weighted per-element
+    fields; over ``divisor`` it is the objective's gradient, of scaling degree ``degree`` when there is no
+    shift. ``product``: the global value, the values' product, is the exp of the objective; ``shifted``:
+    the measure takes a shift; ``rows``: its kernels' row table, by which they are cut into blocks.
     """
 
     values: Callable
@@ -307,34 +322,41 @@ class _MeasureDef:
     degree: float | None = None
     shifted: bool = False
     product: bool = False
+    rows: dict = field(default_factory=lambda: geometry.GATHERED_ROWS)
+
+
+def _positive_rows(v: np.ndarray, total: Callable) -> np.ndarray:
+    """``total(v)`` of each row of ``v`` (..., M), or ``-inf`` for a row with an entry <= 0."""
+    if (v > 0.0).all():
+        return total(v)
+    bad = (v <= 0.0).any(axis=-1)
+    return np.where(bad, -np.inf, total(np.where(bad[..., None], 1.0, v)))
 
 
 _MEASURES: dict[Measure, _MeasureDef] = {
     Measure.MEAN_VOLUME_SUM: _MeasureDef(
         values=lambda mesh, c, v: v,
-        objective=lambda mesh, c, v: float(v.sum()),
+        objective=lambda mesh, c, v: v.sum(axis=-1),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c), divisor=6.0, degree=2.0,
     ),
     Measure.PRODUCT_SQUARED: _MeasureDef(
         values=lambda mesh, c, v: _require_positive(v) ** 2,
-        objective=lambda mesh, c, v: (
-            -np.inf if (v <= 0.0).any() else float(2.0 * np.log(v).sum())),
+        objective=lambda mesh, c, v: _positive_rows(v, lambda w: 2.0 * np.log(w).sum(axis=-1)),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, 1.0 / _require_positive(v)),
         divisor=3.0, degree=-1.0, shifted=True, product=True,
     ),
     Measure.INVERSE_SQUARED_SUM: _MeasureDef(
         values=lambda mesh, c, v: -1.0 / _require_positive(v) ** 2,
-        objective=lambda mesh, c, v: (
-            -np.inf if (v <= 0.0).any() else float(-np.sum(v**-2))),
+        objective=lambda mesh, c, v: _positive_rows(v, lambda w: -np.sum(w**-2, axis=-1)),
         vertex_field=lambda mesh, c, v: scatter_element_fields(mesh, c, _require_positive(v) ** -3),
         divisor=3.0, degree=-7.0, shifted=True,
     ),
     Measure.MEAN_RATIO: _MeasureDef(values=lambda mesh, c, v: _per_kind(_tet_mean_ratios, mesh, c, v)),
     Measure.ISOPERIMETRIC_QUOTIENT: _MeasureDef(
         values=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS),
-        objective=lambda mesh, c, v: float(_per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS).sum()),
+        objective=lambda mesh, c, v: _per_kind(geometry.element_iqs, mesh, c, v, rows=geometry.IQ_ROWS).sum(axis=-1),
         vertex_field=lambda mesh, c, v: _scatter(geometry.element_iq_gradients, mesh, c, v, rows=geometry.IQ_ROWS),
-        degree=-1.0,
+        degree=-1.0, rows=geometry.IQ_ROWS,
     ),
 }
 
@@ -369,7 +391,7 @@ def mesh_quality(mesh: Mesh, coords=None, spec: QualityMeasureSpec | None = None
     vols = mesh_mean_volumes(mesh, coords)
     v = _shifted(vols, spec.volume_shift)
     values = measure.values(mesh, coords, v)
-    log = measure.objective(mesh, coords, v) if measure.product else None
+    log = float(measure.objective(mesh, coords, v)) if measure.product else None
     return QualityReport(
         measure=spec.measure,
         combiner=spec.combiner,
@@ -408,7 +430,7 @@ def quality_gradient_field(mesh: Mesh, coords=None, spec: QualityMeasureSpec | N
     field = measure.vertex_field(mesh, coords, v)
     if measure.product:
         # d(prod)/dx = prod * d(log prod)/dx
-        log = measure.objective(mesh, coords, v)
+        log = float(measure.objective(mesh, coords, v))
         scale = _exp(log)
         if not 0.0 < scale < math.inf:  # the field checked every factor positive: the product under- or overflowed
             error, limit = (ProductUnderflow, "underflows to 0") if scale == 0.0 else (ProductOverflow, "overflows")

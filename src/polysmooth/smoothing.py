@@ -20,16 +20,15 @@ sphere (free) or onto the start's boundary surface (project). A free run is
 set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input.
 
-Under the project policy the set-up triangulates the start's boundary faces
-once, read as arrays from a face matching among the faces of boundary
-vertices only, and stores each triangle's bounding sphere. Each step maps
-all boundary vertices in one batched pass: a vertex takes the triangles
-around its cell as candidates, in the finest of the uniform grids of
-doubling cell edge that can settle it (the coarsest lists every triangle),
-and a triangle is tested exactly only when its sphere's lower distance
-bound does not exceed an upper bound on the smallest distance by more than
-a slack far above rounding. So the result is bit for bit that of testing
-every triangle.
+The backtracking tries ``sigma0`` alone; after a rejection, up to 8 further
+halvings form a round, evaluated as one stack of trials: one constrain call,
+one volume pass and one score per row. A round takes no more kernel blocks
+than one trial, so a mesh of more than half a block takes one trial per
+pass. The first row above the objective is accepted, which gives the step
+sizes of a search one trial at a time; a round that raises runs again a
+trial at a time. Under the project policy the start's boundary faces are
+triangulated once (:class:`_Surface`), and each round maps all its boundary
+vertices in one exact, batched search (:func:`_closest_points`).
 
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
@@ -37,6 +36,7 @@ are bit-reproducible run to run.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -65,6 +65,7 @@ from .quality import (
     _require_positive,
     _shifted,
     _volume_shift,
+    _stack_limit,
     mesh_mean_volumes,
     scatter_element_fields,
 )
@@ -231,28 +232,40 @@ def _normalized(field: np.ndarray, norm: float, degree: float) -> np.ndarray:
 class _Flow:
     """One ascent problem, with the boundary policy already applied.
 
-    ``volumes(c)`` is the one volume pass at ``c`` (a mesh's raw mean volumes;
-    a polyhedron's volume), which ``score(c, vols)``, the objective, and
-    ``field(c, vols)`` reuse; both apply any volume shift themselves. ``field``
-    is zero on the vertices the policy fixes, and ``degree`` is its scaling
-    degree. ``constrain(moved)`` maps a moved configuration back onto the
-    identity (fix), the shape sphere (free) or the original boundary surface
-    (project; see :func:`_closest_points`). ``guarded`` is False only where
-    the score is ``-inf`` at a volume <= 0 by itself (unshifted q1 and q2).
+    ``volumes(c)`` is the one volume pass over a stack ``c`` (k, n, 3), (k, M)
+    (a mesh's raw mean volumes; a polyhedron's volume), which ``score(c,
+    vols)``, the objective of each row, and ``field(x, v)``, at one row, reuse;
+    both apply any volume shift themselves. ``field`` is zero on the vertices
+    the policy fixes, and ``degree`` is its scaling degree. ``constrain(moved)``
+    maps each row back onto the identity (fix), the shape sphere (free) or the
+    original boundary surface (project; see :func:`_closest_points`).
+    ``guarded`` is False only where the score is ``-inf`` at a volume <= 0 by
+    itself (unshifted q1 and q2). ``stack``: the most trials one pass takes.
     """
 
     volumes: Callable[[np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray, np.ndarray], float]
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     degree: float
     constrain: Callable[[np.ndarray], np.ndarray]
     guarded: bool = True
+    stack: int = 1
 
     def direction(self, coords: np.ndarray, vols: np.ndarray) -> tuple[np.ndarray, float]:
         """The step direction at ``coords``, the field scaled to degree 1, and the field's norm."""
         f = self.field(coords, vols)
         norm = float(np.linalg.norm(f))
         return _normalized(f, norm, self.degree), norm
+
+
+def _shapes(moved: np.ndarray) -> np.ndarray:
+    """:func:`project_shape` of each row of a stack (k, n, 3), or NaN where it raises (an overflowed trial),
+    which neither the guard nor any objective accepts."""
+    out = np.full_like(moved, np.nan)
+    for row, x in zip(out, moved):
+        with contextlib.suppress(DegenerateMesh):
+            row[...] = project_shape(x)
+    return out
 
 
 def _boundary_triangles(mesh: Mesh, coords: np.ndarray) -> np.ndarray:
@@ -455,36 +468,57 @@ def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
     return cand, np.linalg.norm(cand - p, axis=1)
 
 
+_ROUND = 8  # the most trials of one backtracking that one stacked volume pass evaluates
+
+
+def _trials(flow: _Flow, guard: bool, coords: np.ndarray, direction: np.ndarray, sigmas: list, q: float):
+    """``(sigma, coords, vols, score)`` of the first trial at ``sigmas`` that scores above ``q``, or None,
+    from one stack (k, n, 3): one constrain call, one volume pass, and one score of the rows the guard keeps."""
+    cand = flow.constrain(np.multiply.outer(sigmas, direction) + coords)
+    vols = flow.volumes(cand)
+    # the rows the guard keeps; all of them as a slice, which takes views, not copies
+    keep = slice(None) if not guard or (ok := vols.min(axis=1) > 0.0).all() else np.flatnonzero(ok)
+    scores = np.full(len(sigmas), -np.inf)
+    scores[keep] = flow.score(cand[keep], vols[keep])
+    return next(((sigmas[j], cand[j], vols[j], s) for j, s in enumerate(scores.tolist()) if s > q), None)
+
+
 def _drive(coords: np.ndarray, flow: _Flow, vols: np.ndarray,
            config: SmoothingConfig) -> tuple[np.ndarray, SmoothingReport]:
     """Backtracking ascent from ``coords``, whose volume pass is ``vols``.
 
     The one inversion guard: when the flow is guarded and every start volume
-    is positive, a trial with a volume <= 0 scores ``-inf``. Each trial makes
-    one volume pass, one scan of it when guarded, and one score.
+    is positive, a trial with a volume <= 0 scores ``-inf``. An iteration
+    tries ``sigma0`` alone, then rounds of up to ``flow.stack`` halvings, and
+    accepts the first trial above the objective. A round that raises, or
+    meets a floating-point error, runs again one trial at a time, so steps,
+    results, errors and warnings are those of a search one trial at a time.
     """
     guard = flow.guarded and bool(np.all(vols > 0.0))
-    report = SmoothingReport(0, [], [], [], Termination.MAX_ITERATIONS, flow.score(coords, vols))
-    q = report.initial_quality
+    q = float(flow.score(coords[None], vols[None])[0])
+    report = SmoothingReport(0, [], [], [], Termination.MAX_ITERATIONS, q)
     for _ in range(config.max_iterations):
         direction, fnorm = flow.direction(coords, vols)
         if fnorm <= config.field_tol:
             report.termination = Termination.FIELD_BELOW_TOL
             break
 
-        sigma = config.sigma0
-        for _h in range(config.max_halvings + 1):
-            cand = flow.constrain(coords + sigma * direction)
-            cand_vols = flow.volumes(cand)
-            qc = -np.inf if guard and not cand_vols.min() > 0.0 else flow.score(cand, cand_vols)
-            if qc > q:
-                break
-            sigma *= config.shrink
-        else:
+        steps = itertools.accumulate(itertools.repeat(config.shrink, config.max_halvings), operator.mul,
+                                     initial=config.sigma0)
+        sigmas, accepted = [next(steps)], None
+        while sigmas and not accepted:
+            try:  # a round that raises, or meets a floating-point error, runs again a trial at a time
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    accepted = _trials(flow, guard, coords, direction, sigmas, q)
+            except Exception:
+                accepted = next(filter(None, (_trials(flow, guard, coords, direction, [s], q) for s in sigmas)), None)
+            # no trial after one at 0.0, which every later one would repeat
+            sigmas = list(itertools.islice(steps, flow.stack)) if sigmas[-1] else []
+        if not accepted:
             report.termination = Termination.BACKTRACKING_FAILED
             break
 
-        coords, vols = cand, cand_vols
+        sigma, coords, vols, qc = accepted
         report.quality.append(qc)
         report.sigma.append(sigma)
         report.field_norm.append(fnorm)
@@ -529,13 +563,14 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
         return f
 
     if policy is BoundaryPolicy.FREE:
-        constrain = project_shape
+        constrain = _shapes
     elif policy is BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY:
         surface = _Surface.of(_boundary_triangles(mesh, coords0))
         on_boundary = np.nonzero(mesh.boundary)[0]
 
         def constrain(moved):
-            moved[on_boundary] = _closest_points(surface, moved[on_boundary])
+            points = moved[:, on_boundary]
+            moved[:, on_boundary] = _closest_points(surface, points.reshape(-1, 3)).reshape(points.shape)
             return moved
     else:
         def constrain(moved):
@@ -543,7 +578,8 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
 
     # a shifted field is not homogeneous: step along the raw field; an unshifted q1 or q2 score guards itself
     flow = _Flow(lambda c: mesh_mean_volumes(mesh, c), score, field, 1.0 if shift else measure.degree, constrain,
-                 guarded=bool(shift) or not measure.shifted)
+                 guarded=bool(shift) or not measure.shifted,
+                 stack=_stack_limit(mesh, _ROUND, geometry.GATHERED_ROWS, measure.rows))
     return flow, vols0
 
 
@@ -551,8 +587,9 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     """One smoothing step with a fixed step size (no backtracking).
 
     Free policy expects coordinates on the shape sphere (see
-    :func:`project_shape`) and returns coordinates on it; a zero step size or
-    a vanishing field returns the input unchanged. ``sigma`` must be finite
+    :func:`project_shape`) and returns coordinates on it, or NaN where the
+    step overflows; a zero step size or a vanishing field returns the input
+    unchanged. ``sigma`` must be finite
     and >= 0 (``InvalidSpec`` otherwise).
     """
     if not 0.0 <= sigma < np.inf:
@@ -562,7 +599,7 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     direction, norm = flow.direction(coords, vols)
     if sigma == 0.0 or norm == 0.0:
         return coords
-    return flow.constrain(coords + sigma * direction)
+    return flow.constrain((coords + sigma * direction)[None])[0]
 
 
 def smooth(mesh: Mesh, config: SmoothingConfig | None = None, coords=None) -> tuple[np.ndarray, SmoothingReport]:
@@ -601,7 +638,7 @@ def smooth_polyhedron(coords, faces, config: SmoothingConfig | None = None) -> t
         xt = c.T[:, :, None]
         return geometry._iq_gradients(tables, xt, vols, geometry._fields(tables, xt).transpose(1, 2, 0))[0]
 
-    flow = _Flow(lambda c: geometry._div_volumes(tables, c.T[:, :, None]),
-                 lambda c, vols: float(geometry._iq_values(tables, c.T[:, :, None], vols)[0]),
-                 gradient, _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, project_shape)
+    flow = _Flow(lambda c: geometry._div_volumes(tables, c.T)[:, None],
+                 lambda c, vols: geometry._iq_values(tables, c.T, vols[:, 0]),
+                 gradient, _MEASURES[Measure.ISOPERIMETRIC_QUOTIENT].degree, _shapes, stack=_ROUND)
     return _drive(coords, flow, geometry._div_volumes(tables, xt), config)

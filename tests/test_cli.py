@@ -202,6 +202,19 @@ def test_smooth_zero_field_with_zero_tolerance(tmp_path, capsys):
     assert "iterations=0 termination=field_below_tol" in out
 
 
+@pytest.mark.parametrize("boundary", ["fix", "project", "free"])
+def test_smooth_whose_every_trial_overflows_fails_backtracking(boundary, tmp_path, capsys):
+    # under the free policy too: a trial without a shape representative is rejected, not raised
+    src, dst = str(tmp_path / "cube.vtk"), tmp_path / "out.vtk"
+    assert main(["generate", "--spec", "tet-cube", "--size", "2", "--perturb", "0.05", "--out", src]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, "smooth", "--in", src, "--out", str(dst), "--measure", "q1",
+                              "--boundary", boundary, "--sigma0", "1e300")
+    assert code == 4 and err == ""
+    assert out.startswith("iterations=0 termination=backtracking_failed ")
+    assert read_mesh(str(dst)).n_vertices == read_mesh(src).n_vertices
+
+
 def test_mean_ratio_on_mixed_mesh_is_numerical_failure(tmp_path, capsys):
     path = str(tmp_path / "hex.vtk")
     assert main(["generate", "--spec", "unit-hexa", "--out", path]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -14,6 +15,7 @@ from polysmooth import mesh as mesh_module
 from polysmooth import quality as quality_module
 from polysmooth import smoothing as smoothing_module
 from polysmooth.errors import (
+    DegenerateElement,
     DegenerateMesh,
     InvalidDegree,
     InvalidSpec,
@@ -25,6 +27,7 @@ from polysmooth.generators import (
     hex_grid,
     icosahedron_polyhedron,
     perturb_mesh,
+    random_displacements,
     random_valid_mesh,
     regular_element,
     tet_grid,
@@ -80,6 +83,15 @@ def _trials(report, config):
     if report.termination is Termination.BACKTRACKING_FAILED:
         trials += config.max_halvings + 1
     return trials
+
+
+def _passes(report, config):
+    """Volume passes of a run's trials, read off its step sizes: one for each first trial at ``sigma0``, and
+    one for each round of up to ``_ROUND`` halvings after it."""
+    halvings = [round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma]
+    if report.termination is Termination.BACKTRACKING_FAILED:
+        halvings.append(config.max_halvings)
+    return sum(1 + math.ceil(h / smoothing_module._ROUND) for h in halvings)
 
 
 def _strictly_increasing(report):
@@ -201,7 +213,8 @@ def test_measure_field_degrees(measure, monkeypatch):
     # the free policy leaves the field unmasked
     coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, _config(measure, boundary_policy=BoundaryPolicy.FREE)))
     assert flow.degree == quality_module._MEASURES[measure].degree
-    assert homogeneity_degree(lambda c: flow.field(c, flow.volumes(c)), coords) == pytest.approx(flow.degree, abs=1e-8)
+    degree = homogeneity_degree(lambda c: flow.field(c, flow.volumes(c[None])[0]), coords)
+    assert degree == pytest.approx(flow.degree, abs=1e-8)
 
 
 @pytest.mark.parametrize("measure", [*_FIELD_MEASURES, "polyhedron"])
@@ -216,7 +229,8 @@ def test_the_driver_steps_along_a_direction_of_degree_one(measure, monkeypatch):
         mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
         config = _config(measure, boundary_policy=BoundaryPolicy.FREE)
         coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, config))
-    assert homogeneity_degree(lambda c: flow.direction(c, flow.volumes(c))[0], coords) == pytest.approx(1.0, abs=1e-8)
+    degree = homogeneity_degree(lambda c: flow.direction(c, flow.volumes(c[None])[0])[0], coords)
+    assert degree == pytest.approx(1.0, abs=1e-8)
 
 
 def test_constant_field_degree_zero():
@@ -767,27 +781,28 @@ def counts(monkeypatch):
         (Measure.ISOPERIMETRIC_QUOTIENT, BoundaryPolicy.FIX_BOUNDARY),
     ],
 )
-def test_connectivity_once_per_smooth_and_one_volume_pass_per_trial(measure, policy, counts):
+def test_connectivity_once_per_smooth_and_one_volume_pass_per_round(measure, policy, counts):
     mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
     config = _config(measure, max_iterations=20, sigma0=2.0, boundary_policy=policy)
     _, report = smooth(mesh, config)
-    trials = _trials(report, config)
-    assert trials > report.iterations > 0  # backtracking happened
+    passes = _passes(report, config)
+    assert _trials(report, config) > passes > report.iterations > 0  # rounds of several trials happened
     assert counts["groups_built"] == 1
-    # besides the trials, only the flow set-up, whose pass also gives the initial objective
-    assert counts["volume_passes"] == trials + 1
+    # besides the rounds, only the flow set-up, whose pass also gives the initial objective
+    assert counts["volume_passes"] == passes + 1
 
 
-def test_iq_smooth_of_a_mixed_mesh_reads_one_volume_pass_per_trial(interleaved_mesh, counts):
+def test_iq_smooth_of_a_mixed_mesh_reads_one_volume_pass_per_round(interleaved_mesh, counts):
     mesh = perturb_mesh(interleaved_mesh, 0.1, seed=1)
     kinds = len(kind_groups(mesh))
     assert kinds == 4
     config = _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=8, sigma0=2.0)
     _, report = smooth(mesh, config)
-    trials = _trials(report, config)
-    assert trials > report.iterations > 0
-    # the iq values and gradients read the pass's volumes instead of computing their own
-    assert counts["element_mean_volumes"] == (trials + 1) * kinds
+    passes = _passes(report, config)
+    assert _trials(report, config) > passes > report.iterations > 0
+    # the iq values and gradients read the pass's volumes instead of computing their own; a round's stack
+    # takes one block a kind, as one trial does
+    assert counts["element_mean_volumes"] == (passes + 1) * kinds
 
 
 def test_iq_field_evaluates_the_field_once_per_kind(interleaved_mesh, counts):
@@ -800,15 +815,15 @@ def test_iq_field_evaluates_the_field_once_per_kind(interleaved_mesh, counts):
     assert counts["element_mean_volumes"] == kinds
 
 
-def test_smooth_polyhedron_makes_one_volume_pass_per_trial(counts):
+def test_smooth_polyhedron_makes_one_volume_pass_per_round(counts):
     geometry_module._checked_tables.cache_clear()  # the face tables are built once, on the first use
     coords, faces = icosahedron_polyhedron()
     start = coords + 0.1 * np.random.default_rng(0).standard_normal(coords.shape)
     config = SmoothingConfig(max_iterations=40, field_tol=1e-10)
     _, report = smooth_polyhedron(start, faces, config)
-    trials = _trials(report, config)
-    assert trials > report.iterations > 0
-    assert counts["_div_volumes"] == trials + 1
+    passes = _passes(report, config)
+    assert _trials(report, config) > passes > report.iterations > 0
+    assert counts["_div_volumes"] == passes + 1
     assert counts["_face_triangles"] == 1
 
 
@@ -843,9 +858,13 @@ def test_smooth_polyhedron_is_the_drive_over_the_polyhedron_functions(mirror):
     start = (coords + 0.1 * np.random.default_rng(3).standard_normal(coords.shape)) * [mirror, 1.0, 1.0]
     config = SmoothingConfig(max_iterations=30, field_tol=1e-10)
     shape = project_shape(start)
-    flow = _Flow(lambda c: np.array([polyhedron_mean_volume(faces, c)]), lambda c, _vols: polyhedron_iq(faces, c),
-                 lambda c, _vols: polyhedron_iq_gradient(faces, c), -1.0, project_shape)
-    expected_coords, expected = _drive(shape, flow, flow.volumes(shape), config)
+    # and it evaluates one trial at a time
+    flow = _Flow(lambda c: np.array([[polyhedron_mean_volume(faces, x)] for x in c]),
+                 lambda c, _vols: np.array([polyhedron_iq(faces, x) for x in c]),
+                 lambda c, _vols: polyhedron_iq_gradient(faces, c), -1.0,
+                 lambda c: np.array([project_shape(x) for x in c]))
+    assert flow.stack == 1
+    expected_coords, expected = _drive(shape, flow, flow.volumes(shape[None])[0], config)
     got_coords, got = smooth_polyhedron(start, faces, config)
     assert got_coords.tobytes() == expected_coords.tobytes()
     assert got.to_json_dict() == expected.to_json_dict()
@@ -889,22 +908,28 @@ def test_block_plan_is_built_once_per_connectivity(monkeypatch):
     calls = Counter()
     build = quality_module._block_plan
 
-    def counting(groups, rows):
-        calls[id(rows)] += 1
-        return build(groups, rows)
+    def counting(groups, rows, copies, n):
+        calls[id(rows), copies] += 1
+        return build(groups, rows, copies, n)
 
     monkeypatch.setattr(quality_module, "_block_plan", counting)
     mesh = perturb_mesh(tet_grid(3), 0.1, seed=1)
-    q1 = _config(Measure.PRODUCT_SQUARED, max_iterations=5)
+    # a long first step: every run backtracks in rounds
+    q1 = _config(Measure.PRODUCT_SQUARED, max_iterations=5, sigma0=2.0)
     first, _ = smooth(mesh, q1)
     second, _ = smooth(mesh, q1)
     assert np.array_equal(first, second)
     smooth(perturb_mesh(mesh, 0.05, seed=2), q1)
     smooth(make_mesh(first, mesh.elements), q1)
-    smooth(mesh, _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=3))
-    smooth(make_mesh(first, mesh.elements), _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=3))
-    # one plan for the volume and field kernels, one for the iq kernels
-    assert calls == {id(geometry_module.GATHERED_ROWS): 1, id(geometry_module.IQ_ROWS): 1}
+    iq = _config(Measure.ISOPERIMETRIC_QUOTIENT, max_iterations=3, sigma0=2.0)
+    smooth(mesh, iq)
+    smooth(make_mesh(first, mesh.elements), iq)
+    # one plan for each row table and stack size: the volume and field kernels' and the iq kernels', for one
+    # copy and for a round's stack, and the iq score's for the rows of a round that the guard keeps
+    gathered, iq_rows, k = id(geometry_module.GATHERED_ROWS), id(geometry_module.IQ_ROWS), smoothing_module._ROUND
+    assert set(calls.values()) == {1}
+    assert {(gathered, 1), (gathered, k), (iq_rows, 1), (iq_rows, k)} <= set(calls) <= {
+        (gathered, 1), (gathered, k), *((iq_rows, size) for size in range(k + 1))}
 
 
 def _inner_vertex_above_the_apex(mesh):
@@ -917,8 +942,14 @@ def _inner_vertex_above_the_apex(mesh):
 
 def _sent_to(flow, target):
     """``flow`` with every trial moved to ``target`` and scored by its distance from there: finite, and best at it."""
-    return dataclasses.replace(flow, constrain=lambda moved: target.copy(),
-                               score=lambda c, _vols: -float(np.abs(c - target).sum()))
+    return dataclasses.replace(flow, constrain=lambda moved: np.repeat(target[None], len(moved), axis=0),
+                               score=lambda c, _vols: -np.abs(c - target).sum(axis=(1, 2)))
+
+
+def _scored(flow, coords):
+    """The flow's volumes and score of one configuration, as a stack of one."""
+    vols = flow.volumes(coords[None])
+    return vols[0], float(flow.score(coords[None], vols)[0])
 
 
 @pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM])
@@ -929,7 +960,7 @@ def test_unshifted_q1_and_q2_reject_an_inverting_trial_by_their_objective(measur
     start, flow, vols = _driven(monkeypatch, lambda: smooth(mesh, config))
     monkeypatch.undo()
     assert not flow.guarded
-    assert flow.score(inverted, flow.volumes(inverted)) == -np.inf
+    assert _scored(flow, inverted)[1] == -np.inf
     # a first trial at sigma0 inverts, so the accepted step is a shorter one
     direction, _ = flow.direction(start, vols)
     assert mesh_mean_volumes(mesh, start + config.sigma0 * direction).min() < 0.0
@@ -955,13 +986,13 @@ def test_guard_rejects_an_inverting_trial_the_objective_would_score(measure, shi
     config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.SUM, shift),
                              boundary_policy=BoundaryPolicy.FREE, max_iterations=1, max_halvings=2)
     start, flow, vols = _driven(monkeypatch, lambda: smooth(mesh, config))
-    assert flow.guarded and np.isfinite(flow.score(inverted, flow.volumes(inverted)))
+    assert flow.guarded and np.isfinite(_scored(flow, inverted)[1])
     # from a valid start every trial is the inversion, which the driver rejects though it scores best
     _, report = _drive(start, _sent_to(flow, inverted), vols, config)
     assert report.termination is Termination.BACKTRACKING_FAILED and report.iterations == 0
     # an inverted start is not guarded: a trial that keeps the inversion is accepted
     assert mesh_mean_volumes(mesh, further).min() < 0.0
-    _, report = _drive(inverted, _sent_to(flow, further), flow.volumes(inverted), config)
+    _, report = _drive(inverted, _sent_to(flow, further), _scored(flow, inverted)[0], config)
     assert report.iterations == 1
 
 
@@ -971,11 +1002,12 @@ def test_polyhedron_guard_rejects_an_inverting_trial_its_iq_would_score(monkeypa
     config = SmoothingConfig(max_iterations=1, max_halvings=2)
     start, flow, vols = _driven(monkeypatch, lambda: smooth_polyhedron(perturbed, faces, config))
     mirrored = start * [-1.0, 1.0, 1.0]
-    assert vols[0] > 0.0 > flow.volumes(mirrored)[0] and np.isfinite(flow.score(mirrored, flow.volumes(mirrored)))
+    mirrored_vols, mirrored_score = _scored(flow, mirrored)
+    assert vols[0] > 0.0 > mirrored_vols[0] and np.isfinite(mirrored_score)
     _, report = _drive(start, _sent_to(flow, mirrored), vols, config)
     assert report.termination is Termination.BACKTRACKING_FAILED and report.iterations == 0
     # from the mirrored start no trial is guarded: a trial that stays inverted is accepted
-    _, report = _drive(mirrored, _sent_to(flow, 0.9 * mirrored), flow.volumes(mirrored), config)
+    _, report = _drive(mirrored, _sent_to(flow, 0.9 * mirrored), mirrored_vols, config)
     assert report.iterations == 1
 
 
@@ -1025,3 +1057,155 @@ def test_free_policy_with_volume_shift_is_scale_invariant(measure):
         assert report.initial_quality == pytest.approx(ref.initial_quality, rel=1e-12)
         # q2 weighs each element by v**-3, which amplifies the rounding of the start
         assert np.allclose(report.field_norm, ref.field_norm, rtol=1e-10, atol=0)
+
+
+# -- backtracking rounds --------------------------------------------------------------
+
+
+def _inverted_start():
+    """:func:`tet_with_inner_vertex` with the inner vertex above the apex: three tets start inverted."""
+    base = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    return make_mesh(_inner_vertex_above_the_apex(base), base.elements)
+
+
+_ROUND_CASES = {  # mesh, measure, volume shift, policy, other settings
+    "q1-fix": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=1), Measure.PRODUCT_SQUARED, None,
+               BoundaryPolicy.FIX_BOUNDARY, {}),
+    "q2-fix": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=1), Measure.INVERSE_SQUARED_SUM, None,
+               BoundaryPolicy.FIX_BOUNDARY, {}),
+    "q2-free": (lambda: perturb_mesh(hex_grid(2), 0.1, seed=2, fix_boundary=False), Measure.INVERSE_SQUARED_SUM, None,
+                BoundaryPolicy.FREE, {}),
+    "q1-project": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=3, fix_boundary=False), Measure.PRODUCT_SQUARED, None,
+                   BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY, {"sigma0": 5000.0}),
+    # guarded: the mean volume and the iq score an inverting trial unless the guard rejects it
+    "mean-volume-free": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=1), Measure.MEAN_VOLUME_SUM, None,
+                         BoundaryPolicy.FREE, {}),
+    "iq-fix": (lambda: perturb_mesh(hex_grid(3), 0.1, seed=1), Measure.ISOPERIMETRIC_QUOTIENT, None,
+               BoundaryPolicy.FIX_BOUNDARY, {}),
+    "iq-project": (lambda: perturb_mesh(hex_grid(3), 0.1, seed=4, fix_boundary=False), Measure.ISOPERIMETRIC_QUOTIENT,
+                   None, BoundaryPolicy.PROJECT_TO_ORIGINAL_BOUNDARY, {}),
+    "iq-free": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=1), Measure.ISOPERIMETRIC_QUOTIENT, None,
+                BoundaryPolicy.FREE, {}),
+    # shifted: an inverted start with its automatic shift, unguarded; a valid start with an explicit one, guarded
+    "q1-shifted-inverted": (_inverted_start, Measure.PRODUCT_SQUARED, None, BoundaryPolicy.FREE, {}),
+    "q2-shift-fix": (lambda: perturb_mesh(tet_grid(3), 0.1, seed=1), Measure.INVERSE_SQUARED_SUM, 1e-3,
+                     BoundaryPolicy.FIX_BOUNDARY, {}),
+    # every step size down to 0.0 rejected in the last iteration
+    "q1-backtracking-failed": (lambda: tet_with_inner_vertex(np.array([0.5, 0.35, 0.30])), Measure.PRODUCT_SQUARED,
+                               None, BoundaryPolicy.FIX_BOUNDARY, {"field_tol": 1e-14, "max_halvings": 1100}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUND_CASES))
+def test_rounds_give_the_run_of_one_trial_at_a_time(case, monkeypatch):
+    make, measure, shift, policy, other = _ROUND_CASES[case]
+    mesh = make()
+    config = SmoothingConfig(measure=QualityMeasureSpec(measure, Combiner.SUM, shift), boundary_policy=policy,
+                             max_iterations=25, **{"sigma0": 5.0, **other})
+    coords, report = smooth(mesh, config)
+    assert _trials(report, config) > _passes(report, config)  # rounds of several trials happened
+    monkeypatch.setattr(smoothing_module, "_ROUND", 1)
+    alone, expected = smooth(mesh, config)
+    assert coords.tobytes() == alone.tobytes()
+    assert report.to_json_dict() == expected.to_json_dict()
+    if case == "q1-backtracking-failed":
+        assert report.termination is Termination.BACKTRACKING_FAILED
+
+
+def test_polyhedron_rounds_give_the_run_of_one_trial_at_a_time(monkeypatch):
+    # the icosahedron demo's start: long bursts of halvings, and a last iteration that rejects all 41 trials
+    coords, faces = icosahedron_polyhedron()
+    start = coords + random_displacements(len(coords), 0.1, 0)
+    config = SmoothingConfig(max_iterations=200, field_tol=1e-10)
+    final, report = smooth_polyhedron(start, faces, config)
+    assert report.termination is Termination.BACKTRACKING_FAILED and _trials(report, config) > _passes(report, config)
+    monkeypatch.setattr(smoothing_module, "_ROUND", 1)
+    alone, expected = smooth_polyhedron(start, faces, config)
+    assert final.tobytes() == alone.tobytes()
+    assert report.to_json_dict() == expected.to_json_dict()
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 1000])
+@pytest.mark.parametrize("measure", [Measure.MEAN_VOLUME_SUM, Measure.PRODUCT_SQUARED, Measure.INVERSE_SQUARED_SUM])
+def test_row_wise_objectives_are_their_one_dimensional_forms_bit_for_bit(measure, m, rng):
+    objective = quality_module._MEASURES[measure].objective
+    v = rng.uniform(1e-3, 2.0, size=(9, m))
+    v[2, m // 2] = -v[2, m // 2]  # a row with an inverted element
+    v[5, 0] = 0.0
+    rows = objective(None, None, v)
+    assert rows.shape == (9,)
+    for row, expected in zip(rows.tolist(), (float(objective(None, None, x)) for x in v)):
+        assert np.float64(row).tobytes() == np.float64(expected).tobytes()
+    if measure is not Measure.MEAN_VOLUME_SUM:
+        assert rows[2] == rows[5] == -np.inf and np.isfinite(np.delete(rows, [2, 5])).all()
+
+
+def test_a_round_whose_later_trial_raises_ends_as_the_search_one_trial_at_a_time(monkeypatch):
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    config = _config(Measure.PRODUCT_SQUARED, sigma0=50.0, max_iterations=1)
+    start, flow, vols = _driven(monkeypatch, lambda: smooth(mesh, config))
+    monkeypatch.undo()
+    expected_coords, expected = _drive(start, flow, vols, config)
+    # the fifth halving is accepted, the fifth trial of the first round of 8 after sigma0
+    assert _trials(expected, config) == 6 and flow.stack == smoothing_module._ROUND == 8
+    reach = expected.sigma[0] * np.abs(flow.direction(start, vols)[0]).max()
+
+    def raising_below(limit):
+        """``flow`` whose score raises for a stack with a trial that moves no vertex by ``limit``."""
+        def score(c, v):
+            moved = np.abs(c - start).max(axis=(1, 2))
+            if ((0.0 < moved) & (moved < limit)).any():
+                raise DegenerateElement("a trial too close to the start")
+            return flow.score(c, v)
+        return dataclasses.replace(flow, score=score)
+
+    # the round's last three trials raise; one at a time, the search accepts the trial before them
+    coords, report = _drive(start, raising_below(0.75 * reach), vols, config)
+    assert coords.tobytes() == expected_coords.tobytes()
+    assert report.to_json_dict() == expected.to_json_dict()
+    # the accepted trial raises too: then so does the search one trial at a time
+    with pytest.raises(DegenerateElement, match="^a trial too close to the start$"):
+        _drive(start, raising_below(1.5 * reach), vols, config)
+
+
+def test_a_mesh_of_two_blocks_makes_one_volume_pass_per_trial(counts):
+    mesh = perturb_mesh(tet_grid(13), 0.3 / 13, seed=1)
+    assert mesh.n_elements == 13_182  # two blocks of the volume kernels: a round of two would take four
+    config = _config(Measure.PRODUCT_SQUARED, sigma0=2e4, max_iterations=2)
+    flow, _ = _build_flow(mesh, config, np.array(mesh.vertices))
+    assert flow.stack == 1
+    counts.clear()
+    _, report = smooth(mesh, config)
+    trials = _trials(report, config)
+    assert trials > report.iterations == 2
+    assert counts["volume_passes"] == trials + 1
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_a_trial_that_overflows_is_rejected_under_every_policy(policy):
+    # under the free policy the overflowed trial has no shape representative; it is rejected, not raised
+    mesh = perturb_mesh(tet_grid(2), 0.1, seed=1)
+    config = _config(Measure.PRODUCT_SQUARED, sigma0=1e300, boundary_policy=policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords, report = smooth(mesh, config)
+    assert report.termination is Termination.BACKTRACKING_FAILED and report.iterations == 0
+    start = project_shape(mesh.vertices) if policy is BoundaryPolicy.FREE else mesh.vertices
+    assert np.array_equal(coords, start)
+
+
+def test_a_degenerate_start_still_raises_under_the_free_policy():
+    mesh = tet_grid(2)
+    coincident = make_mesh(np.ones_like(mesh.vertices), mesh.elements)
+    with pytest.raises(DegenerateMesh, match="^all vertices coincide; shape projection undefined$"):
+        smooth(coincident, _config(Measure.MEAN_VOLUME_SUM, boundary_policy=BoundaryPolicy.FREE))
+
+
+def test_halving_ends_at_a_step_size_of_zero():
+    # about 1,075 halvings take 0.1 to 0.0; every trial after that one would repeat it
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    expected = smooth(mesh, _config(Measure.PRODUCT_SQUARED, field_tol=1e-14, max_halvings=1100))[1]
+    assert expected.termination is Termination.BACKTRACKING_FAILED
+    began = time.perf_counter()
+    _, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, field_tol=1e-14, max_halvings=10**6))
+    assert time.perf_counter() - began < 1.0
+    assert report.to_json_dict() == expected.to_json_dict()
