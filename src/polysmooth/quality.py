@@ -25,7 +25,6 @@ block size and repeated runs are bit-reproducible.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -228,10 +227,10 @@ def _blocks(mesh: Mesh, rows, copies: int = 1) -> tuple:
 
 
 def _stack_limit(mesh: Mesh, cap: int, *tables) -> int:
-    """The most copies, at most ``cap``, whose block plans for the row ``tables`` have no more blocks than one's."""
-    blocks = [[sum(-(-k * len(ids) // (_ROWS // rows[kind])) for kind, (ids, _) in kind_groups(mesh).items())
-               for rows in tables] for k in range(1, cap + 1)]
-    return max(k for k, counts in enumerate(blocks, 1) if all(map(operator.le, counts, blocks[0])))
+    """The most copies, at most ``cap``, whose block plans for the row ``tables`` have no more blocks than one's:
+    as many as one block of each kind holds, or 1 where a kind takes more than one block (k copies take more)."""
+    groups = kind_groups(mesh).items()
+    return max(1, min([cap] + [_ROWS // rows[kind] // len(ids) for rows in tables for kind, (ids, _) in groups]))
 
 
 def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:

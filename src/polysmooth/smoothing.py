@@ -20,15 +20,15 @@ sphere (free) or onto the start's boundary surface (project). A free run is
 set up on the shape representative of its start, so its volume shift and
 trajectory do not depend on the scale of the input.
 
-The backtracking tries ``sigma0`` alone; after a rejection, up to 8 further
-halvings form a round, evaluated as one stack of trials: one constrain call,
-one volume pass and one score per row. A round takes no more kernel blocks
-than one trial, so a mesh of more than half a block takes one trial per
-pass. The first row above the objective is accepted, which gives the step
-sizes of a search one trial at a time; a round that raises runs again a
-trial at a time. Under the project policy the start's boundary faces are
-triangulated once (:class:`_Surface`), and each round maps all its boundary
-vertices in one exact, batched search (:func:`_closest_points`).
+Backtracking evaluates its trials in rounds, each one stack with one constrain
+call, one volume pass and one score per row, and accepts the first row above
+the objective: the step of a search one trial at a time, which a round that
+raises runs instead. A round holds at most 8 trials and no more kernel blocks
+than one (one trial from half a block); one round ends one trial past the one
+the iteration before accepted (``sigma0`` alone after ``sigma0``). Under the
+project policy the start's boundary faces are triangulated once
+(:class:`_Surface`), and each round maps all its boundary vertices in one
+exact, batched search (:func:`_closest_points`).
 
 Per-element work is pure and accumulated in fixed element order, so results
 are bit-reproducible run to run.
@@ -226,6 +226,7 @@ def _normalized(field: np.ndarray, norm: float, degree: float) -> np.ndarray:
 
 
 # -- driver ------------------------------------------------------------------
+_ROUND = 8  # the most trials of one backtracking that one stacked volume pass evaluates
 
 
 @dataclass
@@ -468,16 +469,12 @@ def _closest_on_pairs(a, b, c, p) -> tuple[np.ndarray, np.ndarray]:
     return cand, np.linalg.norm(cand - p, axis=1)
 
 
-_ROUND = 8  # the most trials of one backtracking that one stacked volume pass evaluates
-
-
 def _trials(flow: _Flow, guard: bool, coords: np.ndarray, direction: np.ndarray, sigmas: list, q: float):
     """``(sigma, coords, vols, score)`` of the first trial at ``sigmas`` that scores above ``q``, or None,
     from one stack (k, n, 3): one constrain call, one volume pass, and one score of the rows the guard keeps."""
     cand = flow.constrain(np.multiply.outer(sigmas, direction) + coords)
     vols = flow.volumes(cand)
-    # the rows the guard keeps; all of them as a slice, which takes views, not copies
-    keep = slice(None) if not guard or (ok := vols.min(axis=1) > 0.0).all() else np.flatnonzero(ok)
+    keep = slice(None) if not guard or vols.min() > 0.0 else np.flatnonzero(vols.min(axis=1) > 0.0)
     scores = np.full(len(sigmas), -np.inf)
     scores[keep] = flow.score(cand[keep], vols[keep])
     return next(((sigmas[j], cand[j], vols[j], s) for j, s in enumerate(scores.tolist()) if s > q), None)
@@ -489,36 +486,42 @@ def _drive(coords: np.ndarray, flow: _Flow, vols: np.ndarray,
 
     The one inversion guard: when the flow is guarded and every start volume
     is positive, a trial with a volume <= 0 scores ``-inf``. An iteration
-    tries ``sigma0`` alone, then rounds of up to ``flow.stack`` halvings, and
-    accepts the first trial above the objective. A round that raises, or
-    meets a floating-point error, runs again one trial at a time, so steps,
-    results, errors and warnings are those of a search one trial at a time.
+    evaluates its trials in rounds of up to ``flow.stack`` and accepts the
+    first above the objective. Step sizes change slowly, so one round ends one
+    trial past the one the iteration before accepted (``sigma0`` alone after
+    ``sigma0``), the first holding what full rounds leave over. A round that
+    raises, or meets a floating-point error, runs again one trial at a time,
+    so steps, results, errors and warnings are those of a sequential search.
     """
     guard = flow.guarded and bool(np.all(vols > 0.0))
     q = float(flow.score(coords[None], vols[None])[0])
     report = SmoothingReport(0, [], [], [], Termination.MAX_ITERATIONS, q)
+    last = 0  # the accepted trial's index among its iteration's step sizes
     for _ in range(config.max_iterations):
         direction, fnorm = flow.direction(coords, vols)
         if fnorm <= config.field_tol:
             report.termination = Termination.FIELD_BELOW_TOL
             break
 
-        steps = itertools.accumulate(itertools.repeat(config.shrink, config.max_halvings), operator.mul,
-                                     initial=config.sigma0)
-        sigmas, accepted = [next(steps)], None
-        while sigmas and not accepted:
+        # each step size once: after one that shrinking leaves unchanged (0.0), every trial would repeat its own
+        steps = (s for s, _ in itertools.groupby(itertools.accumulate(
+            itertools.repeat(config.shrink, config.max_halvings), operator.mul, initial=config.sigma0)))
+        sizes = itertools.chain([(last + bool(last)) % flow.stack + 1], itertools.repeat(flow.stack))
+        done, accepted = 0, None
+        while not accepted and (sigmas := list(itertools.islice(steps, next(sizes)))):
             try:  # a round that raises, or meets a floating-point error, runs again a trial at a time
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                with (np.errstate(over="raise", divide="raise", invalid="raise") if sigmas[1:]
+                      else contextlib.nullcontext()):
                     accepted = _trials(flow, guard, coords, direction, sigmas, q)
             except Exception:
                 accepted = next(filter(None, (_trials(flow, guard, coords, direction, [s], q) for s in sigmas)), None)
-            # no trial after one at 0.0, which every later one would repeat
-            sigmas = list(itertools.islice(steps, flow.stack)) if sigmas[-1] else []
+            done += len(sigmas)
         if not accepted:
             report.termination = Termination.BACKTRACKING_FAILED
             break
 
         sigma, coords, vols, qc = accepted
+        last = done - len(sigmas) + sigmas.index(sigma)
         report.quality.append(qc)
         report.sigma.append(sigma)
         report.field_norm.append(fnorm)
@@ -589,8 +592,7 @@ def smoothing_step(mesh: Mesh, coords, config: SmoothingConfig, sigma: float) ->
     Free policy expects coordinates on the shape sphere (see
     :func:`project_shape`) and returns coordinates on it, or NaN where the
     step overflows; a zero step size or a vanishing field returns the input
-    unchanged. ``sigma`` must be finite
-    and >= 0 (``InvalidSpec`` otherwise).
+    unchanged. ``sigma`` must be finite and >= 0 (``InvalidSpec`` otherwise).
     """
     if not 0.0 <= sigma < np.inf:
         raise InvalidSpec(f"sigma must be finite and >= 0, got {sigma!r}")

@@ -86,12 +86,14 @@ def _trials(report, config):
 
 
 def _passes(report, config):
-    """Volume passes of a run's trials, read off its step sizes: one for each first trial at ``sigma0``, and
-    one for each round of up to ``_ROUND`` halvings after it."""
-    halvings = [round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma]
+    """Volume passes of a run's trials, read off its step sizes. An iteration's first round holds its trials 0
+    to (p + bool(p)) % _ROUND, p the index of the trial the iteration before accepted, and the rest rounds of
+    ``_ROUND``: one past p, and ``sigma0`` alone after ``sigma0``."""
+    ends = [round(math.log(s / config.sigma0) / math.log(config.shrink)) for s in report.sigma]
     if report.termination is Termination.BACKTRACKING_FAILED:
-        halvings.append(config.max_halvings)
-    return sum(1 + math.ceil(h / smoothing_module._ROUND) for h in halvings)
+        ends.append(config.max_halvings)
+    k = smoothing_module._ROUND
+    return sum(1 + math.ceil(max(e - (p + bool(p)) % k, 0) / k) for p, e in zip([0] + ends, ends))
 
 
 def _strictly_increasing(report):
@@ -925,11 +927,11 @@ def test_block_plan_is_built_once_per_connectivity(monkeypatch):
     smooth(mesh, iq)
     smooth(make_mesh(first, mesh.elements), iq)
     # one plan for each row table and stack size: the volume and field kernels' and the iq kernels', for one
-    # copy and for a round's stack, and the iq score's for the rows of a round that the guard keeps
+    # copy and for rounds of up to k, and the iq score's for the rows of a round that the guard keeps
     gathered, iq_rows, k = id(geometry_module.GATHERED_ROWS), id(geometry_module.IQ_ROWS), smoothing_module._ROUND
     assert set(calls.values()) == {1}
     assert {(gathered, 1), (gathered, k), (iq_rows, 1), (iq_rows, k)} <= set(calls) <= {
-        (gathered, 1), (gathered, k), *((iq_rows, size) for size in range(k + 1))}
+        *((gathered, size) for size in range(1, k + 1)), *((iq_rows, size) for size in range(k + 1))}
 
 
 def _inner_vertex_above_the_apex(mesh):
@@ -1209,3 +1211,24 @@ def test_halving_ends_at_a_step_size_of_zero():
     _, report = smooth(mesh, _config(Measure.PRODUCT_SQUARED, field_tol=1e-14, max_halvings=10**6))
     assert time.perf_counter() - began < 1.0
     assert report.to_json_dict() == expected.to_json_dict()
+
+
+def test_halving_ends_at_a_step_size_that_shrinking_leaves_unchanged(monkeypatch):
+    # a factor of 0.9 takes 0.1 down to the subnormal 2.5e-323 in 7,028 steps, then rounds it back to itself
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.30]))
+    evaluated = []
+    trials = smoothing_module._trials
+
+    def counting(flow, guard, coords, direction, sigmas, q):
+        evaluated.extend(sigmas)
+        return trials(flow, guard, coords, direction, sigmas, q)
+
+    monkeypatch.setattr(smoothing_module, "_trials", counting)
+    runs = []
+    for halvings in (8000, 10**6):
+        evaluated.clear()
+        config = _config(Measure.PRODUCT_SQUARED, field_tol=0.0, shrink=0.9, max_iterations=2000, max_halvings=halvings)
+        report = smooth(mesh, config)[1]
+        runs.append((report.to_json_dict(), len(evaluated), evaluated[-1]))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["termination"] == "backtracking_failed" and runs[0][2] * 0.9 == runs[0][2] == 2.5e-323
