@@ -40,7 +40,6 @@ from .quality import (
     Measure,
     QualityMeasureSpec,
     QualityReport,
-    ReferenceFrame,
     compute_volume_shift,
     mean_ratio,
     mean_ratio_volume_equivalence,
@@ -79,7 +78,6 @@ __all__ = [
     "Mesh",
     "QualityMeasureSpec",
     "QualityReport",
-    "ReferenceFrame",
     "SmoothingConfig",
     "SmoothingReport",
     "Termination",

@@ -33,100 +33,51 @@ import numpy as np
 
 from . import geometry
 from .errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductOverflow, ProductUnderflow
-from .geometry import REGULAR_TETRA
 from .mesh import ElementKind, Mesh, _checked_coords, _shaped_coords, kind_groups
 
 
-def _difference_matrix(x: np.ndarray) -> np.ndarray:
-    """Edge vectors from the first vertex as columns, (..., 4, 3) -> (..., 3, 3)."""
-    return np.swapaxes(x[..., 1:, :] - x[..., :1, :], -1, -2)
+def _edge_square_sums(x: np.ndarray) -> np.ndarray:
+    """``sum l_ij^2`` over the six edges of each tetrahedron of a batch (m, 4, 3), (m,). The edges from
+    vertices 0, 1 and 2 to the later ones are slices of the component-major batch (3, 4, m), of 9, 6 and 3
+    rows; their squares are added row after row, component by component, so an element gets the same bits
+    in any batch."""
+    xt = x.T
+    edges = [xt[:, j + 1 :] - xt[:, j : j + 1] for j in range(3)]
+    for e in edges:
+        e *= e
+    return geometry._sum_rows([row for c in range(3) for e in edges for row in e[c]])
 
 
-@dataclass(frozen=True)
-class ReferenceFrame:
-    """Difference matrix of the reference tetrahedron for the mean ratio.
-
-    Columns are the edge vectors from the first vertex. The default frame is
-    the unit-edge regular tetrahedron, determinant 1/sqrt(2).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidSpec(f"reference matrix must be 3x3, got {m.shape}")
-        if abs(np.linalg.det(m)) < 1e-300:
-            raise InvalidSpec("reference tetrahedron is degenerate")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_inverse", np.linalg.inv(m))
-
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._inverse
-
-    @property
-    def volume_scale(self) -> float:
-        """``6 det W^-1``: a tetrahedron's signed volume times this is ``det E W^-1``."""
-        return 6.0 * float(np.linalg.det(self._inverse))
-
-    @classmethod
-    def regular(cls) -> "ReferenceFrame":
-        return cls(_difference_matrix(REGULAR_TETRA))
-
-
-_DEFAULT_FRAME = ReferenceFrame.regular()
-
-
-def _mean_ratios(x: np.ndarray, vols=None, reference: ReferenceFrame = _DEFAULT_FRAME) -> np.ndarray:
+def _mean_ratios(x: np.ndarray, vols=None) -> np.ndarray:
     """Mean ratios of a batch of tetrahedra, (m, 4, 3) -> (m,); ``vols``: their
     :func:`geometry.tet_signed_volumes`, computed if None.
 
-    The mean ratio is ``3 det(S)^(2/3) / |S|_F^2`` for ``S = E W^-1``, E and
-    W the edge vectors from the first vertex of the tetrahedron and of the
-    reference, and 0 where ``det S = 6 vol det W^-1`` is not positive. S is
-    formed from the component-major batch (3, 4, m) and its squares summed
-    row after row, by elementwise operations in a fixed order, so an element
-    gets the same bits in any batch.
+    The mean ratio relative to the regular tetrahedron (Knupp 2001) is, in
+    closed form (Liu and Joe 1994), ``12 (3V)^(2/3) / sum l_ij^2`` in the
+    volume V and the six edge lengths l_ij, and 0 where V is not positive.
     """
     vols = geometry.tet_signed_volumes(x) if vols is None else vols
-    xt = x.T
-    e = xt[:, 1:] - xt[:, :1]  # (3, 3, m): component c of edge j
-    w = reference.inverse[:, :, None]
-    s = e[:, :1] * w[0]  # (3, 3, m): entry (c, k) of S, its terms added in edge order
-    s += e[:, 1:2] * w[1]
-    s += e[:, 2:] * w[2]
-    s *= s
-    norm2 = geometry._sum_rows(s.reshape(9, -1))
-    det = vols * reference.volume_scale
-    ok = ~(det <= 0.0)
-    q = np.zeros(len(det))
-    np.float_power(det, 2.0 / 3.0, out=q, where=ok)
-    q *= 3.0
-    return np.divide(q, norm2, out=q, where=ok)
+    ok = ~(vols <= 0.0)
+    q = np.zeros(len(vols))
+    np.float_power(vols * 3.0, 2.0 / 3.0, out=q, where=ok)
+    q *= 12.0
+    return np.divide(q, _edge_square_sums(x), out=q, where=ok)
 
 
-def mean_ratio(x, reference: ReferenceFrame | None = None) -> float:
-    """Mean ratio of a tetrahedron: 1 when similar to the reference, 0 when flat.
+def mean_ratio(x) -> float:
+    """Mean ratio of a tetrahedron, ``12 (3V)^(2/3) / sum l_ij^2``: 1 when regular, 0 when flat.
 
-    Invalid orientations (nonpositive determinant) map to 0 by convention.
+    Invalid orientations (nonpositive volume) map to 0 by convention.
     """
-    return float(_mean_ratios(geometry._as_single(x, 4), reference=reference or _DEFAULT_FRAME)[0])
+    return float(_mean_ratios(geometry._as_single(x, 4))[0])
 
 
-def mean_ratio_volume_equivalence(x, reference: ReferenceFrame | None = None) -> tuple[float, float]:
-    """Return ``(q^(3/2), vol(x / |S|_F))``; their ratio depends only on the frame."""
-    ref = reference or _DEFAULT_FRAME
-    x = geometry._as_single(x, 4)[0]
-    s = _difference_matrix(x) @ ref.inverse
-    frob = math.sqrt(np.sum(s * s))
-    lhs = mean_ratio(x, ref) ** 1.5
-    rhs = geometry.tet_signed_volume(x / frob)
-    return lhs, rhs
+def mean_ratio_volume_equivalence(x) -> tuple[float, float]:
+    """Return ``(q^(3/2), vol(x / |S|_F))``, ``|S|_F^2 = sum l_ij^2 / 2`` the squared Frobenius norm of
+    the tetrahedron's edges mapped onto the regular reference; their ratio is ``1 / (18 sqrt 6)``."""
+    x = geometry._as_single(x, 4)
+    frob = math.sqrt(float(_edge_square_sums(x)[0]) / 2.0)
+    return mean_ratio(x[0]) ** 1.5, geometry.tet_signed_volume(x[0] / frob)
 
 
 class Measure(Enum):
@@ -206,7 +157,7 @@ def _block_plan(groups, rows, copies: int, n: int) -> tuple:
     stretch (as in a one-kind or kind-sorted mesh) or else the ids, and ``conn`` holds their rows."""
     plan, total = [], sum(len(ids) for ids, _ in groups.values())
     for kind, (ids, conn) in groups.items():
-        if copies != 1:  # no copies too, for a round the guard wholly rejects; conn.T C-ordered, to gather by
+        if copies != 1:  # conn.T C-ordered, to gather by
             ids = (ids + total * np.arange(copies)[:, None]).ravel()
             conn = np.asfortranarray((conn + n * np.arange(copies)[:, None, None]).reshape(-1, conn.shape[1]))
         step = _ROWS // rows[kind]
@@ -226,11 +177,12 @@ def _blocks(mesh: Mesh, rows, copies: int = 1) -> tuple:
     return plans[key]
 
 
-def _stack_limit(mesh: Mesh, cap: int, *tables) -> int:
-    """The most copies, at most ``cap``, whose block plans for the row ``tables`` have no more blocks than one's:
-    as many as one block of each kind holds, or 1 where a kind takes more than one block (k copies take more)."""
-    groups = kind_groups(mesh).items()
-    return max(1, min([cap] + [_ROWS // rows[kind] // len(ids) for rows in tables for kind, (ids, _) in groups]))
+def _stack_limit(mesh: Mesh, cap: int, rows) -> int:
+    """The most copies, at most ``cap``, whose block plans for the row table ``rows`` have no more blocks than
+    one's: as many as one block of each kind holds, or 1 where a kind takes more than one block (k copies take
+    more). :data:`geometry.IQ_ROWS` is at least :data:`geometry.GATHERED_ROWS` kind by kind, so a measure's
+    ``rows`` bound its volume pass too."""
+    return max(1, min([cap] + [_ROWS // rows[kind] // len(ids) for kind, (ids, _) in kind_groups(mesh).items()]))
 
 
 def _per_kind(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:

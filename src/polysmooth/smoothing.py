@@ -475,6 +475,8 @@ def _trials(flow: _Flow, guard: bool, coords: np.ndarray, direction: np.ndarray,
     cand = flow.constrain(np.multiply.outer(sigmas, direction) + coords)
     vols = flow.volumes(cand)
     keep = slice(None) if not guard or vols.min() > 0.0 else np.flatnonzero(vols.min(axis=1) > 0.0)
+    if not isinstance(keep, slice) and not keep.size:  # the guard rejects every trial: nothing to score
+        return None
     scores = np.full(len(sigmas), -np.inf)
     scores[keep] = flow.score(cand[keep], vols[keep])
     return next(((sigmas[j], cand[j], vols[j], s) for j, s in enumerate(scores.tolist()) if s > q), None)
@@ -582,7 +584,7 @@ def _build_flow(mesh: Mesh, config: SmoothingConfig,
     # a shifted field is not homogeneous: step along the raw field; an unshifted q1 or q2 score guards itself
     flow = _Flow(lambda c: mesh_mean_volumes(mesh, c), score, field, 1.0 if shift else measure.degree, constrain,
                  guarded=bool(shift) or not measure.shifted,
-                 stack=_stack_limit(mesh, _ROUND, geometry.GATHERED_ROWS, measure.rows))
+                 stack=_stack_limit(mesh, _ROUND, measure.rows))
     return flow, vols0
 
 

@@ -661,6 +661,13 @@ def test_full_block_peaks_stay_on_the_retained_heap(kind, name, rng):
         assert _traced_peak(kernel, *a) < 2 * quality._HEAP, len(a)
 
 
+def test_full_block_mean_ratio_peak_stays_on_the_retained_heap(rng):
+    m = quality._ROWS // geometry.GATHERED_ROWS[ElementKind.TETRA]
+    x = regular_element_coords(ElementKind.TETRA) + 0.1 * rng.standard_normal((m, 4, 3))
+    x = np.ascontiguousarray(x.T).T
+    assert _traced_peak(quality._mean_ratios, x, geometry.element_mean_volumes(ElementKind.TETRA, x)) < 2 * quality._HEAP
+
+
 @pytest.mark.parametrize("measure", [Measure.PRODUCT_SQUARED, Measure.ISOPERIMETRIC_QUOTIENT])
 def test_mixed_field_pass_peak_stays_on_the_retained_heap(measure):
     mesh = _mixed_cube(14)  # every kind spans two blocks

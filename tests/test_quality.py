@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polysmooth import Element, ElementKind, geometry, make_mesh
+from polysmooth import Element, ElementKind, geometry, make_mesh, quality
 from polysmooth.errors import InvalidSpec, MixedMeshMeanRatio, NonPositiveVolume, ProductOverflow, ProductUnderflow
 from polysmooth.fdcheck import fd_gradient, relative_error
 from polysmooth.generators import (
@@ -29,7 +29,6 @@ from polysmooth.quality import (
     Combiner,
     Measure,
     QualityMeasureSpec,
-    ReferenceFrame,
     compute_volume_shift,
     mean_ratio,
     mean_ratio_volume_equivalence,
@@ -81,21 +80,19 @@ def test_mean_ratio_in_unit_interval_and_invariant(rng):
 
 
 def test_mean_ratio_volume_equivalence_constant(rng):
-    ratios = []
+    # q^(3/2) = 12^(3/2) 3V / (2 |S|_F^2)^(3/2) and vol(x / |S|_F) = V / |S|_F^3
     for _ in range(50):
         lhs, rhs = mean_ratio_volume_equivalence(_random_valid_tet(rng))
-        ratios.append(rhs / lhs)
-    ratios = np.array(ratios)
-    assert np.ptp(ratios) / abs(ratios.mean()) < 1e-10
+        assert rhs / lhs == pytest.approx(1.0 / (18.0 * np.sqrt(6.0)), rel=1e-12)
 
 
 def test_equivalence_regular_case():
     x = regular_element_coords(ElementKind.TETRA)
     lhs, rhs = mean_ratio_volume_equivalence(x)
     assert lhs == pytest.approx(1.0, abs=1e-12)
-    # rhs is then the volume of the norm-rescaled regular tetra
-    s = np.column_stack([x[1] - x[0], x[2] - x[0], x[3] - x[0]]) @ ReferenceFrame.regular().inverse
-    frob = np.sqrt(np.sum(s * s))
+    # rhs is then the volume of the norm-rescaled regular tetra, |S|_F = sqrt(sum l_ij^2 / 2) = sqrt(3)
+    frob = np.sqrt(sum(np.sum((x[i] - x[j]) ** 2) for i, j in itertools.combinations(range(4), 2)) / 2.0)
+    assert frob == pytest.approx(np.sqrt(3.0), rel=1e-15)
     assert rhs == pytest.approx((np.sqrt(2) / 12) / frob**3, rel=1e-12)
 
 
@@ -104,30 +101,15 @@ def _det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _minor(m, r, c):
-    """The determinant of the 3x3 ``m`` without row r and column c."""
-    (a, b), (d, e) = [[v for k, v in enumerate(row) if k != c] for i, row in enumerate(m) if i != r]
-    return a * e - b * d
-
-
-def _exact_mean_ratio(x, frame=None):
+def _exact_mean_ratio(x):
     """The mean ratio of the float coordinates ``x`` in exact rational arithmetic, to the nearest float.
 
-    q^3 is rational: ``432 det(E)^2 / (sum l_ij^2)^3`` for the regular frame,
-    ``27 det(S)^2 / |S|_F^6`` with ``S = E W^-1``, W exactly inverted, for a
-    frame W; only its cube root is taken in 50-digit decimals.
+    q^3 is rational, ``432 det(E)^2 / (sum l_ij^2)^3`` with E the edges from
+    the first vertex; only its cube root is taken in 50-digit decimals.
     """
     x = [[Fraction(float(v)) for v in p] for p in x]
-    e = [[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)]
-    if frame is None:
-        det = _det3(e)
-        cubed = 432 * det**2 / sum((p[c] - q[c]) ** 2 for p, q in itertools.combinations(x, 2) for c in range(3)) ** 3
-    else:
-        w = [[Fraction(float(v)) for v in row] for row in frame]
-        w_inv = [[(-1) ** (i + j) * _minor(w, j, i) / _det3(w) for j in range(3)] for i in range(3)]
-        s = [[sum(e[c][j] * w_inv[j][k] for j in range(3)) for k in range(3)] for c in range(3)]
-        det = _det3(s)
-        cubed = 27 * det**2 / sum(v * v for row in s for v in row) ** 3
+    det = _det3([[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)])
+    cubed = 432 * det**2 / sum((p[c] - q[c]) ** 2 for p, q in itertools.combinations(x, 2) for c in range(3)) ** 3
     if det <= 0:
         return 0.0
     with localcontext() as ctx:
@@ -135,15 +117,10 @@ def _exact_mean_ratio(x, frame=None):
         return float((Decimal(cubed.numerator) / cubed.denominator) ** (Decimal(1) / 3))
 
 
-_OTHER_FRAME = np.array([[2.0, 0.5, 0.3], [0.0, 1.5, 0.2], [0.1, 0.0, 1.0]])
-
-
-@pytest.mark.parametrize("frame", [None, np.eye(3), _OTHER_FRAME])
-def test_mean_ratio_is_the_exact_value_within_a_few_ulp(frame, rng):
-    reference = None if frame is None else ReferenceFrame(frame)
+def test_mean_ratio_is_the_exact_value_within_a_few_ulp(rng):
     for _ in range(100):
         x = _random_valid_tet(rng)
-        q, exact = mean_ratio(x, reference), _exact_mean_ratio(x, frame)
+        q, exact = mean_ratio(x), _exact_mean_ratio(x)
         assert 0.3 < exact and abs(q - exact) <= 8 * np.spacing(exact)
 
 
@@ -155,28 +132,29 @@ def test_default_mean_ratio_is_the_edge_length_closed_form(rng):
         assert mean_ratio(x) == pytest.approx(12.0 * (3.0 * volume) ** (2.0 / 3.0) / lengths2, rel=1e-14)
 
 
-def test_mean_ratio_in_another_frame_is_one_on_its_reference(rng):
-    reference = ReferenceFrame(_OTHER_FRAME)
-    corner = np.vstack([np.zeros(3), _OTHER_FRAME.T])  # the frame's columns are the edges from vertex 0
-    for _ in range(20):
-        moved = rng.uniform(0.2, 5.0) * corner @ random_rotation(rng).T + rng.uniform(-10, 10, size=3)
-        assert mean_ratio(moved, reference) == pytest.approx(1.0, abs=1e-12)
-        assert mean_ratio(moved) < 1.0 - 1e-3  # not regular
-        assert mean_ratio(moved[[0, 2, 1, 3]], reference) == 0.0  # inverted
+def test_a_tet_gets_the_same_mean_ratio_bits_in_any_batch(rng):
+    # m = 1 is where a reduction over the batch axis could go pairwise
+    x = _random_valid_tet(rng)
+    alone = quality._mean_ratios(x[None])
+    for m in (1, 2, 8192, 8193):
+        batch = regular_element_coords(ElementKind.TETRA) + 0.1 * rng.standard_normal((m, 4, 3))
+        batch[m // 2] = x
+        batch = np.ascontiguousarray(batch.T).T  # the component-major layout of geometry.element_batch
+        got = quality._mean_ratios(batch, geometry.tet_signed_volumes(batch))
+        assert got[m // 2].tobytes() == alone.tobytes() == np.float64(mean_ratio(x)).tobytes(), m
 
 
-def test_default_reference_determinant():
-    assert ReferenceFrame.regular().determinant == pytest.approx(1 / np.sqrt(2), rel=1e-14)
-
-
-def test_degenerate_reference_rejected():
-    with pytest.raises(InvalidSpec):
-        ReferenceFrame(np.zeros((3, 3)))
-
-
-def test_reference_of_another_shape_rejected():
-    with pytest.raises(InvalidSpec, match=r"reference matrix must be 3x3, got \(2, 2\)"):
-        ReferenceFrame(np.eye(2))
+def test_flat_and_inverted_tets_have_a_mean_ratio_of_exactly_zero():
+    base = np.array(unit_element(ElementKind.TETRA).vertices)
+    flat = base.copy()
+    flat[3] = [0.25, 0.25, 0.0]
+    collapsed = np.zeros((4, 3))  # every edge of length 0 too
+    batch = np.stack([base, base[[0, 1, 3, 2]], flat, collapsed])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quality._mean_ratios(batch)
+    assert got[0] > 0.0 and got[1:].tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(got).any()
 
 
 # -- mesh quality ----------------------------------------------------------------
@@ -214,26 +192,25 @@ def test_report_json_schema():
 
 def test_batched_mean_ratio_matches_per_element_formula():
     mesh = perturb_mesh(tet_grid(4), 0.9 / 4, seed=0)
-    w = ReferenceFrame.regular().inverse.tolist()
-    scale = 6.0 * float(np.linalg.det(ReferenceFrame.regular().inverse))
+    pairs = list(itertools.combinations(range(4), 2))
 
     def scalar(x):
-        """3 det(S)^(2/3) / |S|_F^2 in Python floats, S = E W^-1, det S = 6 vol det W^-1, in the kernel's order."""
-        e = [[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)]  # component c of edge j
-        (ax, bx, cx), (ay, by, cy), (az, bz, cz) = e
+        """12 (3V)^(2/3) / sum l_ij^2 in Python floats, in the kernel's order: V by the volume kernel's
+        cross product, the squared edges added component by component, edge pairs in lexicographic order."""
+        (ax, bx, cx), (ay, by, cy), (az, bz, cz) = [[x[j][c] - x[0][c] for j in (1, 2, 3)] for c in range(3)]
         nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-        det = (((0.0 + nx * cx) + nz * cz) + ny * cy) / 6.0 * scale
-        norm2 = 0.0
+        vol = (((0.0 + nx * cx) + nz * cz) + ny * cy) / 6.0
+        lengths2 = None
         for c in range(3):
-            for k in range(3):
-                s = (e[c][0] * w[0][k] + e[c][1] * w[1][k]) + e[c][2] * w[2][k]
-                norm2 += s * s
-        return 0.0 if det <= 0.0 else 3.0 * det ** (2.0 / 3.0) / norm2
+            for i, j in pairs:
+                d = x[j][c] - x[i][c]
+                lengths2 = d * d if lengths2 is None else lengths2 + d * d
+        return 0.0 if vol <= 0.0 else 12.0 * (vol * 3.0) ** (2.0 / 3.0) / lengths2
 
     expected = np.array([scalar(mesh.vertices[list(e.vertices)].tolist()) for e in mesh.elements])
     got = mesh_quality(mesh, spec=QualityMeasureSpec(Measure.MEAN_RATIO)).per_element
     assert 0 < np.sum(expected == 0.0) < mesh.n_elements  # some elements are inverted
-    assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_mean_ratio_rejects_mixed_mesh():

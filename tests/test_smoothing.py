@@ -931,7 +931,25 @@ def test_block_plan_is_built_once_per_connectivity(monkeypatch):
     gathered, iq_rows, k = id(geometry_module.GATHERED_ROWS), id(geometry_module.IQ_ROWS), smoothing_module._ROUND
     assert set(calls.values()) == {1}
     assert {(gathered, 1), (gathered, k), (iq_rows, 1), (iq_rows, k)} <= set(calls) <= {
-        *((gathered, size) for size in range(1, k + 1)), *((iq_rows, size) for size in range(k + 1))}
+        *((gathered, size) for size in range(1, k + 1)), *((iq_rows, size) for size in range(1, k + 1))}
+
+
+def test_a_round_the_guard_wholly_rejects_is_not_scored():
+    # the first round, sigma0 = 50 alone, inverts an element: no trial is left to score
+    mesh = perturb_mesh(hex_grid(3), 0.05, seed=0)
+    _, report = smooth(mesh, _config(Measure.ISOPERIMETRIC_QUOTIENT, sigma0=50.0, max_iterations=3))
+    assert report.iterations == 3 and report.sigma[0] == 50.0 * 0.5**8
+    assert all(copies > 0 for _, copies, _ in mesh.elements.plans)
+
+
+@pytest.mark.parametrize("measure,most", [(Measure.PRODUCT_SQUARED, 1024), (Measure.ISOPERIMETRIC_QUOTIENT, 315)])
+def test_rounds_stack_as_many_trials_as_one_block_holds(measure, most):
+    # a round of 8 trials stays one block of the measure's kernels, whose rows bound its volume pass too
+    grid = tet_grid(6)
+    for n, stack in ((1, 8), (most, 8), (most + 1, 7)):
+        mesh = make_mesh(grid.vertices, list(grid.elements)[:n])
+        flow, _ = _build_flow(mesh, _config(measure, boundary_policy=BoundaryPolicy.FREE), np.array(mesh.vertices))
+        assert flow.stack == stack, n
 
 
 def _inner_vertex_above_the_apex(mesh):
