@@ -24,15 +24,11 @@ from .generators import (
 from .geometry import (
     element_field,
     element_iq,
-    element_iq_gradient,
-    element_mean_boundary_area,
     element_mean_volume,
-    polygon_normal,
     polyhedron_iq,
     polyhedron_iq_gradient,
     polyhedron_mean_area,
     polyhedron_mean_volume,
-    tet_signed_volume,
 )
 from .mesh import Element, ElementKind, Mesh, make_mesh
 from .quality import (
@@ -54,9 +50,7 @@ from .smoothing import (
     SmoothingReport,
     Termination,
     assemble_field,
-    homogeneity_degree,
     project_shape,
-    scale_normalize,
     smooth,
     smooth_polyhedron,
     smoothing_step,
@@ -86,15 +80,12 @@ __all__ = [
     "compute_volume_shift",
     "element_field",
     "element_iq",
-    "element_iq_gradient",
-    "element_mean_boundary_area",
     "element_mean_volume",
     "errors",
     "fd_gradient",
     "generate",
     "gradient_suite",
     "hex_grid",
-    "homogeneity_degree",
     "icosahedron_mesh",
     "icosahedron_polyhedron",
     "make_mesh",
@@ -103,7 +94,6 @@ __all__ = [
     "mesh_mean_volumes",
     "mesh_quality",
     "perturb_mesh",
-    "polygon_normal",
     "polyhedron_iq",
     "polyhedron_iq_gradient",
     "polyhedron_mean_area",
@@ -112,12 +102,10 @@ __all__ = [
     "quality_gradient_field",
     "read_mesh",
     "regular_element",
-    "scale_normalize",
     "smooth",
     "smooth_polyhedron",
     "smoothing_step",
     "tet_grid",
-    "tet_signed_volume",
     "tet_with_inner_vertex",
     "unit_element",
     "write_mesh",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 input error (a size too large to
-allocate included), 4 numerical failure. All randomness is seeded (default
-0), so identical invocations produce byte-identical outputs.
+Exit codes: 0 success, 2 usage error, 3 input error (a grid size past the
+face-matching limit or too large to allocate included), 4 numerical failure
+(backtracking exhaustion, a failed gradient check). All randomness is seeded
+(default 0), so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ class InvalidSpec(PolysmoothError):
 
 
 class InvalidPolygon(PolysmoothError):
-    """A polygon has fewer than three vertices, or a polyhedron face is neither a
-    triangle nor a quadrilateral."""
+    """A polyhedron's face list is empty, not integer, out of range, has a face that
+    is neither a triangle nor a quadrilateral, or does not close the surface."""
 
 
 class DegenerateElement(PolysmoothError):
@@ -51,18 +51,6 @@ class MixedMeshMeanRatio(PolysmoothError):
 
 class IsolatedVertex(PolysmoothError):
     """Valence averaging is undefined on a vertex contained in no element."""
-
-
-class NonHomogeneous(PolysmoothError):
-    """Field scaling estimates at s=1/2 and s=2 disagree."""
-
-
-class ZeroField(PolysmoothError):
-    """Homogeneity degree of the zero field is undefined."""
-
-
-class InvalidDegree(PolysmoothError):
-    """Scale normalization is undefined for homogeneity degree zero."""
 
 
 class NoValidDraw(PolysmoothError):

@@ -122,7 +122,7 @@ def gradient_suite(samples: int = 20, tol: float = 1e-6, seed: int = 0) -> list[
             sampler, samples, tol, name=f"mean-volume gradient [{kind.value}]",
         ))
         reports.append(check_field(
-            lambda x, kind=kind: geometry.element_iq_gradient(kind, x),
+            lambda x, kind=kind: geometry.element_iq_gradients(kind, x[None])[0],
             lambda x, kind=kind: geometry.element_iq(kind, x),
             sampler, samples, tol, name=f"iq gradient [{kind.value}]",
         ))

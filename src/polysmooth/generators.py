@@ -198,21 +198,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_element_coords(
-    kind: ElementKind,
-    rng: np.random.Generator,
-    jitter: float = 0.25,
-    transform: bool = True,
-) -> np.ndarray:
+_JITTER = 0.25
+
+
+def random_element_coords(kind: ElementKind, rng: np.random.Generator, transform: bool = True) -> np.ndarray:
     """Random valid element coordinates: jittered regular shape, optionally
-    rotated, scaled and translated. Resamples until comfortably non-degenerate.
-    ``jitter`` must be finite and >= 0."""
-    if not 0 <= jitter < math.inf:
-        raise InvalidSpec(f"jitter must be finite and >= 0, got {jitter}")
+    rotated, scaled and translated. Resamples until comfortably non-degenerate."""
     base = regular_element_coords(kind)
     vol0 = geometry.element_mean_volume(kind, base)
     while True:
-        x = base + rng.uniform(-jitter, jitter, size=base.shape)
+        x = base + rng.uniform(-_JITTER, _JITTER, size=base.shape)
         if geometry.element_mean_volume(kind, x) > 0.2 * vol0:
             break
     if transform:

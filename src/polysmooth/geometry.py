@@ -113,22 +113,6 @@ def _sum_rows(terms: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
     return acc
 
 
-def polygon_normal(points) -> np.ndarray:
-    """Generalized face normal of a polygonal curve.
-
-    For planar curves the norm is twice the enclosed area and the direction
-    follows the right-hand rule; the value is translation invariant.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise InvalidPolygon(f"need at least 3 points of dimension 3, got shape {pts.shape}")
-    d = pts[1:] - pts[0]  # the fan from the first point, which keeps translation out of the rounding
-    acc = np.zeros(3)
-    for nu in _cross_cm(d[:-1].T, d[1:].T).T:
-        acc += nu
-    return acc
-
-
 _QUAD_SPLITS = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
 
 
@@ -259,16 +243,6 @@ def _fields(tab: _Tables, xt: np.ndarray) -> np.ndarray:
     return out
 
 
-def tet_signed_volumes(x) -> np.ndarray:
-    """Signed volumes of a batch of tetrahedra, shape (m, 4, 3) -> (m,)."""
-    return _div_volumes(_KIND_TABLES[ElementKind.TETRA], _as_batch(x, 4).T)
-
-
-def tet_signed_volume(x) -> float:
-    """Signed volume of one tetrahedron; the sign encodes orientation."""
-    return float(tet_signed_volumes(_as_single(x, 4))[0])
-
-
 def element_fields(kind: ElementKind, x) -> np.ndarray:
     """Transformation fields for a batch of elements, (m, n_e, 3) -> same shape.
 
@@ -335,20 +309,6 @@ def _iq_gradients(tab: _Tables, xt: np.ndarray, vols: np.ndarray, field: np.ndar
     return _SIX_SQRT_PI * (field / 6.0 / a32 - 1.5 * (vols[:, None, None] / a52) * agrad.T)
 
 
-def element_mean_boundary_areas(kind: ElementKind, x) -> np.ndarray:
-    """Mean boundary areas for a batch of elements, (m, n_e, 3) -> (m,)."""
-    return _mean_areas(_KIND_TABLES[kind], _as_batch(x, kind.vertex_count).T)
-
-
-def element_mean_boundary_area(kind: ElementKind, x) -> float:
-    """Mean surface area of one element's boundary.
-
-    Triangle faces contribute their exact area; quadrilateral faces the mean
-    area over their two diagonal triangulations.
-    """
-    return float(element_mean_boundary_areas(kind, _as_single(x, kind.vertex_count))[0])
-
-
 def element_iqs(kind: ElementKind, x, vols=None) -> np.ndarray:
     """Isoperimetric quotients of a batch; ``vols``: its :func:`element_mean_volumes`, computed if None."""
     x = _as_batch(x, kind.vertex_count)
@@ -370,11 +330,6 @@ def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
     x = _as_batch(x, kind.vertex_count)
     vols = element_mean_volumes(kind, x) if vols is None else vols
     return _iq_gradients(_KIND_TABLES[kind], x.T, vols, element_fields(kind, x))
-
-
-def element_iq_gradient(kind: ElementKind, x) -> np.ndarray:
-    """Analytic gradient of :func:`element_iq` with respect to all coordinates."""
-    return element_iq_gradients(kind, _as_single(x, kind.vertex_count))[0]
 
 
 # -- generic closed polyhedra (arbitrary triangle/quad face lists) ----------
@@ -402,7 +357,8 @@ def polyhedron_mean_volume(faces, x) -> float:
     Every ``polyhedron_*`` function raises ``InvalidPolygon`` for no faces, an index that is not an
     integer, a face that is not a triangle or quadrilateral, an index outside 0 to n - 1 or repeated in a
     face, or faces that do not close the surface (each directed edge once, and its reverse once); and
-    ``InvalidSpec`` for coordinates that are not finite or not of shape (n, 3).
+    ``InvalidSpec`` for coordinates that are not finite or not of shape (n, 3). None of them marks the
+    caller's coordinates read-only.
     """
     return float(_div_volumes(*_polyhedron(faces, x))[0])
 

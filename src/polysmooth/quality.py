@@ -18,8 +18,9 @@ element of :data:`geometry.GATHERED_ROWS` a volume or field block holds 8,192
 tets, 3,276 pyramids, 1,560 prisms or 728 hexa; by :data:`geometry.IQ_ROWS` an
 iq block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter adds
 each block's field straight into the vertex sums with one ``np.add.at`` per
-component, in element order within each kind, so results do not depend on the
-block size and repeated runs are bit-reproducible.
+component (fast from numpy 1.25, the oldest the package takes), in element
+order within each kind, so results do not depend on the block size and
+repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ def _edge_square_sums(x: np.ndarray) -> np.ndarray:
 
 def _mean_ratios(x: np.ndarray, vols=None) -> np.ndarray:
     """Mean ratios of a batch of tetrahedra, (m, 4, 3) -> (m,); ``vols``: their
-    :func:`geometry.tet_signed_volumes`, computed if None.
+    :func:`geometry.element_mean_volumes`, computed if None.
 
     The mean ratio relative to the regular tetrahedron (Knupp 2001) is, in
     closed form (Liu and Joe 1994), ``12 (3V)^(2/3) / sum l_ij^2`` in the
     volume V and the six edge lengths l_ij, and 0 where V is not positive.
     """
-    vols = geometry.tet_signed_volumes(x) if vols is None else vols
+    vols = geometry.element_mean_volumes(ElementKind.TETRA, x) if vols is None else vols
     ok = ~(vols <= 0.0)
     q = np.zeros(len(vols))
     np.float_power(vols * 3.0, 2.0 / 3.0, out=q, where=ok)
@@ -77,7 +78,7 @@ def mean_ratio_volume_equivalence(x) -> tuple[float, float]:
     the tetrahedron's edges mapped onto the regular reference; their ratio is ``1 / (18 sqrt 6)``."""
     x = geometry._as_single(x, 4)
     frob = math.sqrt(float(_edge_square_sums(x)[0]) / 2.0)
-    return mean_ratio(x[0]) ** 1.5, geometry.tet_signed_volume(x[0] / frob)
+    return mean_ratio(x[0]) ** 1.5, geometry.element_mean_volume(ElementKind.TETRA, x[0] / frob)
 
 
 class Measure(Enum):

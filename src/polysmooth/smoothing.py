@@ -1,4 +1,4 @@
-"""Field assembly, scale normalization, the step operator and the driver.
+"""Field assembly, the step operator and the driver.
 
 The driver performs ascent on a global quality objective: evaluate the
 measure's gradient-direction field, zero it on vertices frozen by the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
@@ -48,14 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import (
-    DegenerateMesh,
-    InvalidDegree,
-    InvalidSpec,
-    IsolatedVertex,
-    NonHomogeneous,
-    ZeroField,
-)
+from .errors import DegenerateMesh, InvalidSpec, IsolatedVertex
 from .mesh import Mesh, _boundary_faces, _checked_coords, vertex_array
 from .quality import (
     _MEASURES,
@@ -184,42 +176,9 @@ def project_shape(coords) -> np.ndarray:
     return centered / norm
 
 
-def homogeneity_degree(field_fn: Callable[[np.ndarray], np.ndarray], coords) -> float:
-    """Estimate the scaling degree d with ``field(s*x) = s^d field(x)``.
-
-    Probes s = 1/2 and s = 2; the two estimates must agree to 1e-8.
-    """
-    coords = np.asarray(coords, dtype=float)
-    base = float(np.linalg.norm(field_fn(coords)))
-    if base == 0.0:
-        raise ZeroField("cannot measure the degree of the zero field")
-    estimates = []
-    for s in (0.5, 2.0):
-        scaled = float(np.linalg.norm(field_fn(s * coords)))
-        if scaled <= 0.0 or not np.isfinite(scaled):
-            raise NonHomogeneous(f"field norm degenerated under scaling by {s}")
-        estimates.append(np.log(scaled / base) / np.log(s))
-    if abs(estimates[0] - estimates[1]) > 1e-8:
-        raise NonHomogeneous(
-            f"degree estimates disagree: {estimates[0]!r} vs {estimates[1]!r}"
-        )
-    return float(np.mean(estimates))
-
-
-def scale_normalize(field, degree: float) -> np.ndarray:
-    """Rescale a degree-d homogeneous field to homogeneity degree 1.
-
-    Multiplies by ``|field|^((1-d)/d)``; the zero field maps to zero. A degree within 1e-9 of 0,
-    or not finite, raises ``InvalidDegree``.
-    """
-    if not 1e-9 <= abs(degree) < math.inf:
-        raise InvalidDegree(f"scale normalization needs a finite nonzero degree, got {degree}")
-    field = np.asarray(field, dtype=float)
-    return _normalized(field, float(np.linalg.norm(field)), degree)
-
-
 def _normalized(field: np.ndarray, norm: float, degree: float) -> np.ndarray:
-    """:func:`scale_normalize` of ``field``, whose norm is ``norm``, for a degree other than 0."""
+    """``field``, whose norm is ``norm`` and whose scaling degree is ``degree`` (not 0), rescaled to degree 1:
+    times ``norm^((1-d)/d)``; the zero field maps to zero."""
     if norm == 0.0:
         return np.zeros_like(field)
     return norm ** ((1.0 - degree) / degree) * field

@@ -3,26 +3,11 @@ import pytest
 
 from polysmooth import ElementKind
 from polysmooth.mesh import FACES
-from polysmooth.generators import random_element_coords, random_rotation, random_valid_mesh
-
-ALL_KINDS = tuple(ElementKind)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
-
-
-def sample_element(kind, rng, transform=True):
-    return random_element_coords(kind, rng, transform=transform)
-
-
-def sample_mesh(rng):
-    return random_valid_mesh(rng)
-
-
-def rotation(rng):
-    return random_rotation(rng)
 
 
 # Kuhn split of a hexahedron into six tetrahedra around its 0-6 diagonal
@@ -36,7 +21,7 @@ def interleaved_mesh():
     all four kinds interleave in element order and share vertices."""
     from polysmooth import Element, make_mesh
     from polysmooth.generators import hex_grid
-    from polysmooth.geometry import tet_signed_volume
+    from polysmooth.geometry import element_mean_volume
 
     grid = hex_grid(3)
     points = [p for p in grid.vertices]
@@ -56,7 +41,7 @@ def interleaved_mesh():
         else:
             for tet in _HEX_TETS:
                 t = [v[j] for j in tet]
-                if tet_signed_volume(grid.vertices[t]) < 0:
+                if element_mean_volume(ElementKind.TETRA, grid.vertices[t]) < 0:
                     t[0], t[1] = t[1], t[0]
                 elements.append(Element(ElementKind.TETRA, t))
     return make_mesh(np.array(points), elements)

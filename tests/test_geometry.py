@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polysmooth import ElementKind, geometry, quality
 from polysmooth.errors import DegenerateElement, InvalidPolygon, InvalidSpec
@@ -19,69 +17,18 @@ from polysmooth.geometry import (
     _cross_cm,
     element_field,
     element_iq,
-    element_iq_gradient,
     element_iq_gradients,
     element_iqs,
-    element_mean_boundary_area,
     element_mean_volume,
-    polygon_normal,
     polyhedron_iq,
     polyhedron_iq_gradient,
     polyhedron_mean_area,
     polyhedron_mean_volume,
     polyhedron_volume_gradient,
-    tet_signed_volume,
 )
 from polysmooth.smoothing import SmoothingConfig, smooth_polyhedron
 
 ALL_KINDS = list(ElementKind)
-
-coords3 = st.tuples(
-    st.floats(-10, 10, allow_nan=False), st.floats(-10, 10), st.floats(-10, 10)
-)
-
-
-# -- generalized face normal -------------------------------------------------
-
-
-def test_triangle_normal():
-    nu = polygon_normal([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    assert np.allclose(nu, [0, 0, 1], atol=1e-15)
-
-
-def test_unit_square_normal_is_twice_area():
-    nu = polygon_normal([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-    assert np.allclose(nu, [0, 0, 2], atol=1e-15)
-
-
-def test_planar_polygon_norm_is_twice_enclosed_area():
-    # irregular planar pentagon; shoelace area as the oracle
-    pts2d = np.array([[0, 0], [2, 0], [2.5, 1.2], [1, 2.4], [-0.5, 1.0]])
-    shoelace = 0.5 * abs(
-        sum(
-            pts2d[i, 0] * pts2d[(i + 1) % 5, 1] - pts2d[(i + 1) % 5, 0] * pts2d[i, 1]
-            for i in range(5)
-        )
-    )
-    pts = np.column_stack([pts2d, np.zeros(5)])
-    nu = polygon_normal(pts)
-    assert np.isclose(np.linalg.norm(nu), 2 * shoelace, rtol=1e-13)
-    assert nu[2] > 0  # right-hand rule for counterclockwise traversal
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(coords3, min_size=3, max_size=7), coords3)
-def test_polygon_normal_translation_invariant(points, shift):
-    pts = np.asarray(points, dtype=float)
-    t = np.asarray(shift, dtype=float)
-    a = polygon_normal(pts)
-    b = polygon_normal(pts + t)
-    assert np.allclose(a, b, atol=1e-10 * max(1.0, np.abs(pts).max() * np.abs(t).max()))
-
-
-def test_polygon_normal_needs_three_points():
-    with pytest.raises(InvalidPolygon):
-        polygon_normal([(0, 0, 0), (1, 0, 0)])
 
 
 # -- signed volume -------------------------------------------------------------
@@ -89,18 +36,18 @@ def test_polygon_normal_needs_three_points():
 
 def test_unit_tet_volume():
     x = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert tet_signed_volume(x) == pytest.approx(1 / 6, rel=1e-15)
+    assert element_mean_volume(ElementKind.TETRA, x) == pytest.approx(1 / 6, rel=1e-15)
 
 
 def test_coplanar_tet_volume_zero():
     x = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert tet_signed_volume(x) == 0.0
+    assert element_mean_volume(ElementKind.TETRA, x) == 0.0
 
 
 def test_swap_reverses_sign():
     x = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], dtype=float)
     swapped = x[[0, 1, 3, 2]]
-    assert tet_signed_volume(swapped) == pytest.approx(-1 / 6, rel=1e-15)
+    assert element_mean_volume(ElementKind.TETRA, swapped) == pytest.approx(-1 / 6, rel=1e-15)
 
 
 # -- mean volumes --------------------------------------------------------------
@@ -216,23 +163,23 @@ def test_regular_tet_field_is_radial():
 
 def test_cube_area_six():
     cube = regular_element_coords(ElementKind.HEXA)
-    assert element_mean_boundary_area(ElementKind.HEXA, cube) == pytest.approx(6.0, rel=1e-14)
+    assert polyhedron_mean_area(FACES[ElementKind.HEXA], cube) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_regular_tet_area_sqrt3():
     x = regular_element_coords(ElementKind.TETRA)
-    assert element_mean_boundary_area(ElementKind.TETRA, x) == pytest.approx(math.sqrt(3), rel=1e-13)
+    assert polyhedron_mean_area(FACES[ElementKind.TETRA], x) == pytest.approx(math.sqrt(3), rel=1e-13)
 
 
 def test_planar_quad_mean_area_exact(rng):
     # planar quads: both diagonal splits agree, the mean equals the exact area
     base = np.array([[0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]], dtype=float)
     pyramid = np.vstack([base, [1.0, 0.5, 3.0]])
-    area = element_mean_boundary_area(ElementKind.PYRAMID, pyramid)
+    area = polyhedron_mean_area(FACES[ElementKind.PYRAMID], pyramid)
     tris = area - 2.0  # quad base contributes its exact area 2
     by_halves = sum(
-        0.5 * np.linalg.norm(polygon_normal(pyramid[list(f)]))
-        for f in FACES[ElementKind.PYRAMID][1:]
+        0.5 * np.linalg.norm(np.cross(pyramid[b] - pyramid[a], pyramid[c] - pyramid[a]))
+        for a, b, c in FACES[ElementKind.PYRAMID][1:]
     )
     assert tris == pytest.approx(by_halves, rel=1e-13)
 
@@ -274,7 +221,7 @@ def test_zero_area_boundary_triangle_raises_in_iq_gradients():
     x[1] = 0.5 * (x[0] + x[2])  # on the bottom diagonal: split triangle (0, 2, 1) is flat
     message = "^zero-area triangle in boundary face$"
     with pytest.raises(DegenerateElement, match=message):
-        element_iq_gradient(ElementKind.HEXA, x)
+        element_iq_gradients(ElementKind.HEXA, x[None])
     with pytest.raises(DegenerateElement, match=message):
         polyhedron_iq_gradient(FACES[ElementKind.HEXA], x)
     # the quotient itself stays defined: only its gradient needs every triangle's normal
@@ -286,7 +233,7 @@ def test_zero_area_triangle_reported_before_vanished_area():
     line[:, 0] = np.arange(8.0)  # collinear: every triangle and the whole boundary are flat
     faces = FACES[ElementKind.HEXA]
     with pytest.raises(DegenerateElement, match="^zero-area triangle in boundary face$"):
-        element_iq_gradient(ElementKind.HEXA, line)
+        element_iq_gradients(ElementKind.HEXA, line[None])
     with pytest.raises(DegenerateElement, match="^zero-area triangle in boundary face$"):
         polyhedron_iq_gradient(faces, line)
     # the quotient itself has only the area check
@@ -327,13 +274,13 @@ def test_iq_gradient_matches_fd(kind, rng):
     for _ in range(5):
         x = random_element_coords(kind, rng)
         fd = fd_gradient(lambda y: element_iq(kind, y), x)
-        assert relative_error(element_iq_gradient(kind, x), fd) < 1e-6
+        assert relative_error(element_iq_gradients(kind, x[None])[0], fd) < 1e-6
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_iq_gradient_euler_degree_zero(kind, rng):
     x = random_element_coords(kind, rng)
-    g = element_iq_gradient(kind, x)
+    g = element_iq_gradients(kind, x[None])[0]
     assert abs(float(np.sum(x * g))) < 1e-12 * max(1.0, np.abs(g).max() * np.abs(x).max())
 
 
@@ -444,18 +391,13 @@ _TETRA, _HEXA = ElementKind.TETRA, ElementKind.HEXA
     (geometry.element_mean_volume, (_TETRA, np.zeros((3, 3))), "(4, 3)"),
     (geometry.element_mean_volume, (_HEXA, np.zeros((1, 8, 3))), "(8, 3)"),
     (geometry.element_field, (ElementKind.PRISM, np.zeros(18)), "(6, 3)"),
-    (geometry.element_mean_boundary_area, (ElementKind.PYRAMID, np.zeros((5, 2))), "(5, 3)"),
     (geometry.element_iq, (_HEXA, np.zeros((4, 3))), "(8, 3)"),
-    (geometry.element_iq_gradient, (_TETRA, np.zeros((3, 4))), "(4, 3)"),
-    (geometry.tet_signed_volume, (np.zeros((3, 3)),), "(4, 3)"),
     (quality.mean_ratio, (np.zeros((5, 3)),), "(4, 3)"),
     (quality.mean_ratio_volume_equivalence, (np.zeros((3, 3)),), "(4, 3)"),
     (geometry.element_mean_volumes, (_TETRA, np.zeros((4, 3))), "(m, 4, 3)"),
     (geometry.element_fields, (_HEXA, np.zeros((2, 4, 3))), "(m, 8, 3)"),
-    (geometry.element_mean_boundary_areas, (_TETRA, np.zeros((2, 4, 2))), "(m, 4, 3)"),
     (geometry.element_iqs, (_TETRA, np.zeros((2, 2, 4, 3))), "(m, 4, 3)"),
     (geometry.element_iq_gradients, (_HEXA, np.zeros((8, 3))), "(m, 8, 3)"),
-    (geometry.tet_signed_volumes, (np.zeros(12),), "(m, 4, 3)"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_element_kernels_name_the_callers_shape(fn, args, expected):
     shape = np.shape(args[-1])

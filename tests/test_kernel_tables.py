@@ -232,7 +232,6 @@ def _reference(kind, x):
     return {
         "element_fields": fields,
         "element_mean_volumes": vols,
-        "element_mean_boundary_areas": _mean_areas(tris, x),
         "element_iqs": _ref_iq(vols, _mean_areas(tris, x)),
         "element_iq_gradients": _ref_iq_gradients(tris, x, vols, fields / 6.0),
     }
@@ -359,13 +358,6 @@ def test_polyhedron_functions_match_loops(rng):
                       _iq_gradient_scale(vgrad, areas))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_polygon_normal_matches_loop(n, rng):
-    for _ in range(10):
-        pts = rng.standard_normal((n, 3)) * 10.0
-        assert _same_bits(geometry.polygon_normal(pts), _nu(pts[None], range(n))[0])
-
-
 # -- independent references: quadrature of the trilinear map, finite differences --
 
 _UNIT_HEXA = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]])
@@ -425,7 +417,6 @@ def test_tet_kernels_match_slice_form(case, m, rng):
     x = _coords(case, m, rng)
     vols, fields = _ref_tet_volumes(x), _ref_tet_fields(x)
     for xl in _layouts(x):
-        assert _same_bits(geometry.tet_signed_volumes(xl), vols)
         assert _same_bits(geometry.element_mean_volumes(ElementKind.TETRA, xl), vols)
         assert _same_bits(geometry.element_fields(ElementKind.TETRA, xl), fields)
 

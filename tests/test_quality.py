@@ -140,7 +140,7 @@ def test_a_tet_gets_the_same_mean_ratio_bits_in_any_batch(rng):
         batch = regular_element_coords(ElementKind.TETRA) + 0.1 * rng.standard_normal((m, 4, 3))
         batch[m // 2] = x
         batch = np.ascontiguousarray(batch.T).T  # the component-major layout of geometry.element_batch
-        got = quality._mean_ratios(batch, geometry.tet_signed_volumes(batch))
+        got = quality._mean_ratios(batch, geometry.element_mean_volumes(ElementKind.TETRA, batch))
         assert got[m // 2].tobytes() == alone.tobytes() == np.float64(mean_ratio(x)).tobytes(), m
 
 

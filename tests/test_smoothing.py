@@ -14,15 +14,7 @@ from polysmooth import geometry as geometry_module
 from polysmooth import mesh as mesh_module
 from polysmooth import quality as quality_module
 from polysmooth import smoothing as smoothing_module
-from polysmooth.errors import (
-    DegenerateElement,
-    DegenerateMesh,
-    InvalidDegree,
-    InvalidSpec,
-    IsolatedVertex,
-    NonHomogeneous,
-    ZeroField,
-)
+from polysmooth.errors import DegenerateElement, DegenerateMesh, InvalidSpec, IsolatedVertex
 from polysmooth.generators import (
     hex_grid,
     icosahedron_polyhedron,
@@ -58,9 +50,7 @@ from polysmooth.smoothing import (
     _Flow,
     _Surface,
     assemble_field,
-    homogeneity_degree,
     project_shape,
-    scale_normalize,
     smooth,
     smooth_polyhedron,
     smoothing_step,
@@ -203,9 +193,17 @@ def _driven(monkeypatch, run):
 _FIELD_MEASURES = [m for m, entry in quality_module._MEASURES.items() if entry.vertex_field]
 
 
+def _homogeneity_degree(field_fn, coords):
+    """The scaling degree d with ``field(s*x) = s^d field(x)``, estimated at s = 1/2 and s = 2, which must agree."""
+    base = np.linalg.norm(field_fn(coords))
+    estimates = [np.log(np.linalg.norm(field_fn(s * coords)) / base) / np.log(s) for s in (0.5, 2.0)]
+    assert abs(estimates[0] - estimates[1]) <= 1e-8, estimates
+    return float(np.mean(estimates))
+
+
 def test_degree_of_transformation_field_is_two():
     mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
-    assert homogeneity_degree(lambda c: assemble_field(mesh, c), np.array(mesh.vertices)) == pytest.approx(2.0, abs=1e-9)
+    assert _homogeneity_degree(lambda c: assemble_field(mesh, c), np.array(mesh.vertices)) == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("measure", _FIELD_MEASURES)
@@ -215,7 +213,7 @@ def test_measure_field_degrees(measure, monkeypatch):
     # the free policy leaves the field unmasked
     coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, _config(measure, boundary_policy=BoundaryPolicy.FREE)))
     assert flow.degree == quality_module._MEASURES[measure].degree
-    degree = homogeneity_degree(lambda c: flow.field(c, flow.volumes(c[None])[0]), coords)
+    degree = _homogeneity_degree(lambda c: flow.field(c, flow.volumes(c[None])[0]), coords)
     assert degree == pytest.approx(flow.degree, abs=1e-8)
 
 
@@ -231,51 +229,18 @@ def test_the_driver_steps_along_a_direction_of_degree_one(measure, monkeypatch):
         mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
         config = _config(measure, boundary_policy=BoundaryPolicy.FREE)
         coords, flow, _ = _driven(monkeypatch, lambda: smooth(mesh, config))
-    degree = homogeneity_degree(lambda c: flow.direction(c, flow.volumes(c[None])[0])[0], coords)
+    degree = _homogeneity_degree(lambda c: flow.direction(c, flow.volumes(c[None])[0])[0], coords)
     assert degree == pytest.approx(1.0, abs=1e-8)
 
 
-def test_constant_field_degree_zero():
-    coords = np.ones((3, 3)) + np.eye(3)
-    assert homogeneity_degree(lambda c: np.full_like(c, 2.0), coords) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_zero_field_rejected():
-    with pytest.raises(ZeroField):
-        homogeneity_degree(lambda c: np.zeros_like(c), np.ones((4, 3)))
-
-
-def test_inhomogeneous_field_rejected():
-    coords = np.arange(12.0).reshape(4, 3)
-    with pytest.raises(NonHomogeneous):
-        homogeneity_degree(lambda c: c**2 + 1.0, coords)
-
-
-def test_scale_normalize_examples():
+def test_normalized_examples():
     x = np.zeros((4, 3))
     x[0, 0] = 4.0  # norm 4
-    assert np.allclose(scale_normalize(x, 2.0), x / 2.0)
+    assert np.allclose(smoothing_module._normalized(x, 4.0, 2.0), x / 2.0)
     y = np.zeros((4, 3))
     y[1, 2] = 2.0  # norm 2
-    assert np.allclose(scale_normalize(y, -1.0), y / 4.0)
-    assert not scale_normalize(np.zeros((4, 3)), 2.0).any()
-    with pytest.raises(InvalidDegree):
-        scale_normalize(x, 0.0)
-
-
-@pytest.mark.parametrize("degree", [0.0, -1e-12, math.nan, math.inf, -math.inf])
-def test_scale_normalize_needs_a_finite_nonzero_degree(degree):
-    with pytest.raises(InvalidDegree, match=f"finite nonzero degree, got {degree}"):
-        scale_normalize(np.ones((2, 3)), degree)
-
-
-def test_scale_normalize_output_degree_one():
-    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
-    coords = np.array(mesh.vertices)
-    for s in (0.5, 3.0):
-        a = scale_normalize(assemble_field(mesh, coords), 2.0)
-        b = scale_normalize(assemble_field(mesh, s * coords), 2.0)
-        assert np.linalg.norm(b) == pytest.approx(s * np.linalg.norm(a), rel=1e-9)
+    assert np.allclose(smoothing_module._normalized(y, 2.0, -1.0), y / 4.0)
+    assert not smoothing_module._normalized(np.zeros((4, 3)), 0.0, 2.0).any()
 
 
 # -- the step operator -------------------------------------------------------------
