@@ -103,6 +103,9 @@ def test_unknown_generator_name(name):
     (lambda: generate(GeneratorSpec("tet-cube", perturb=0.01, seed=-1)), "seed must be >= 0, got -1"),
     (lambda: generate(GeneratorSpec("inner-tet", inner=(0, 0))), r"one point \(x, y, z\), got shape \(2,\)"),
     (lambda: tet_with_inner_vertex([[0.5, 0.3, 0.2]]), r"got shape \(1, 3\)"),
+    (lambda: random_displacements(4, float("nan")), "perturbation amplitude must be finite and >= 0, got nan"),
+    (lambda: random_displacements(4, -0.1), "perturbation amplitude must be finite and >= 0, got -0.1"),
+    (lambda: random_displacements(4, float("inf")), "perturbation amplitude must be finite and >= 0, got inf"),
 ])
 def test_generator_inputs_are_checked_where_they_are_used(build, match):
     with pytest.raises(InvalidSpec, match=match):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysmooth import ElementKind, geometry, quality
 from polysmooth.errors import DegenerateElement, InvalidPolygon, InvalidSpec
@@ -182,6 +184,41 @@ def test_planar_quad_mean_area_exact(rng):
         for a, b, c in FACES[ElementKind.PYRAMID][1:]
     )
     assert tris == pytest.approx(by_halves, rel=1e-13)
+
+
+def test_right_tet_area_is_its_four_triangles():
+    x = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert polyhedron_mean_area(FACES[ElementKind.TETRA], x) == pytest.approx(1.5 + math.sqrt(3) / 2, rel=1e-15)
+
+
+# a quadrilateral and its reverse close a flat surface: twice the face's area, and no volume
+_TWO_SIDED_QUAD = [(0, 1, 2, 3), (3, 2, 1, 0)]
+
+
+def test_two_sided_unit_square_area_is_twice_its_area():
+    square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    assert polyhedron_mean_area(_TWO_SIDED_QUAD, square) == pytest.approx(2.0, rel=1e-15)
+    assert polyhedron_mean_volume(_TWO_SIDED_QUAD, square) == 0.0
+
+
+def test_two_sided_planar_quad_area_is_twice_its_shoelace_area(rng):
+    # an irregular convex quad, turned out of its plane; shoelace area as the oracle
+    pts2d = np.array([[0, 0], [2, 0], [2.5, 1.2], [1, 2.4]])
+    shoelace = 0.5 * abs(sum(pts2d[i - 1, 0] * pts2d[i, 1] - pts2d[i, 0] * pts2d[i - 1, 1] for i in range(4)))
+    x = np.column_stack([pts2d, np.zeros(4)]) @ random_rotation(rng).T + rng.standard_normal(3)
+    assert polyhedron_mean_area(_TWO_SIDED_QUAD, x) == pytest.approx(2 * shoelace, rel=1e-13)
+
+
+coords3 = st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2**32 - 1), coords3)
+def test_mean_area_translation_invariant(kind, seed, shift):
+    x = random_element_coords(kind, np.random.default_rng(seed))
+    t = np.asarray(shift, dtype=float)
+    a, b = polyhedron_mean_area(FACES[kind], x), polyhedron_mean_area(FACES[kind], x + t)
+    assert abs(a - b) <= 1e-12 * (np.abs(x).max() + np.abs(t).max()) ** 2
 
 
 # -- isoperimetric quotient ------------------------------------------------------
@@ -370,6 +407,14 @@ def test_polyhedron_functions_reject_bad_faces(fn, bad):
     coords, faces = icosahedron_polyhedron()
     with pytest.raises(InvalidPolygon):
         fn(bad(faces), coords)
+
+
+@pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_polyhedron_functions_reject_a_face_of_two_vertices(fn):
+    # vertices 0 and 2 share no edge, so the digon (0, 2) still leaves every edge used once each way
+    coords, faces = icosahedron_polyhedron()
+    with pytest.raises(InvalidPolygon, match="triangles or quadrilaterals, got 2 vertices"):
+        fn((*faces, (0, 2)), coords)
 
 
 @pytest.mark.parametrize("fn", POLYHEDRON_FUNCTIONS, ids=lambda fn: fn.__name__)

@@ -320,6 +320,15 @@ def test_batched_kernels_equal_single_calls(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_mean_areas_match_loops_and_single_calls(kind, rng):
+    # the area kernel under element_iqs and polyhedron_mean_area, on its own
+    tab, x = geometry._KIND_TABLES[kind], _batch(kind, SIZES[-1], rng)
+    areas = geometry._mean_areas(tab, x.T)
+    assert _close(areas, _mean_areas(_face_triangles(FACES[kind]), x))
+    assert _same_bits(areas, [geometry._mean_areas(tab, xi[None].T)[0] for xi in x])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_every_kind_has_one_table_layout(kind):
     # the area table is the faces' mean triangulation, and a coefficient table an array, or None when all are 1
     tab = geometry._KIND_TABLES[kind]

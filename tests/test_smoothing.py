@@ -196,6 +196,7 @@ _FIELD_MEASURES = [m for m, entry in quality_module._MEASURES.items() if entry.v
 def _homogeneity_degree(field_fn, coords):
     """The scaling degree d with ``field(s*x) = s^d field(x)``, estimated at s = 1/2 and s = 2, which must agree."""
     base = np.linalg.norm(field_fn(coords))
+    assert base > 0, "the zero field has no degree"
     estimates = [np.log(np.linalg.norm(field_fn(s * coords)) / base) / np.log(s) for s in (0.5, 2.0)]
     assert abs(estimates[0] - estimates[1]) <= 1e-8, estimates
     return float(np.mean(estimates))
@@ -241,6 +242,50 @@ def test_normalized_examples():
     y[1, 2] = 2.0  # norm 2
     assert np.allclose(smoothing_module._normalized(y, 2.0, -1.0), y / 4.0)
     assert not smoothing_module._normalized(np.zeros((4, 3)), 0.0, 2.0).any()
+
+
+@pytest.mark.parametrize("degree", [-2.0, -1.0, 0.5, 2.0, 3.0])
+def test_normalized_field_has_degree_one(degree):
+    # |x|^(d-1) x has degree d, and normalized it is x itself
+    coords = np.arange(12.0).reshape(4, 3) - 5.0
+
+    def normalized(c):
+        f = np.linalg.norm(c) ** (degree - 1.0) * c
+        return smoothing_module._normalized(f, np.linalg.norm(f), degree)
+
+    assert np.allclose(normalized(coords), coords, rtol=1e-12, atol=0)
+    assert _homogeneity_degree(normalized, coords) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_normalized_transformation_field_has_degree_one():
+    mesh = tet_with_inner_vertex(np.array([0.5, 0.35, 0.3]))
+    coords = np.array(mesh.vertices)
+
+    def normalized(c):
+        f = assemble_field(mesh, c)
+        return smoothing_module._normalized(f, np.linalg.norm(f), 2.0)
+
+    for s in (0.5, 3.0):
+        assert np.linalg.norm(normalized(s * coords)) == pytest.approx(s * np.linalg.norm(normalized(coords)), rel=1e-9)
+
+
+# the degree oracle above: a wrong one would let the closed-form degrees pass unchecked
+
+
+def test_homogeneity_oracle_reads_degree_zero_for_a_constant_field():
+    coords = np.ones((3, 3)) + np.eye(3)
+    assert _homogeneity_degree(lambda c: np.full_like(c, 2.0), coords) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_homogeneity_oracle_rejects_the_zero_field():
+    with pytest.raises(AssertionError, match="the zero field has no degree"):
+        _homogeneity_degree(lambda c: np.zeros_like(c), np.ones((4, 3)))
+
+
+def test_homogeneity_oracle_rejects_an_inhomogeneous_field():
+    coords = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(AssertionError):
+        _homogeneity_degree(lambda c: c**2 + 1.0, coords)
 
 
 # -- the step operator -------------------------------------------------------------
