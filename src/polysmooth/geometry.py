@@ -16,10 +16,11 @@ Kernels are index tables built at import from the face lists. Each reads a
 batch component-major, as the (3, n_e, m) array whose (m, n_e, 3) transposed
 view :func:`element_batch` returns: a gather per table, cross products of
 whole (k, m) arrays and sums over the table's rows in an order fixed at
-import, so an element gets the same bits in any batch. Fields are written
-(3, m, n_e), the layout the vertex scatter reads. The measure layer sizes
-each batch by :data:`GATHERED_ROWS` or :data:`IQ_ROWS`: the (k, m) rows of a
-kernel's largest temporary per element.
+import, so an element gets the same bits in any batch. The field kernel takes
+each element's weight, as the iq kernels take its volume, and writes each
+weighted field once, (3, m, n_e), the layout the vertex scatter reads. The
+measure layer sizes each batch by :data:`GATHERED_ROWS` or :data:`IQ_ROWS`:
+the (k, m) rows of a kernel's largest temporary per element.
 """
 
 from __future__ import annotations
@@ -65,16 +66,22 @@ def _as_single(x, n: int) -> np.ndarray:
     return x[None]
 
 
-def _cross_cm(u: np.ndarray, v: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+def _per_element(a, x: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as floats, one per element of the batch ``x``; ``InvalidSpec`` names any other shape."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != x.shape[:1]:
+        raise InvalidSpec(f"expected {name} of shape ({len(x)},), got {a.shape}")
+    return a
+
+
+def _cross_cm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross product of component-major arrays (3, ...) of one shape, on flat components, bit for bit
-    ``np.cross``; added into ``into``, an array of that shape, when given."""
-    (u0, u1, u2), (v0, v1, v2) = u.reshape(3, -1), v.reshape(3, -1)
-    out = np.empty(u.shape) if into is None else into
-    for o, (a, b, c, d) in zip(out, ((u1, v2, u2, v1), (u2, v0, u0, v2), (u0, v1, u1, v0))):
-        if into is None:
-            o.reshape(-1)[...] = a * b - c * d
-        else:
-            o += (a * b - c * d).reshape(o.shape)
+    ``np.cross``."""
+    out = np.empty(u.shape)
+    u, v = u.reshape(3, -1), v.reshape(3, -1)
+    for o, (i, j) in zip(out.reshape(3, -1), ((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[i], v[j], out=o)
+        o -= u[j] * v[i]
     return out
 
 
@@ -138,8 +145,8 @@ def _unless_ones(coef: np.ndarray) -> np.ndarray | None:
 
 
 def _padded(rows: list[list], pad: list) -> list[list]:
-    """Entry k of each row, k = 0, 1, ..., with ``pad[r]`` for a row r that has none."""
-    return [[row[k] if k < len(row) else pad[r] for r, row in enumerate(rows)] for k in range(max(map(len, rows)))]
+    """Entries k = 0, 1, ... of each row, at least one, with ``pad[r]`` for a row r that has none."""
+    return [[row[k] if k < len(row) else pad[r] for r, row in enumerate(rows)] for k in range(max(1, *map(len, rows)))]
 
 
 class _Tables(NamedTuple):
@@ -158,8 +165,9 @@ def _tables(faces, n: int) -> _Tables:
     """Volume, field and area tables of a closed surface over n vertices, with ``e = x - x_b``.
 
     Volume: each triangle (i, j, k) of weight w of the mean triangulation, off
-    b = 0, adds ``2w/6 det(e_i, e_j, e_k)``. Field row r, ``6 dV/dx_r`` with b =
-    n - 1 (0 for r = n - 1): each face through r, rotated to start at r, adds
+    b = 0, adds ``2w/6 det(e_i, e_j, e_k)``; when every triangle meets vertex 0
+    (a flat surface) the one term is (0, 0, 0). Field row r, ``6 dV/dx_r`` with
+    b = n - 1 (0 for r = n - 1): each face through r, rotated to start at r, adds
     ``e_i x e_j`` for a triangle (r, i, j) off b, and its three split triangles
     through r at weight 1/2, ``(e_i + e_j) x (e_j + e_k) / 2``, for a
     quadrilateral (r, i, j, k). Area gradient: each triangle (b, p, q) of weight
@@ -167,7 +175,8 @@ def _tables(faces, n: int) -> _Tables:
     """
     tris, w = _face_triangles(faces)
     off0 = ~np.any(tris == 0, axis=1)
-    terms, weights = tris[off0].T, _unless_ones(2.0 * w[off0, None])
+    terms = tris[off0].T if off0.any() else np.zeros((3, 1), dtype=np.intp)
+    weights = _unless_ones(2.0 * w[off0, None])
     base = [n - 1] * (n - 1) + [0]
     field = [[] for _ in base]
     for r, b in enumerate(base):
@@ -178,7 +187,7 @@ def _tables(faces, n: int) -> _Tables:
                     field[r].append((g[:2], g[1:], 0.5))
                 elif b not in g:
                     field[r].append((g[:1], g[1:], 1.0))
-    depth = max(len(p) for row in field for p, _, _ in row)
+    depth = max((len(p) for row in field for p, _, _ in row), default=1)
     # short sums end in x_b - x_b = 0, short rows in zero vectors
     grid = _padded(field, [([b], [b], 0.0) for b in base])
     ends = np.array([[[(v + [b] * depth)[:depth] for v in (p, q)] for (p, q, _), b in zip(line, base)]
@@ -231,26 +240,28 @@ def _div_volumes(tab: _Tables, xt: np.ndarray) -> np.ndarray:
     return _sum_rows((((0.0 + nx * cx) + nz * cz) + ny * cy).reshape(tab.terms.shape[1], -1), tab.weights) / 6.0
 
 
-def _fields(tab: _Tables, xt: np.ndarray) -> np.ndarray:
-    """Fields of a batch (3, n, m), component-major (3, m, n): each row's cross products, times their
-    coefficients, added in table order into zeros."""
-    out = np.zeros((3, xt.shape[2], xt.shape[1]))
-    rows = out.transpose(0, 2, 1)
-    if tab.ends.shape[1:3] == (1, 1):  # a tetrahedron: one cross product a row, at coefficient 1, into the rows
-        _cross_cm(*_edges(xt, tab.ends), into=rows[:, None])
-    else:
-        rows += _sum_rows(_cross_cm(*_edges(xt, tab.ends)).transpose(1, 0, 2, 3), tab.coef)
+def _fields(tab: _Tables, xt: np.ndarray, w=1.0) -> np.ndarray:
+    """Fields of a batch (3, n, m) times ``w``, a weight (m,) per element or one for all, component-major
+    (3, m, n): each row's cross products, times their coefficients, added in table order and onto 0.0 (a
+    zero is +0.0), then weighted and stored once."""
+    rows = _sum_rows(_cross_cm(*_edges(xt, tab.ends)).transpose(1, 0, 2, 3), tab.coef)
+    rows += 0.0
+    out = np.empty((3, xt.shape[2], xt.shape[1]))
+    np.multiply(rows, w, out=out.transpose(0, 2, 1))
     return out
 
 
-def element_fields(kind: ElementKind, x) -> np.ndarray:
-    """Transformation fields for a batch of elements, (m, n_e, 3) -> same shape.
+def element_fields(kind: ElementKind, x, weights=None) -> np.ndarray:
+    """Transformation fields for a batch of elements, (m, n_e, 3) -> same shape, each times its entry of
+    ``weights`` (m,) when given.
 
     Equals six times the gradient of :func:`element_mean_volumes`; translation
     invariant and homogeneous of degree 2 in the coordinates. The array is
     the transposed view of a component-major (3, m, n_e) one.
     """
-    return _fields(_KIND_TABLES[kind], _as_batch(x, kind.vertex_count).T).transpose(1, 2, 0)
+    x = _as_batch(x, kind.vertex_count)
+    w = 1.0 if weights is None else _per_element(weights, x, "weights")
+    return _fields(_KIND_TABLES[kind], x.T, w).transpose(1, 2, 0)
 
 
 def element_field(kind: ElementKind, x) -> np.ndarray:
@@ -312,7 +323,8 @@ def _iq_gradients(tab: _Tables, xt: np.ndarray, vols: np.ndarray, field: np.ndar
 def element_iqs(kind: ElementKind, x, vols=None) -> np.ndarray:
     """Isoperimetric quotients of a batch; ``vols``: its :func:`element_mean_volumes`, computed if None."""
     x = _as_batch(x, kind.vertex_count)
-    return _iq_values(_KIND_TABLES[kind], x.T, element_mean_volumes(kind, x) if vols is None else vols)
+    vols = element_mean_volumes(kind, x) if vols is None else _per_element(vols, x, "volumes")
+    return _iq_values(_KIND_TABLES[kind], x.T, vols)
 
 
 def element_iq(kind: ElementKind, x) -> float:
@@ -328,7 +340,7 @@ def element_iq_gradients(kind: ElementKind, x, vols=None) -> np.ndarray:
     """Gradients of :func:`element_iqs`, ``vols`` as there; given them, one field evaluation and no volume
     pass."""
     x = _as_batch(x, kind.vertex_count)
-    vols = element_mean_volumes(kind, x) if vols is None else vols
+    vols = element_mean_volumes(kind, x) if vols is None else _per_element(vols, x, "volumes")
     return _iq_gradients(_KIND_TABLES[kind], x.T, vols, element_fields(kind, x))
 
 

@@ -9,15 +9,16 @@ stack of k (the driver's trials), one scatters per-element vectors onto the
 vertices. Both loop over a block plan, cached with the groups for each k,
 which cuts each kind into blocks whose kernel temporaries hold at most
 ``_ROWS`` (3, m) rows each, and evaluate one block at a time, so every
-temporary stays under 768 KiB and a block's temporaries together under twice
+temporary holds at most 768 KiB and a block's temporaries together under twice
 ``_HEAP`` (a tier-1 test holds each kernel to it). The chunk of ``_HEAP``
 bytes allocated and freed at import raises glibc's dynamic mmap and trim
 thresholds (mallopt(3)), so the temporaries come from heap pages that stay
 mapped from block to block instead of being faulted in afresh. By the rows per
 element of :data:`geometry.GATHERED_ROWS` a volume or field block holds 8,192
 tets, 3,276 pyramids, 1,560 prisms or 728 hexa; by :data:`geometry.IQ_ROWS` an
-iq block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter adds
-each block's field straight into the vertex sums with one ``np.add.at`` per
+iq block 2,520 tets, 1,310 pyramids, 762 prisms or 448 hexa. The scatter hands
+each block's weights to the field kernel, which writes the weighted fields
+once, and adds them straight into the vertex sums with one ``np.add.at`` per
 component (fast from numpy 1.25, the oldest the package takes), in element
 order within each kind, so results do not depend on the block size and
 repeated runs are bit-reproducible.
@@ -219,16 +220,13 @@ def _require_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None, rows=geometry.GATHERED_ROWS) -> np.ndarray:
+def _scatter(kernel, mesh: Mesh, coords, *arrays, rows=geometry.GATHERED_ROWS) -> np.ndarray:
     """Sum ``kernel(kind, x, *(a[sel] for a in arrays))``, a fresh (m, n_e, 3) array, onto the
-    vertices, times ``scale[id]`` when given; ``rows`` as for :func:`_per_kind`. Each block's field,
-    taken component-major and scaled in place, is added by one ``np.add.at`` per component, kind by
-    kind in element order, so no bit depends on the block size."""
+    vertices; ``rows`` as for :func:`_per_kind`. Each block's field, read component-major, is added by
+    one ``np.add.at`` per component, kind by kind in element order, so no bit depends on the block size."""
     out = np.zeros((len(coords), 3))
     for kind, sel, conn in _blocks(mesh, rows):
         w = kernel(kind, geometry.element_batch(coords, conn), *(a[sel] for a in arrays)).transpose(2, 0, 1)
-        if scale is not None:
-            w *= scale[sel][:, None]
         for k in range(3):
             np.add.at(out[:, k], conn.ravel(), w[k].ravel())
     return out
@@ -237,16 +235,16 @@ def _scatter(kernel, mesh: Mesh, coords, *arrays, scale=None, rows=geometry.GATH
 def scatter_element_fields(mesh: Mesh, coords, per_element_scale=None) -> np.ndarray:
     """Sum per-element transformation fields onto mesh vertices.
 
-    ``per_element_scale`` optionally multiplies each element's field before
-    the scatter (indexed in element order). ``coords`` must have the shape
+    ``per_element_scale`` optionally multiplies each element's field, inside
+    the field kernel (indexed in element order). ``coords`` must have the shape
     of ``mesh.vertices`` and the scale the shape ``(mesh.n_elements,)``
     (``InvalidSpec`` otherwise); their values are not scanned.
     """
     coords = _shaped_coords(mesh, coords)
-    scale = None if per_element_scale is None else np.asarray(per_element_scale, dtype=float)
-    if scale is not None and scale.shape != (mesh.n_elements,):
-        raise InvalidSpec(f"per_element_scale must be of shape ({mesh.n_elements},); got shape {scale.shape}")
-    return _scatter(geometry.element_fields, mesh, coords, scale=scale)
+    scale = () if per_element_scale is None else (np.asarray(per_element_scale, dtype=float),)
+    if scale and scale[0].shape != (mesh.n_elements,):
+        raise InvalidSpec(f"per_element_scale must be of shape ({mesh.n_elements},); got shape {scale[0].shape}")
+    return _scatter(geometry.element_fields, mesh, coords, *scale)
 
 
 def _tet_mean_ratios(kind: ElementKind, x: np.ndarray, vols: np.ndarray) -> np.ndarray:

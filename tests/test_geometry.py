@@ -28,7 +28,7 @@ from polysmooth.geometry import (
     polyhedron_mean_volume,
     polyhedron_volume_gradient,
 )
-from polysmooth.smoothing import SmoothingConfig, smooth_polyhedron
+from polysmooth.smoothing import SmoothingConfig, Termination, smooth_polyhedron
 
 ALL_KINDS = list(ElementKind)
 
@@ -429,6 +429,28 @@ def test_polyhedron_functions_reject_bad_coordinates(fn, bad):
         fn(faces, coords)
 
 
+# closed surfaces whose every face passes through vertex 0: no triangle of the mean triangulation misses it,
+# so the volume has no term of its own, and with the two triangles no field row has a cross product
+_FLAT_THROUGH_VERTEX_0 = {
+    "two triangles": ([(0, 1, 2), (2, 1, 0)], [(0, 0, 0), (2, 0, 0), (0, 1, 0)]),
+    "two triangles and a free vertex": ([(0, 1, 2), (2, 1, 0)], [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "two quadrilaterals": (_TWO_SIDED_QUAD, [(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("faces, x", list(_FLAT_THROUGH_VERTEX_0.values()), ids=list(_FLAT_THROUGH_VERTEX_0))
+def test_surfaces_flat_through_vertex_0_have_no_volume_and_twice_the_face_area(faces, x):
+    face_area = 1.0 if len(faces[0]) == 3 else 2.0
+    zeros = np.zeros((len(x), 3))
+    assert polyhedron_mean_volume(faces, x) == 0.0
+    assert polyhedron_mean_area(faces, x) == 2 * face_area
+    assert polyhedron_iq(faces, x) == 0.0
+    assert np.array_equal(polyhedron_volume_gradient(faces, x), zeros)
+    assert np.array_equal(polyhedron_iq_gradient(faces, x), zeros)
+    _, report = smooth_polyhedron(x, faces, SmoothingConfig(max_iterations=3))
+    assert report.iterations == 0 and report.termination is Termination.FIELD_BELOW_TOL
+
+
 _TETRA, _HEXA = ElementKind.TETRA, ElementKind.HEXA
 
 
@@ -449,6 +471,19 @@ def test_element_kernels_name_the_callers_shape(fn, args, expected):
     with pytest.raises(InvalidSpec) as err:
         fn(*args)
     assert str(err.value) == f"expected coordinates of shape {expected}, got {shape}"
+
+
+@pytest.mark.parametrize("fn, name", [
+    (geometry.element_fields, "weights"),
+    (geometry.element_iqs, "volumes"),
+    (geometry.element_iq_gradients, "volumes"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+@pytest.mark.parametrize("shape", [(), (1,), (6,), (5, 1)])
+def test_element_kernels_name_the_shape_of_a_per_element_array(fn, name, shape):
+    x = np.repeat(regular_element_coords(_HEXA)[None], 5, axis=0)
+    with pytest.raises(InvalidSpec) as err:
+        fn(_HEXA, x, np.ones(shape))
+    assert str(err.value) == f"expected {name} of shape (5,), got {shape}"
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -5,8 +5,9 @@ the fan sum ``_nu``, the row loop of the field over the vertex-link
 polygons, and the per-triangle loops over boundary areas, area gradients
 and divergence volumes. The tetra kernels are checked against their slice
 form, also verbatim: the field as cross products of strided (m, 3) slices,
-the volume as an ``np.einsum`` dot product. The scatter is checked against
-``np.add.at``.
+the volume as an ``np.einsum`` dot product. The field kernel with a weight
+per element is checked, for every kind, against the unweighted field times the
+weights. The scatter is checked against ``np.add.at``.
 
 The tetra volume and field add the same terms in the same order as their
 references, so they are compared on the bytes, and the sign of a zero counts
@@ -438,6 +439,21 @@ def test_pyramid_mean_volumes_match_slice_form(case, m, rng):
         assert _close(geometry.element_mean_volumes(ElementKind.PYRAMID, xl), _ref_pyramid_volumes(x), _volume_scale(x))
 
 
+@pytest.mark.parametrize("size", [1, 7, "block", "block + 1"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_weighted_fields_are_the_fields_times_the_weights_bit_for_bit(kind, size, rng):
+    block = quality._ROWS // geometry.GATHERED_ROWS[kind]
+    m = {"block": block, "block + 1": block + 1}.get(size, size)
+    x = rng.standard_normal((m, kind.vertex_count, 3)) * np.exp(rng.uniform(-3.0, 3.0, size=(m, 1, 1)))
+    # axis-aligned elements moved by whole steps, and rounded ones: zero components and products of either sign
+    x[::3] = unit_element(kind).vertices + np.round(rng.uniform(-2.0, 2.0, size=(len(x[::3]), 1, 3)))
+    x[1::3] = np.round(x[1::3])
+    w = rng.standard_normal(m)
+    w[::4], w[2::4] = 0.0, -0.0
+    for xl in _layouts(x):
+        assert _same_bits(geometry.element_fields(kind, xl, w), geometry.element_fields(kind, xl) * w[:, None, None])
+
+
 def _ref_scatter(mesh, coords, scale):
     grad = np.zeros((len(coords), 3))
     for kind, (ids, conn) in kind_groups(mesh).items():
@@ -657,6 +673,8 @@ def test_full_block_peaks_stay_on_the_retained_heap(kind, name, rng):
     args = [(kind, x)]
     if name in ("element_iqs", "element_iq_gradients"):
         args.append((kind, x, geometry.element_mean_volumes(kind, x)))  # as the measure layer calls them
+    if name == "element_fields":
+        args.append((kind, x, rng.standard_normal(m)))  # weighted, as scatter_element_fields calls it
     for a in args:
         assert _traced_peak(kernel, *a) < 2 * quality._HEAP, len(a)
 
